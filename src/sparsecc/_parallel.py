@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain, islice
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -30,22 +31,22 @@ def resolve_threads(threads: int | None = None) -> int:
 def ordered_map(fn, items, threads: int | None = None):
     """Like map(fn, items) but executed on a thread pool, yielding in order.
 
-    Submission is windowed so at most ~2x ``threads`` results are buffered.
+    ``items`` is consumed lazily: an item is drawn only when a slot in the
+    submission window frees, so at most ~2x ``threads`` items are drawn and
+    results buffered ahead of the consumer, also when ``items`` is a
+    generator.
     """
     threads = resolve_threads(threads)
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        for it in items:
-            yield fn(it)
+    it = iter(items)
+    window = list(islice(it, 2 * threads)) if threads > 1 else []
+    if len(window) <= 1:
+        for item in chain(window, it):
+            yield fn(item)
         return
-    window = 2 * threads
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        it = iter(items)
-        for _ in range(min(window, len(items))):
-            pending.append(pool.submit(fn, next(it)))
-        for nxt in it:
+        pending = deque(pool.submit(fn, item) for item in window)
+        for item in it:
             yield pending.popleft().result()
-            pending.append(pool.submit(fn, nxt))
+            pending.append(pool.submit(fn, item))
         while pending:
             yield pending.popleft().result()

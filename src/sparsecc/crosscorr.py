@@ -170,6 +170,11 @@ class AbsWeightBlocks:
     above the main diagonal are meaningful. Weights are ``|zeta|`` when
     symmetrizing, otherwise the larger of the two directed magnitudes (weak
     connectivity). The full p x p matrix is never materialized.
+
+    ``row(u)`` gives node u's weights to every node (entry u is meaningless;
+    ``block_size`` does not apply). Its entries are bitwise equal to the
+    matching block entries in either orientation: both run the same kernel
+    over the same observation order, and products and sums commute.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):
@@ -193,11 +198,18 @@ class AbsWeightBlocks:
         i1, j1 = min(i0 + bs, p), min(j0 + bs, p)
         b = _product_blocks(x[:, i0:i1], y[:, j0:j1])
         c = _product_blocks(y[:, i0:i1], x[:, j0:j1])
+        return i0, j0, self._combine(b, c)
+
+    def row(self, u: int) -> np.ndarray:
+        x, y = self.ds.x, self.ds.y
+        b = _product_blocks(x[:, u : u + 1], y)[0]
+        c = _product_blocks(y[:, u : u + 1], x)[0]
+        return self._combine(b, c)
+
+    def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         if self.symmetrize:
-            w = np.abs(b + c) / 2.0
-        else:
-            w = np.maximum(np.abs(b), np.abs(c))
-        return i0, j0, w
+            return np.abs(b + c) / 2.0
+        return np.maximum(np.abs(b), np.abs(c))
 
     def __iter__(self):
         for pair in self.block_pairs():

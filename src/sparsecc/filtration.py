@@ -25,7 +25,6 @@ import numpy as np
 
 from .crosscorr import CrossCorrMatrix, SparseCrossCorr, sparse_network
 from .errors import CurveMismatch, NodeSetMismatch
-from ._parallel import ordered_map
 
 KIND_COMPONENTS = "component_count"
 KIND_LARGEST = "largest_component_size"
@@ -258,8 +257,7 @@ def filtration_curves(
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
     """Component-count and largest-size curves over all thresholds at once.
 
-    One union-find pass over the edges sorted by descending weight. Stops as
-    soon as the graph is fully merged: later edges cannot change either curve.
+    One union-find pass over the edges sorted by descending weight.
     """
     p = g.n_nodes
     w = _undirected_weights(g, weight_transform)
@@ -267,8 +265,18 @@ def filtration_curves(
     wu = w[iu, ju]
     present = wu != -np.inf
     iu, ju, wu = iu[present], ju[present], wu[present]
-    order = np.lexsort((ju, iu, -wu))
+    return _merge_log_curves(p, iu, ju, wu)
 
+
+def _merge_log_curves(
+    p: int, iu: np.ndarray, ju: np.ndarray, wu: np.ndarray
+) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
+    """Both curves and the merge log of the undirected edges (iu, ju, wu).
+
+    One union-find pass in (-w, i, j) order, stopping once the graph is fully
+    merged: later edges cannot change either curve.
+    """
+    order = np.lexsort((ju, iu, -wu))
     uf = _UnionFind(p)
     merge_w, merge_count, merge_largest = [], [], []
     for k in order:
@@ -280,21 +288,18 @@ def filtration_curves(
                 break
 
     events = MergeEvents(np.array(merge_w), np.array(merge_largest))
-    count_curve, largest_curve = _curves_from_merges(
-        p, merge_w, merge_count, merge_largest, final_count=uf.count, final_largest=uf.largest
-    )
+    count_curve, largest_curve = _curves_from_merges(p, merge_w, merge_count, merge_largest)
     return count_curve, largest_curve, events
 
 
 def _curves_from_merges(
-    p: int, merge_w, merge_count, merge_largest, final_count: int, final_largest: int
+    p: int, merge_w, merge_count, merge_largest
 ) -> tuple[FiltrationCurve, FiltrationCurve]:
     """Assemble both step curves from the descending merge log."""
     if not merge_w:
-        ones = np.array([final_count]), np.array([final_largest])
         return (
-            FiltrationCurve(KIND_COMPONENTS, p, np.array([]), ones[0]),
-            FiltrationCurve(KIND_LARGEST, p, np.array([]), ones[1]),
+            FiltrationCurve(KIND_COMPONENTS, p, np.array([]), np.array([p])),
+            FiltrationCurve(KIND_LARGEST, p, np.array([]), np.array([1])),
         )
     w_asc = np.array(merge_w)[::-1]
     cnt_asc = np.array(merge_count)[::-1]
@@ -335,119 +340,78 @@ def filtration_curves_binned(
 ) -> tuple[FiltrationCurve, FiltrationCurve]:
     """Quantized curves for graphs too large to hold as dense matrices.
 
-    ``cc_stream`` is a re-iterable stream of upper-triangle weight blocks
-    (see :class:`~sparsecc.crosscorr.AbsWeightBlocks`) with weights in [0, 1].
-    Each weight is snapped up to the next multiple of 1/n_bins, so the result
-    equals the exact curves of the snapped graph: both agree with the exact
-    curves of the raw graph at every bin boundary, and every reported
-    breakpoint sits within one bin width above an exact one.
+    ``cc_stream`` supplies undirected weights in [0, 1] for ``n_nodes`` nodes,
+    normally as an :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Each weight
+    is snapped up to the next multiple of 1/n_bins, so the result equals the
+    exact curves of the snapped graph: both agree with the exact curves of the
+    raw graph at every bin boundary, and every reported breakpoint sits within
+    one bin width above an exact one.
 
-    The stream is traversed once to histogram the weights, then once per chunk
-    of bins (highest first, at most ``max_chunk_edges`` edge endpoints held in
-    memory), stopping as soon as the graph is fully merged.
+    Both curves are set by a maximum spanning forest alone, and snapping up is
+    monotone, so a maximum spanning tree of the raw weights is one of the
+    snapped graph too. The tree comes from one Prim pass over weight rows
+    (``cc_stream.row(u)``, each computed once as its node joins the tree); its
+    p - 1 edges are snapped, the zero-weight ones (absent pairs) dropped, and
+    the rest run through the same merge-log core as :func:`filtration_curves`.
+    Memory is O(p) on top of the n x p observations the stream holds, so
+    O(p * n) in all; the p x p weights are never stored.
+
+    A stream without ``row`` is read block by block (``(i0, j0, w)`` as
+    ``AbsWeightBlocks`` yields them), and every nonzero upper-triangle weight
+    goes through the same snap and merge-log core.
+
+    ``max_chunk_edges`` and ``threads`` are accepted for compatibility and
+    unused: the Prim pass is sequential and holds no edge chunks.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
     p = cc_stream.n_nodes
-
-    def block_buckets(block):
-        i0, j0, w = block
-        if i0 == j0:
-            a, b = np.triu_indices(w.shape[0], k=1, m=w.shape[1])
-            vals = w[a, b]
-        else:
-            vals = w.ravel()
-        q = np.ceil(np.clip(vals, 0.0, 1.0) * n_bins).astype(np.int64) - 1
-        return q
-
-    hist = np.zeros(n_bins, dtype=np.int64)
-    for q in ordered_map(block_buckets, iter(cc_stream), threads):
-        q = q[q >= 0]
-        hist += np.bincount(q, minlength=n_bins)
-
-    # chunk bins from highest to lowest; the graph usually connects within the
-    # top edges, so start near the random-graph connectivity count and grow
-    # geometrically toward the memory budget
-    budget = min(max(int(2 * p * np.log(max(p, 2))), 100_000), max_chunk_edges)
-    chunks = []
-    hi = n_bins - 1
-    while hi >= 0:
-        lo, total = hi, 0
-        while lo >= 0 and (total + hist[lo] <= budget or lo == hi):
-            total += hist[lo]
-            lo -= 1
-        chunks.append((lo + 1, hi))
-        hi = lo
-        budget = min(budget * 8, max_chunk_edges)
-
-    uf = _UnionFind(p)
-    changed_desc = []  # (bucket, count_after, largest_after)
-    prev_count, prev_largest = p, 1
-    done = False
-    for lo, hi in chunks:
-        if done or not hist[lo : hi + 1].any():
-            continue
-
-        def collect(block, lo=lo, hi=hi):
-            i0, j0, w = block
-            if i0 == j0:
-                a, b = np.triu_indices(w.shape[0], k=1)
-                vals = w[a, b]
-            else:
-                a = b = None
-                vals = w.ravel()
-            q = np.ceil(np.clip(vals, 0.0, 1.0) * n_bins).astype(np.int64) - 1
-            keep = np.flatnonzero((q >= lo) & (q <= hi))
-            if a is None:
-                a, b = np.divmod(keep, w.shape[1])
-            else:
-                a, b = a[keep], b[keep]
-            return q[keep], a + i0, b + j0
-
-        qs, iis, jjs = [], [], []
-        for q, ii, jj in ordered_map(collect, iter(cc_stream), threads):
-            qs.append(q)
-            iis.append(ii)
-            jjs.append(jj)
-        q = np.concatenate(qs) if qs else np.empty(0, dtype=np.int64)
-        ii = np.concatenate(iis) if iis else q
-        jj = np.concatenate(jjs) if jjs else q
-        # stable sort by descending bucket keeps stream order within a bucket
-        order = np.argsort(-q, kind="stable")
-        q, ii, jj = q[order], ii[order], jj[order]
-
-        pos = 0
-        for b in range(hi, lo - 1, -1):
-            end = pos
-            while end < q.size and q[end] == b:
-                end += 1
-            if end > pos:
-                for a, c in zip(ii[pos:end].tolist(), jj[pos:end].tolist()):
-                    uf.union(a, c)
-                pos = end
-                if uf.count != prev_count or uf.largest != prev_largest:
-                    changed_desc.append((b, uf.count, uf.largest))
-                    prev_count, prev_largest = uf.count, uf.largest
-            if uf.count == 1:
-                done = True
-                break
-        if done:
-            break
-
-    if not changed_desc:
-        return (
-            FiltrationCurve(KIND_COMPONENTS, p, np.array([]), np.array([p])),
-            FiltrationCurve(KIND_LARGEST, p, np.array([]), np.array([1])),
-        )
-    # state after bucket b holds on [b*delta, (b+1)*delta); the curve therefore
-    # breaks at (b+1)*delta for every bucket where the state changed
-    buckets = np.array([b for b, _, _ in changed_desc])[::-1]
-    counts = np.array([c for _, c, _ in changed_desc])[::-1]
-    largests = np.array([s for _, _, s in changed_desc])[::-1]
-    bps = (buckets + 1) / n_bins
-    cvals = np.append(counts, p)
-    lvals = np.append(largests, 1)
-    return (
-        FiltrationCurve(KIND_COMPONENTS, p, bps, cvals),
-        FiltrationCurve(KIND_LARGEST, p, bps, lvals),
+    if hasattr(cc_stream, "row"):
+        ii, jj, w = _prim_tree(cc_stream.row, p)
+    else:
+        ii, jj, w = _block_edges(cc_stream)
+    q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins).astype(np.int64) - 1
+    keep = q >= 0
+    count_curve, largest_curve, _ = _merge_log_curves(
+        p, ii[keep], jj[keep], (q[keep] + 1) / n_bins
     )
+    return count_curve, largest_curve
+
+
+def _prim_tree(row, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum spanning tree (Prim, 1957) of the complete graph whose finite
+    weights from node u ``row(u)`` returns; edges as (i, j, w) with i < j.
+
+    Requests each row once, in the order nodes join the tree, and keeps O(p)
+    state. Ties go to the lowest node index.
+    """
+    best = np.full(p, -np.inf)  # heaviest weight from each outside node to the tree
+    src = np.zeros(p, dtype=np.int64)
+    outside = np.ones(p, dtype=bool)
+    closer = np.empty(p, dtype=bool)
+    ii, jj, ww = [], [], []
+    u = 0
+    for _ in range(p - 1):
+        outside[u] = False
+        best[u] = -np.inf
+        r = row(u)
+        np.greater(r, best, out=closer)
+        closer &= outside
+        np.copyto(best, r, where=closer)
+        np.copyto(src, u, where=closer)
+        u = int(np.argmax(best))
+        ii.append(min(u, int(src[u])))
+        jj.append(max(u, int(src[u])))
+        ww.append(best[u])
+    return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), np.array(ww)
+
+
+def _block_edges(cc_stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every nonzero upper-triangle weight of a stream of (i0, j0, w) blocks."""
+    iis, jjs, wws = [], [], []
+    for i0, j0, w in cc_stream:
+        a, b = np.nonzero(np.triu(w, k=1) if i0 == j0 else w)
+        iis.append(a + i0)
+        jjs.append(b + j0)
+        wws.append(w[a, b])
+    return np.concatenate(iis), np.concatenate(jjs), np.concatenate(wws)

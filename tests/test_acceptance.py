@@ -246,6 +246,7 @@ def _oracle_study(cfg: SimConfig) -> dict:
     return {key: kolmogorov(np.array(ds) / norm) for key, ds in dists.items()}
 
 
+@pytest.mark.slow
 def test_criterion_6_validation_study():
     cfg = SimConfig(n_obs=20, n_nodes=100, noise_sd=0.02, n_dependent=10,
                     n_reps=1000, seed=20240810)
@@ -346,6 +347,7 @@ def test_criterion_9_determinism_across_threads(tmp_path):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7_scale():
     t0 = time.time()
     p, n_bins = 25972, 10_000

@@ -178,3 +178,18 @@ def test_abs_weight_blocks_cover_upper_triangle(rng):
     # re-iterable: a second pass yields the same blocks
     again = [w for _, _, w in stream]
     assert all(np.array_equal(a, b) for (_, _, b), a in zip(stream, again))
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_abs_weight_row_matches_blocks_bitwise(rng, symmetrize):
+    ds = random_dataset(rng, 9, 70)
+    rows = np.stack([AbsWeightBlocks(ds, symmetrize=symmetrize).row(u) for u in range(70)])
+    for block_size in (1, 7, 64):
+        stream = AbsWeightBlocks(ds, block_size=block_size, symmetrize=symmetrize)
+        blocks = np.full((70, 70), np.nan)
+        for i0, j0, w in stream:
+            blocks[i0 : i0 + w.shape[0], j0 : j0 + w.shape[1]] = w
+        iu, ju = np.triu_indices(70, k=1)
+        # both orientations: row i at column j and row j at column i
+        assert np.array_equal(rows[iu, ju], blocks[iu, ju])
+        assert np.array_equal(rows[ju, iu], blocks[iu, ju])

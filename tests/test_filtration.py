@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -18,6 +20,7 @@ from sparsecc import (
     sparse_network,
     support_graph,
 )
+from sparsecc import crosscorr
 from sparsecc.errors import NodeSetMismatch
 
 import worked_example
@@ -382,3 +385,52 @@ def test_binned_thread_invariance(rng):
         np.testing.assert_array_equal(r[0].breakpoints, results[0][0].breakpoints)
         np.testing.assert_array_equal(r[0].values, results[0][0].values)
         np.testing.assert_array_equal(r[1].values, results[0][1].values)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_binned_equals_exact_curves_of_snapped_weights(rng, symmetrize):
+    x = rng.standard_normal((15, 120))
+    y = x + 0.3 * rng.standard_normal((15, 120))
+    ds = normalize_arrays(x, y)
+    w = np.abs(cross_correlate(ds, symmetrize=symmetrize).rho)
+    w = np.maximum(w, w.T)  # weak connectivity when directed
+    np.fill_diagonal(w, 0.0)
+    for n_bins in (7, 100, 10_000):
+        q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins) - 1
+        snapped = np.where(q >= 0, (q + 1) / n_bins, 0.0)
+        exact = filtration_curves(WeightedGraph(snapped))
+        stream = AbsWeightBlocks(ds, block_size=32, symmetrize=symmetrize)
+        binned = filtration_curves_binned(stream, n_bins=n_bins)
+        for b, e in zip(binned, exact):
+            np.testing.assert_array_equal(b.breakpoints, e.breakpoints)
+            np.testing.assert_array_equal(b.values, e.values)
+
+
+def test_binned_computes_each_weight_row_once(rng, monkeypatch):
+    calls = 0
+    product = crosscorr._product_blocks
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    monkeypatch.setattr(crosscorr, "_product_blocks", counted)
+    p = 200
+    ds = random_dataset(rng, 8, p)
+    filtration_curves_binned(AbsWeightBlocks(ds, block_size=8), n_bins=1000)
+    assert 0 < calls <= 2 * p
+
+
+def test_binned_memory_stays_linear_in_nodes(rng):
+    p = 3000
+    ds = random_dataset(rng, 10, p)
+    stream = AbsWeightBlocks(ds, symmetrize=True)
+    tracemalloc.start()
+    try:
+        filtration_curves_binned(stream, n_bins=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense p x p float64 matrix would be 8 * p**2 bytes = 69 MiB
+    assert peak < 8 * 2**20
