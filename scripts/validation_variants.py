@@ -27,9 +27,18 @@ import sys
 
 import numpy as np
 
-from sparsecc import SimConfig, ks_pvalue, normalize_arrays, rep_rng, sup_distance
-from sparsecc.crosscorr import cross_correlate
-from sparsecc.filtration import WeightedGraph, _UnionFind, filtration_curves
+from sparsecc import (
+    KIND_COMPONENTS,
+    KIND_LARGEST,
+    SimConfig,
+    cross_correlate,
+    group_curves,
+    ks_pvalue,
+    normalize_arrays,
+    rep_rng,
+    sup_distance,
+)
+from sparsecc.filtration import _UnionFind
 
 
 def legacy_series(d: float) -> float:
@@ -69,7 +78,7 @@ def run_study(cfg, share_base, dependent_both, rank_aligned, legacy):
             xs = [base, base, base.copy()]
         else:
             xs = [rng.standard_normal((cfg.n_obs, cfg.n_nodes)) for _ in range(3)]
-        weights = []
+        groups = []
         for g in range(3):
             x = xs[g]
             eps = rng.standard_normal((cfg.n_obs, cfg.n_nodes))
@@ -83,10 +92,9 @@ def run_study(cfg, share_base, dependent_both, rank_aligned, legacy):
                         (cfg.n_obs, d)
                     )
                     y[:, :d] = x[:, [0]] + cfg.noise_sd * eps[:, :d]
-            ds = normalize_arrays(x, y)
-            weights.append(cross_correlate(ds, symmetrize=True).rho)
+            groups.append(normalize_arrays(x, y))
         if rank_aligned:
-            curves = [rank_curves(w) for w in weights]
+            curves = [rank_curves(cross_correlate(ds, symmetrize=True).rho) for ds in groups]
             dists = {
                 ("null_vs_null", k): int(np.abs(curves[0][i] - curves[1][i]).max())
                 for i, k in enumerate(("count", "largest"))
@@ -100,15 +108,11 @@ def run_study(cfg, share_base, dependent_both, rank_aligned, legacy):
                 }
             )
         else:
-            curves = []
-            for w in weights:
-                g = WeightedGraph(w - np.diag(np.diag(w)))
-                cc, cl, _ = filtration_curves(g, "absolute")
-                curves.append((cc, cl))
+            curves = [group_curves(ds) for ds in groups]
             dists = {}
             for tag, (a, b) in {"null_vs_null": (0, 1), "null_vs_dependent": (0, 2)}.items():
-                dists[(tag, "count")] = sup_distance(curves[a][0], curves[b][0])
-                dists[(tag, "largest")] = sup_distance(curves[a][1], curves[b][1])
+                for k, kind in (("count", KIND_COMPONENTS), ("largest", KIND_LARGEST)):
+                    dists[(tag, k)] = sup_distance(curves[a][kind], curves[b][kind])
         for key, d in dists.items():
             p = pv(d / norm)
             sums[key] = sums.get(key, 0.0) + p

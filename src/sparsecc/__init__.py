@@ -43,6 +43,7 @@ from .inference import (
     KSResult,
     compare_groups,
     exact_sup_tail,
+    group_curves,
     ks_pvalue,
     permutation_test,
     random_pairing_null,

@@ -17,9 +17,10 @@ from . import crosscorr, dataset, filtration, heritability, inference, simulatio
 from .errors import SparseCCError
 from ._parallel import resolve_threads
 
-_KIND_ALIASES = {
-    "count": filtration.KIND_COMPONENTS,
-    "largest": filtration.KIND_LARGEST,
+_KINDS = {
+    "count": (filtration.KIND_COMPONENTS,),
+    "largest": (filtration.KIND_LARGEST,),
+    "both": filtration.KINDS,
 }
 
 
@@ -38,12 +39,6 @@ def _load_pair(x_path, y_path, fmt, policy="error"):
     x = dataset.ingest(x_path, format=fmt)
     y = dataset.ingest(y_path, format=fmt)
     return dataset.normalize_pair(x, y, zero_variance_policy=policy)
-
-
-def _kinds(arg: str):
-    if arg == "both":
-        return filtration.KINDS
-    return (_KIND_ALIASES[arg],)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,18 +140,16 @@ def _cmd_filtrate(args, out: Path) -> None:
 def _cmd_compare(args, out: Path) -> None:
     ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
-    for kind in _kinds(args.kind):
-        res = inference.compare_groups(
-            ds1, ds2, kind=kind, symmetrize=args.symmetrize, block_size=args.block_size
+    kinds = _KINDS[args.kind]
+    results = inference._compare_kinds(ds1, ds2, kinds, args.symmetrize, args.block_size)
+    if args.permutations > 0:
+        p_perm = inference._permutation_pvalues(
+            ds1, ds2, kinds, args.permutations, args.seed, args.symmetrize,
+            args.block_size, args.threads,
         )
-        if args.permutations > 0:
-            res.p_permutation = inference.permutation_test(
-                ds1, ds2, kind=kind, n_perm=args.permutations, seed=args.seed,
-                symmetrize=args.symmetrize, block_size=args.block_size,
-                threads=args.threads,
-            )
-            res.n_perm = args.permutations
-            res.seed = args.seed
+        for kind, res in results.items():
+            res.p_permutation, res.n_perm, res.seed = p_perm[kind], args.permutations, args.seed
+    for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 
 
@@ -166,8 +159,8 @@ def _cmd_hgi(args, out: Path) -> None:
     result = heritability.hgi(mz, dz, symmetrize=args.symmetrize, block_size=args.block_size)
     heritability.write_hi_csv(result, out / "hi.csv")
     heritability.write_hgi_edges(result, out / "hgi_edges.csv", threshold=args.edge_threshold)
-    for kind in _kinds(args.kind):
-        res = heritability.hgi_significance(mz, dz, kind=kind, block_size=args.block_size)
+    results = heritability._significance(mz, dz, _KINDS[args.kind], args.block_size)
+    for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 
 

@@ -16,7 +16,7 @@ from .crosscorr import cross_correlate
 from .dataset import PairedDataset
 from .errors import NodeSetMismatch
 from .filtration import KIND_COMPONENTS
-from .inference import KSResult, compare_groups
+from .inference import KSResult, _compare_kinds
 
 
 @dataclass(eq=False)
@@ -92,10 +92,15 @@ def hgi_significance(
 ) -> KSResult:
     """Statistical significance of the MZ/DZ network contrast.
 
-    Delegates to the two-group curve comparison on absolute symmetrized
-    cross-correlations.
+    Delegates to the two-group curve comparison, which computes each twin
+    group's curves once. It always uses symmetrized cross-correlations,
+    whatever ``symmetrize`` :func:`hgi` got (CLI ``--symmetrize``).
     """
-    return compare_groups(mz, dz, kind=kind, symmetrize=True, block_size=block_size)
+    return _significance(mz, dz, (kind,), block_size)[kind]
+
+
+def _significance(mz, dz, kinds, block_size) -> dict[str, KSResult]:
+    return _compare_kinds(mz, dz, kinds, symmetrize=True, block_size=block_size)
 
 
 def write_hi_csv(result: HeritabilityResult, path) -> None:

@@ -102,11 +102,34 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def _group_curves(ds: PairedDataset, symmetrize: bool, block_size: int):
-    cc = cross_correlate(ds, block_size=block_size, symmetrize=symmetrize)
-    g = WeightedGraph.from_crosscorr(cc)
-    count_curve, largest_curve, _ = filtration_curves(g, weight_transform="absolute")
-    return {count_curve.kind: count_curve, largest_curve.kind: largest_curve}
+def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1024) -> dict:
+    """Every filtration curve of one group as {kind: FiltrationCurve}, all from one
+    cross-correlation and one filtration pass, so each group is computed once."""
+    g = WeightedGraph.from_crosscorr(cross_correlate(ds, block_size, symmetrize))
+    return {c.kind: c for c in filtration_curves(g, weight_transform="absolute")[:2]}
+
+
+def _check_pair(ds1: PairedDataset, ds2: PairedDataset, kinds) -> None:
+    if unknown := [kind for kind in kinds if kind not in KINDS]:
+        raise ValueError(f"unknown curve kind {unknown[0]!r}")
+    if ds1.node_ids != ds2.node_ids:
+        raise NodeSetMismatch("datasets cover different node sets")
+
+
+def _ks_results(curves1: dict, curves2: dict, kinds) -> dict[str, KSResult]:
+    """Sup distance, its normalization and the asymptotic p-value, per kind."""
+    results = {}
+    for kind in kinds:
+        d_raw = sup_distance(curves1[kind], curves2[kind])
+        d_norm = d_raw / math.sqrt(2.0 * (curves1[kind].n_nodes - 1))
+        results[kind] = KSResult(kind, d_raw, d_norm, ks_pvalue(d_norm), curves1[kind].n_nodes)
+    return results
+
+
+def _compare_kinds(ds1, ds2, kinds, symmetrize, block_size) -> dict[str, KSResult]:
+    _check_pair(ds1, ds2, kinds)
+    c1 = group_curves(ds1, symmetrize, block_size)
+    return _ks_results(c1, group_curves(ds2, symmetrize, block_size), kinds)
 
 
 def compare_groups(
@@ -116,31 +139,31 @@ def compare_groups(
     symmetrize: bool = True,
     block_size: int = 1024,
 ) -> KSResult:
-    """Full pipeline: cross-correlate, filtrate, sup-compare, p-value."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown curve kind {kind!r}")
-    if ds1.node_ids != ds2.node_ids:
-        raise NodeSetMismatch("datasets cover different node sets")
-    c1 = _group_curves(ds1, symmetrize, block_size)[kind]
-    c2 = _group_curves(ds2, symmetrize, block_size)[kind]
-    p = ds1.n_nodes
-    d_raw = sup_distance(c1, c2)
-    d_norm = d_raw / math.sqrt(2.0 * (p - 1))
-    return KSResult(
-        kind=kind,
-        d_raw=d_raw,
-        d_normalized=d_norm,
-        p_asymptotic=ks_pvalue(d_norm),
-        n_nodes=p,
-    )
+    """Full pipeline: each group's curves once (``group_curves``), sup-compare, p-value."""
+    return _compare_kinds(ds1, ds2, (kind,), symmetrize, block_size)[kind]
 
 
-def _sup_for_rows(x, y, idx1, idx2, kind, symmetrize, block_size, node_ids):
-    d1 = normalize_arrays(x[idx1], y[idx1], node_ids)
-    d2 = normalize_arrays(x[idx2], y[idx2], node_ids)
-    c1 = _group_curves(d1, symmetrize, block_size)[kind]
-    c2 = _group_curves(d2, symmetrize, block_size)[kind]
-    return sup_distance(c1, c2)
+def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, block_size, threads) -> dict:
+    if n_perm < 1:
+        raise ValueError("n_perm must be >= 1")
+    if ds1.n_obs < 2 or ds2.n_obs < 2:
+        raise ValueError("each group needs at least 2 paired observations")
+    _check_pair(ds1, ds2, kinds)
+    x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
+    n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
+
+    def sups(idx1, idx2) -> np.ndarray:
+        c1, c2 = (group_curves(normalize_arrays(x[i], y[i], ds1.node_ids), symmetrize, block_size)
+                  for i in (idx1, idx2))
+        return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
+
+    def one_rep(rep: int) -> np.ndarray:
+        perm = np.random.default_rng(np.random.SeedSequence([seed, rep])).permutation(n_total)
+        return sups(perm[:n1], perm[n1:])
+
+    d_obs = sups(np.arange(n1), np.arange(n1, n_total))
+    exceed = sum(d >= d_obs for d in ordered_map(one_rep, range(n_perm), threads))
+    return {kind: (1 + int(e)) / (1 + n_perm) for kind, e in zip(kinds, exceed)}
 
 
 def permutation_test(
@@ -156,34 +179,13 @@ def permutation_test(
     """Group-label permutation p-value for the sup distance.
 
     Paired observations (rows) are pooled and reassigned to two groups of the
-    original sizes; each permuted group is re-normalized before the pipeline
-    runs. Replicate r draws from a stream seeded by (seed, r), so results do
-    not depend on scheduling.
+    original sizes; each permuted group is re-normalized and its curves are
+    computed once (``group_curves``). Replicate r draws from a stream seeded by
+    (seed, r), so results depend neither on scheduling nor on the kinds asked.
     """
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
-    if ds1.n_obs < 2 or ds2.n_obs < 2:
-        raise ValueError("each group needs at least 2 paired observations")
-    if ds1.node_ids != ds2.node_ids:
-        raise NodeSetMismatch("datasets cover different node sets")
-    x = np.vstack([ds1.x, ds2.x])
-    y = np.vstack([ds1.y, ds2.y])
-    n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
-    ids = ds1.node_ids
-
-    d_obs = _sup_for_rows(
-        x, y, np.arange(n1), np.arange(n1, n_total), kind, symmetrize, block_size, ids
-    )
-
-    def one_rep(rep: int) -> int:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, rep]))
-        perm = rng.permutation(n_total)
-        return _sup_for_rows(
-            x, y, perm[:n1], perm[n1:], kind, symmetrize, block_size, ids
-        )
-
-    exceed = sum(d >= d_obs for d in ordered_map(one_rep, range(n_perm), threads))
-    return (1 + exceed) / (1 + n_perm)
+    return _permutation_pvalues(
+        ds1, ds2, (kind,), n_perm, seed, symmetrize, block_size, threads
+    )[kind]
 
 
 def random_pairing_null(ds: PairedDataset, seed: int = 0) -> PairedDataset:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import PairedDataset, normalize_arrays
 from .filtration import KINDS
-from .inference import compare_groups
+from .inference import _ks_results, group_curves
 from ._parallel import ordered_map
 
 
@@ -100,7 +100,9 @@ def run_validation(
     """Monte-Carlo study over fresh group triples per repetition.
 
     Emits one row per (comparison, kind) with the mean and standard deviation
-    of the asymptotic p-values across repetitions.
+    of the asymptotic p-values across repetitions. Each repetition computes
+    the curves of its three groups once (``group_curves``) and compares every
+    requested kind on them.
     """
     kinds = tuple(kinds)
     for k in kinds:
@@ -109,17 +111,13 @@ def run_validation(
 
     def one_rep(rep: int):
         rng = rep_rng(cfg.seed, rep)
-        g1 = generate_null_group(cfg, rng)
-        g2 = generate_null_group(cfg, rng)
-        g3 = generate_dependent_group(cfg, rng)
+        g1 = group_curves(generate_null_group(cfg, rng), symmetrize)
+        g2 = group_curves(generate_null_group(cfg, rng), symmetrize)
+        g3 = group_curves(generate_dependent_group(cfg, rng), symmetrize)
         out = {}
-        for kind in kinds:
-            out[("null_vs_null", kind)] = compare_groups(
-                g1, g2, kind=kind, symmetrize=symmetrize
-            ).p_asymptotic
-            out[("null_vs_dependent", kind)] = compare_groups(
-                g1, g3, kind=kind, symmetrize=symmetrize
-            ).p_asymptotic
+        for comparison, other in (("null_vs_null", g2), ("null_vs_dependent", g3)):
+            for kind, res in _ks_results(g1, other, kinds).items():
+                out[(comparison, kind)] = res.p_asymptotic
         return out
 
     reps = list(ordered_map(one_rep, range(cfg.n_reps), threads))

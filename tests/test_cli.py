@@ -1,9 +1,10 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from sparsecc import dataset, save_binary
+from sparsecc import SimConfig, dataset, inference, run_validation, save_binary
 from sparsecc.cli import main
 
 import worked_example
@@ -165,7 +166,8 @@ def test_rerun_byte_identical_across_threads(tmp_path, group_csvs):
         rc = main(["compare", x1, y1, x2, y2, "--permutations", "12", "--seed", "3",
                    "--threads", str(t), "--out", str(out)])
         assert rc == 0
-        outputs.append((out / "result_component_count.json").read_bytes())
+        outputs.append([(out / f"result_{kind}.json").read_bytes()
+                        for kind in ("component_count", "largest_component_size")])
     assert outputs[0] == outputs[1] == outputs[2]
 
     sims = []
@@ -199,3 +201,59 @@ def test_net_threads_env(tmp_path, group_csvs, monkeypatch):
     monkeypatch.setenv("NET_THREADS", "zebra")
     rc = main(["filtrate", xp, yp, "--bins", "50", "--out", str(tmp_path / "env2")])
     assert rc != 0
+
+
+@pytest.fixture()
+def pipeline_calls(monkeypatch):
+    """Counts of the cross-correlations and filtrations the inference layer runs."""
+    calls = {"cross_correlate": 0, "filtration_curves": 0}
+    lock = threading.Lock()  # replicates run on worker threads
+
+    def counted(name):
+        original = getattr(inference, name)
+
+        def wrapper(*args, **kwargs):
+            with lock:
+                calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, wrapper)
+
+    counted("cross_correlate")
+    counted("filtration_curves")
+    return calls
+
+
+def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
+    x1, y1 = group_csvs("once1")
+    x2, y2 = group_csvs("once2")
+    rc = main(["compare", x1, y1, x2, y2, "--kind", "both", "--permutations", "9",
+               "--threads", "2", "--out", str(tmp_path / "cmp")])
+    assert rc == 0
+    # the two groups once, then both permuted groups of the observed split
+    # and of each of the 9 replicates, once for both kinds
+    assert pipeline_calls == {"cross_correlate": 22, "filtration_curves": 22}
+
+    pipeline_calls.update(cross_correlate=0, filtration_curves=0)
+    cfg = SimConfig(n_obs=8, n_nodes=12, n_reps=3, seed=4)
+    run_validation(cfg, threads=2)
+    assert pipeline_calls == {"cross_correlate": 9, "filtration_curves": 9}
+
+    pipeline_calls.update(cross_correlate=0, filtration_curves=0)
+    rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "hgi")])
+    assert rc == 0
+    assert pipeline_calls["filtration_curves"] == 2
+
+
+@pytest.mark.parametrize("command", ["compare", "hgi"])
+def test_kinds_together_match_kinds_alone(tmp_path, group_csvs, command):
+    x1, y1 = group_csvs("k1")
+    x2, y2 = group_csvs("k2")
+    extra = ["--permutations", "19", "--seed", "7"] if command == "compare" else []
+    for kind in ("both", "count", "largest"):
+        rc = main([command, x1, y1, x2, y2, "--kind", kind, *extra,
+                   "--out", str(tmp_path / kind)])
+        assert rc == 0
+    for kind, alone in (("component_count", "count"), ("largest_component_size", "largest")):
+        name = f"result_{kind}.json"
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / alone / name).read_bytes()

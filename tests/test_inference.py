@@ -182,6 +182,8 @@ def test_permutation_validation(rng):
     ds = random_dataset(rng, 6, 8)
     with pytest.raises(ValueError):
         permutation_test(ds, ds, n_perm=0)
+    with pytest.raises(ValueError):
+        permutation_test(ds, ds, kind="bogus", n_perm=1)
     small1 = random_dataset(rng, 3, 8)
     small2 = random_dataset(rng, 3, 8)
     assert 0 < permutation_test(small1, small2, n_perm=5, seed=1) <= 1
