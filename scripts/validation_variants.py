@@ -31,14 +31,15 @@ from sparsecc import (
     KIND_COMPONENTS,
     KIND_LARGEST,
     SimConfig,
+    WeightedGraph,
     cross_correlate,
+    filtration_curves,
     group_curves,
     ks_pvalue,
     normalize_arrays,
     rep_rng,
     sup_distance,
 )
-from sparsecc.filtration import _UnionFind
 
 
 def legacy_series(d: float) -> float:
@@ -51,19 +52,17 @@ def legacy_series(d: float) -> float:
 
 
 def rank_curves(w: np.ndarray):
-    """Component count and largest size indexed by edge count."""
+    """Component count and largest size indexed by edge count.
+
+    Each merge of the exact filtration's log sits at its edge's rank among all
+    node pairs in descending |w| order.
+    """
     p = w.shape[0]
-    iu, ju = np.triu_indices(p, k=1)
-    vals = np.abs(w[iu, ju])
-    order = np.lexsort((ju, iu, -vals))
-    uf = _UnionFind(p)
-    cnt = np.empty(order.size + 1, dtype=np.int64)
-    lrg = np.empty(order.size + 1, dtype=np.int64)
-    cnt[0], lrg[0] = p, 1
-    for t, k in enumerate(order, start=1):
-        uf.union(int(iu[k]), int(ju[k]))
-        cnt[t], lrg[t] = uf.count, uf.largest
-    return cnt, lrg
+    _, _, events = filtration_curves(WeightedGraph(w))
+    desc = np.sort(-np.abs(w[np.triu_indices(p, k=1)]))
+    ranks = np.searchsorted(desc, -events.thresholds) + 1
+    merged = np.searchsorted(ranks, np.arange(desc.size + 1), side="right")
+    return p - merged, np.append(1, events.merged_sizes)[merged]
 
 
 def run_study(cfg, share_base, dependent_both, rank_aligned, legacy):

@@ -1,6 +1,6 @@
 """Sparse cross-correlation networks over all sparsity levels at once.
 
-Closed-form soft thresholding builds the networks, union-find filtration
+Closed-form soft thresholding builds the networks, spanning-forest filtration
 passes summarize them with monotone component descriptors, and a KS-type
 statistic compares groups, including twin-study heritability contrasts.
 """

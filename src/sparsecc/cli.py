@@ -128,8 +128,9 @@ def _cmd_filtrate(args, out: Path) -> None:
             stream, n_bins=args.bins, threads=args.threads
         )
     else:
-        cc = crosscorr.cross_correlate(ds, args.block_size, args.symmetrize)
-        g = filtration.WeightedGraph.from_crosscorr(cc)
+        g = filtration.WeightedGraph.from_crosscorr(
+            crosscorr.cross_correlate(ds, args.block_size, args.symmetrize)
+        )
         transform = "absolute" if args.absolute else "raw"
         count_curve, largest_curve, events = filtration.filtration_curves(g, transform)
         events.write_csv(out / "merge_events.csv")
@@ -156,10 +157,11 @@ def _cmd_compare(args, out: Path) -> None:
 def _cmd_hgi(args, out: Path) -> None:
     mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
-    result = heritability.hgi(mz, dz, symmetrize=args.symmetrize, block_size=args.block_size)
+    result, results = heritability._hgi_and_significance(
+        mz, dz, _KINDS[args.kind], args.symmetrize, args.block_size
+    )
     heritability.write_hi_csv(result, out / "hi.csv")
     heritability.write_hgi_edges(result, out / "hgi_edges.csv", threshold=args.edge_threshold)
-    results = heritability._significance(mz, dz, _KINDS[args.kind], args.block_size)
     for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 

@@ -4,8 +4,9 @@ Thresholding a weighted graph at every level at once yields a nested family
 of binary graphs. Two integer step functions summarize it: the number of
 connected components (non-decreasing in the threshold) and the size of the
 largest component (non-increasing). Both change only at the weights of a
-maximum spanning forest, so a single sorted union-find pass computes the
-curves exactly.
+maximum spanning forest, so the exact and the streamed (binned) filtration
+both build that forest by one Prim pass over weight rows (``_prim_forest``)
+and get both curves by replaying its at most p - 1 edges through a union-find.
 
 Conventions, fixed throughout:
   - an edge is present at level lam iff its weight strictly exceeds lam;
@@ -13,8 +14,9 @@ Conventions, fixed throughout:
     nonzero weights);
   - directed weights are reduced to undirected ones by taking the larger
     magnitude of the two directions (weak connectivity);
-  - equal-weight edges are processed in lexicographic (i, j) order, which
-    never changes curve values, only the merge-event listing.
+  - edges are ranked by weight, then equal weights by lexicographic (i, j)
+    order; that strict order picks the one forest and orders its merge
+    events, and never changes curve values, only the merge-event listing.
 """
 
 from __future__ import annotations
@@ -160,51 +162,15 @@ class MergeEvents:
                 fh.write(f"{repr(float(t))},{int(s)}\n")
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size", "count", "largest")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-        self.largest = 1
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        size = self.size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        size[ra] += size[rb]
-        if size[ra] > self.largest:
-            self.largest = size[ra]
-        self.count -= 1
-        return True
-
-
-def _transform(w: np.ndarray, weight_transform: str) -> np.ndarray:
-    if weight_transform == "absolute":
-        return np.abs(w)
-    if weight_transform == "raw":
-        return w
-    raise ValueError(f"unknown weight_transform {weight_transform!r}")
-
-
 def _undirected_weights(g: WeightedGraph, weight_transform: str) -> np.ndarray:
     """Effective undirected weight matrix; -inf marks absent pairs."""
-    a = _transform(g.weights, weight_transform)
-    b = np.where(a != 0.0, a, -np.inf)
+    if weight_transform == "absolute":
+        b = np.abs(g.weights)
+    elif weight_transform == "raw":
+        b = g.weights.copy()
+    else:
+        raise ValueError(f"unknown weight_transform {weight_transform!r}")
+    b[b == 0.0] = -np.inf
     if g.directed:
         b = np.maximum(b, b.T)
     return b
@@ -257,65 +223,46 @@ def filtration_curves(
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
     """Component-count and largest-size curves over all thresholds at once.
 
-    One union-find pass over the edges sorted by descending weight.
+    One Prim pass (``_prim_forest``) over the rows of the undirected weight
+    matrix builds the maximum spanning forest, and its at most p - 1 edges are
+    replayed through the union-find merge log. Diagonal entries are ignored.
+    Memory is the weight matrix plus O(p).
     """
-    p = g.n_nodes
     w = _undirected_weights(g, weight_transform)
-    iu, ju = np.triu_indices(p, k=1)
-    wu = w[iu, ju]
-    present = wu != -np.inf
-    iu, ju, wu = iu[present], ju[present], wu[present]
-    return _merge_log_curves(p, iu, ju, wu)
+    return _merge_log_curves(g.n_nodes, *_prim_forest(lambda u: w[u], g.n_nodes))
 
 
 def _merge_log_curves(
     p: int, iu: np.ndarray, ju: np.ndarray, wu: np.ndarray
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
-    """Both curves and the merge log of the undirected edges (iu, ju, wu).
+    """Both curves and the merge log of the spanning-forest edges (iu, ju, wu).
 
-    One union-find pass in (-w, i, j) order, stopping once the graph is fully
-    merged: later edges cannot change either curve.
+    A union-find replays them in (-w, i, j) order. Each one merges two
+    different components, so m merges leave p - m of them.
     """
     order = np.lexsort((ju, iu, -wu))
-    uf = _UnionFind(p)
-    merge_w, merge_count, merge_largest = [], [], []
-    for k in order:
-        if uf.union(int(iu[k]), int(ju[k])):
-            merge_w.append(float(wu[k]))
-            merge_count.append(uf.count)
-            merge_largest.append(uf.largest)
-            if uf.count == 1:
-                break
-
-    events = MergeEvents(np.array(merge_w), np.array(merge_largest))
-    count_curve, largest_curve = _curves_from_merges(p, merge_w, merge_count, merge_largest)
-    return count_curve, largest_curve, events
-
-
-def _curves_from_merges(
-    p: int, merge_w, merge_count, merge_largest
-) -> tuple[FiltrationCurve, FiltrationCurve]:
-    """Assemble both step curves from the descending merge log."""
-    if not merge_w:
-        return (
-            FiltrationCurve(KIND_COMPONENTS, p, np.array([]), np.array([p])),
-            FiltrationCurve(KIND_LARGEST, p, np.array([]), np.array([1])),
-        )
-    w_asc = np.array(merge_w)[::-1]
-    cnt_asc = np.array(merge_count)[::-1]
-    lrg_asc = np.array(merge_largest)[::-1]
-    bps, first = np.unique(w_asc, return_index=True)
-    m = bps.size
-    cvals = np.empty(m + 1, dtype=np.int64)
-    lvals = np.empty(m + 1, dtype=np.int64)
-    # value on [bps[k-1], bps[k]) is the state after every merge at weight
-    # >= bps[k]; first[k] indexes the last-processed merge at weight bps[k]
-    cvals[:m] = cnt_asc[first]
-    lvals[:m] = lrg_asc[first]
-    cvals[m], lvals[m] = p, 1
+    parent, size, top, largest = list(range(p)), [1] * p, 1, []
+    for a, b in zip(iu[order].tolist(), ju[order].tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if size[a] < size[b]:  # union by size keeps every root path O(log p)
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        top = max(top, size[a])
+        largest.append(top)
+    events = MergeEvents(wu[order], largest)
+    # in ascending order first[k] is the last merge at weight bps[k], and the
+    # value on [bps[k-1], bps[k]) is the state after it
+    bps, first = np.unique(events.thresholds[::-1], return_index=True)
+    count = np.append(p - len(largest) + first, p)
+    largest_size = np.append(events.merged_sizes[::-1][first], 1)
     return (
-        FiltrationCurve(KIND_COMPONENTS, p, bps, cvals),
-        FiltrationCurve(KIND_LARGEST, p, bps, lvals),
+        FiltrationCurve(KIND_COMPONENTS, p, bps, count),
+        FiltrationCurve(KIND_LARGEST, p, bps, largest_size),
+        events,
     )
 
 
@@ -340,78 +287,82 @@ def filtration_curves_binned(
 ) -> tuple[FiltrationCurve, FiltrationCurve]:
     """Quantized curves for graphs too large to hold as dense matrices.
 
-    ``cc_stream`` supplies undirected weights in [0, 1] for ``n_nodes`` nodes,
-    normally as an :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Each weight
-    is snapped up to the next multiple of 1/n_bins, so the result equals the
-    exact curves of the snapped graph: both agree with the exact curves of the
-    raw graph at every bin boundary, and every reported breakpoint sits within
-    one bin width above an exact one.
+    ``cc_stream`` supplies ``n_nodes`` and ``row(u)``, node u's undirected
+    weights in [0, 1] to every node, normally as an
+    :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Each weight is snapped up to
+    the next multiple of 1/n_bins, so the result equals the exact curves of the
+    snapped graph: both agree with the exact curves of the raw graph at every
+    bin boundary, and every reported breakpoint sits within one bin width above
+    an exact one.
 
     Both curves are set by a maximum spanning forest alone, and snapping up is
     monotone, so a maximum spanning tree of the raw weights is one of the
-    snapped graph too. The tree comes from one Prim pass over weight rows
-    (``cc_stream.row(u)``, each computed once as its node joins the tree); its
-    p - 1 edges are snapped, the zero-weight ones (absent pairs) dropped, and
-    the rest run through the same merge-log core as :func:`filtration_curves`.
-    Memory is O(p) on top of the n x p observations the stream holds, so
-    O(p * n) in all; the p x p weights are never stored.
-
-    A stream without ``row`` is read block by block (``(i0, j0, w)`` as
-    ``AbsWeightBlocks`` yields them), and every nonzero upper-triangle weight
-    goes through the same snap and merge-log core.
+    snapped graph too. The tree comes from the Prim pass that
+    :func:`filtration_curves` runs (each row computed once, as its node joins
+    the tree); its p - 1 edges are snapped, the zero-weight ones (absent pairs)
+    dropped, and the rest replayed through the same merge log. Memory is O(p)
+    on top of the n x p observations the stream holds, so O(p * n) in all; the
+    p x p weights are never stored.
 
     ``max_chunk_edges`` and ``threads`` are accepted for compatibility and
     unused: the Prim pass is sequential and holds no edge chunks.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    p = cc_stream.n_nodes
-    if hasattr(cc_stream, "row"):
-        ii, jj, w = _prim_tree(cc_stream.row, p)
-    else:
-        ii, jj, w = _block_edges(cc_stream)
+    ii, jj, w = _prim_forest(cc_stream.row, cc_stream.n_nodes)
     q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins).astype(np.int64) - 1
     keep = q >= 0
-    count_curve, largest_curve, _ = _merge_log_curves(
-        p, ii[keep], jj[keep], (q[keep] + 1) / n_bins
-    )
-    return count_curve, largest_curve
+    return _merge_log_curves(
+        cc_stream.n_nodes, ii[keep], jj[keep], (q[keep] + 1) / n_bins
+    )[:2]
 
 
-def _prim_tree(row, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum spanning tree (Prim, 1957) of the complete graph whose finite
-    weights from node u ``row(u)`` returns; edges as (i, j, w) with i < j.
+def _prim_forest(row, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum spanning forest (Prim, 1957) of the graph on p nodes whose
+    weights from node u ``row(u)`` returns; -inf marks an absent pair and
+    entry u is ignored. Edges come back as (i, j, w) with i < j.
 
-    Requests each row once, in the order nodes join the tree, and keeps O(p)
-    state. Ties go to the lowest node index.
+    Edges are ranked by the strict total order of a sorted Kruskal pass:
+    higher weight first, then the smaller (i, j) pair. It decides both whether
+    an equal weight replaces a node's best edge to the forest and which of
+    several equally heavy outside nodes joins next, so the forest is the unique
+    maximum one under that order, Kruskal's edge for edge. When no finite
+    weight reaches the forest, a new tree starts at the lowest outside node.
+    Requests each row once, in the order nodes join, and keeps O(p) state.
     """
-    best = np.full(p, -np.inf)  # heaviest weight from each outside node to the tree
-    src = np.zeros(p, dtype=np.int64)
+    best = np.full(p, -np.inf)  # heaviest weight from each outside node to the forest
+    src = np.zeros(p, dtype=np.int32)  # the forest end of that edge
     outside = np.ones(p, dtype=bool)
     closer = np.empty(p, dtype=bool)
-    ii, jj, ww = [], [], []
+    joined, ww = [], []
     u = 0
     for _ in range(p - 1):
         outside[u] = False
-        best[u] = -np.inf
         r = row(u)
-        np.greater(r, best, out=closer)
+        np.greater_equal(r, best, out=closer)
         closer &= outside
-        np.copyto(best, r, where=closer)
-        np.copyto(src, u, where=closer)
-        u = int(np.argmax(best))
-        ii.append(min(u, int(src[u])))
-        jj.append(max(u, int(src[u])))
-        ww.append(best[u])
-    return np.array(ii, dtype=np.int64), np.array(jj, dtype=np.int64), np.array(ww)
-
-
-def _block_edges(cc_stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every nonzero upper-triangle weight of a stream of (i0, j0, w) blocks."""
-    iis, jjs, wws = [], [], []
-    for i0, j0, w in cc_stream:
-        a, b = np.nonzero(np.triu(w, k=1) if i0 == j0 else w)
-        iis.append(a + i0)
-        jjs.append(b + j0)
-        wws.append(w[a, b])
-    return np.concatenate(iis), np.concatenate(jjs), np.concatenate(wws)
+        k = closer.nonzero()[0]
+        rk = r[k]
+        tied = rk == best[k]
+        if np.count_nonzero(tied):  # {u, v} precedes {src[v], v} iff u < src[v]
+            keep = ~tied | (src[k] > u)
+            k, rk = k[keep], rk[keep]
+        best[k] = rk
+        src[k] = u
+        u = int(best.argmax())
+        w = best[u]
+        best[u] = -np.inf
+        if w == -np.inf:  # nothing finite reaches the forest
+            u = int(outside.argmax())
+            continue
+        if best[best.argmax()] == w:  # equally heavy: the smallest (i, j) pair joins
+            best[u] = w
+            tied = np.flatnonzero(best == w)
+            lo, hi = np.minimum(tied, src[tied]), np.maximum(tied, src[tied])
+            u = int(tied[(lo * p + hi).argmin()])
+            best[u] = -np.inf
+        joined.append(u)
+        ww.append(w)
+    joined = np.array(joined, dtype=np.int64)
+    ends = src[joined]  # fixed once a node has joined
+    return np.minimum(joined, ends), np.maximum(joined, ends), np.array(ww)

@@ -15,8 +15,8 @@ import numpy as np
 from .crosscorr import cross_correlate
 from .dataset import PairedDataset
 from .errors import NodeSetMismatch
-from .filtration import KIND_COMPONENTS
-from .inference import KSResult, _compare_kinds
+from .filtration import KIND_COMPONENTS, WeightedGraph
+from .inference import KSResult, _compare_kinds, _graph_curves, _ks_results
 
 
 @dataclass(eq=False)
@@ -64,15 +64,25 @@ def hgi(
     Computed blockwise through the cross-correlation machinery; the diagonal
     equals the node-level index applied to the per-node twin correlations.
     """
+    return _hgi(mz, dz, symmetrize, block_size, with_curves=False)[0]
+
+
+def _hgi(mz, dz, symmetrize, block_size, with_curves) -> tuple[HeritabilityResult, list]:
+    """:func:`hgi`, plus with ``with_curves`` each twin group's curves
+    (``group_curves``), filtrated from its matrix as soon as that exists."""
     if mz.node_ids != dz.node_ids:
         raise NodeSetMismatch("MZ and DZ datasets cover different node sets")
-    cc_mz = cross_correlate(mz, block_size=block_size, symmetrize=symmetrize)
-    cc_dz = cross_correlate(dz, block_size=block_size, symmetrize=symmetrize)
+    ccs, curves = [], []
+    for ds in (mz, dz):
+        ccs.append(cross_correlate(ds, block_size=block_size, symmetrize=symmetrize))
+        if with_curves:
+            curves.append(_graph_curves(WeightedGraph.from_crosscorr(ccs[-1])))
+    cc_mz, cc_dz = ccs
     rho_mz = np.diag(cc_mz.rho).copy()
     rho_dz = np.diag(cc_dz.rho).copy()
     hgi_matrix = 2.0 * (cc_mz.rho - cc_dz.rho)
     hi, a, c = falconer_hi(rho_mz, rho_dz)
-    return HeritabilityResult(
+    result = HeritabilityResult(
         node_ids=mz.node_ids,
         hi=hi,
         a_factor=a,
@@ -82,6 +92,7 @@ def hgi(
         hgi=hgi_matrix,
         symmetrized=symmetrize,
     )
+    return result, curves
 
 
 def hgi_significance(
@@ -96,11 +107,22 @@ def hgi_significance(
     group's curves once. It always uses symmetrized cross-correlations,
     whatever ``symmetrize`` :func:`hgi` got (CLI ``--symmetrize``).
     """
-    return _significance(mz, dz, (kind,), block_size)[kind]
+    return _compare_kinds(mz, dz, (kind,), symmetrize=True, block_size=block_size)[kind]
 
 
-def _significance(mz, dz, kinds, block_size) -> dict[str, KSResult]:
-    return _compare_kinds(mz, dz, kinds, symmetrize=True, block_size=block_size)
+def _hgi_and_significance(
+    mz, dz, kinds, symmetrize, block_size
+) -> tuple[HeritabilityResult, dict[str, KSResult]]:
+    """:func:`hgi` and the significance of every kind in ``kinds``.
+
+    With ``symmetrize`` the significance step filtrates the two symmetrized
+    matrices that :func:`hgi` computes, so each twin group is cross-correlated
+    once; otherwise it cross-correlates both groups again, symmetrized.
+    """
+    result, curves = _hgi(mz, dz, symmetrize, block_size, with_curves=symmetrize)
+    if symmetrize:
+        return result, _ks_results(*curves, kinds)
+    return result, _compare_kinds(mz, dz, kinds, symmetrize=True, block_size=block_size)
 
 
 def write_hi_csv(result: HeritabilityResult, path) -> None:

@@ -105,7 +105,10 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
 def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1024) -> dict:
     """Every filtration curve of one group as {kind: FiltrationCurve}, all from one
     cross-correlation and one filtration pass, so each group is computed once."""
-    g = WeightedGraph.from_crosscorr(cross_correlate(ds, block_size, symmetrize))
+    return _graph_curves(WeightedGraph.from_crosscorr(cross_correlate(ds, block_size, symmetrize)))
+
+
+def _graph_curves(g: WeightedGraph) -> dict:
     return {c.kind: c for c in filtration_curves(g, weight_transform="absolute")[:2]}
 
 

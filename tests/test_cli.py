@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from sparsecc import SimConfig, dataset, inference, run_validation, save_binary
+from sparsecc import SimConfig, dataset, heritability, inference, run_validation, save_binary
 from sparsecc.cli import main
 
 import worked_example
@@ -205,22 +205,24 @@ def test_net_threads_env(tmp_path, group_csvs, monkeypatch):
 
 @pytest.fixture()
 def pipeline_calls(monkeypatch):
-    """Counts of the cross-correlations and filtrations the inference layer runs."""
+    """Counts of the cross-correlations and filtrations the inference and
+    heritability layers run."""
     calls = {"cross_correlate": 0, "filtration_curves": 0}
     lock = threading.Lock()  # replicates run on worker threads
 
-    def counted(name):
-        original = getattr(inference, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             with lock:
                 calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(inference, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("cross_correlate")
-    counted("filtration_curves")
+    counted(inference, "cross_correlate")
+    counted(heritability, "cross_correlate")
+    counted(inference, "filtration_curves")
     return calls
 
 
@@ -242,7 +244,19 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     pipeline_calls.update(cross_correlate=0, filtration_curves=0)
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "hgi")])
     assert rc == 0
-    assert pipeline_calls["filtration_curves"] == 2
+    # each twin group's node-pair matrix also gives its curves
+    assert pipeline_calls == {"cross_correlate": 2, "filtration_curves": 2}
+
+    pipeline_calls.update(cross_correlate=0, filtration_curves=0)
+    rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--no-symmetrize",
+               "--out", str(tmp_path / "hgi_directed")])
+    assert rc == 0
+    # directed node-pair matrices, then symmetrized ones for the test
+    assert pipeline_calls == {"cross_correlate": 4, "filtration_curves": 2}
+    for kind in ("component_count", "largest_component_size"):
+        name = f"result_{kind}.json"
+        directed = (tmp_path / "hgi_directed" / name).read_bytes()
+        assert directed == (tmp_path / "hgi" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["compare", "hgi"])

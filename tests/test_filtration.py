@@ -256,6 +256,81 @@ def test_curve_monotonicity_enforced(rng):
         assert count_curve.values[-1] == 12 and largest_curve.values[-1] == 1
 
 
+def kruskal_merge_log(w):
+    """All-pairs Kruskal over the finite upper-triangle weights in (-w, i, j)
+    order: the merge thresholds and the largest size after each merge."""
+    p = w.shape[0]
+    parent, size, largest = list(range(p)), [1] * p, 1
+    thresholds, sizes = [], []
+    for neg_w, i, j in sorted((-w[i, j], i, j) for i in range(p) for j in range(i + 1, p)):
+        while parent[i] != i:
+            i = parent[i]
+        while parent[j] != j:
+            j = parent[j]
+        if neg_w != np.inf and i != j:
+            parent[i], size[j] = j, size[i] + size[j]
+            largest = max(largest, size[j])
+            thresholds.append(-neg_w)
+            sizes.append(largest)
+    return thresholds, sizes
+
+
+def assert_matches_kruskal(w, directed, weight_transform):
+    a = np.abs(w) if weight_transform == "absolute" else w
+    eff = np.where(a != 0.0, a, -np.inf)
+    thresholds, sizes = kruskal_merge_log(np.maximum(eff, eff.T) if directed else eff)
+    count_curve, largest_curve, events = filtration_curves(
+        WeightedGraph(w, directed=directed), weight_transform
+    )
+    assert events.thresholds.tolist() == thresholds
+    assert events.merged_sizes.tolist() == sizes
+    bps = np.unique(thresholds)
+    above = [sum(t > lam for t in thresholds) for lam in [-np.inf, *bps]]
+    assert count_curve.breakpoints.tolist() == largest_curve.breakpoints.tolist() == bps.tolist()
+    assert count_curve.values.tolist() == [w.shape[0] - n for n in above]
+    assert largest_curve.values.tolist() == [sizes[n - 1] if n else 1 for n in above]
+
+
+def test_forest_matches_all_pairs_kruskal_on_ties(rng):
+    for _ in range(300):
+        p = int(rng.integers(2, 13))
+        levels = int(rng.integers(1, 4))
+        w = rng.integers(-levels, levels + 1, (p, p)) / levels  # heavy ties
+        w *= rng.random((p, p)) < rng.uniform(0.1, 1.0)  # zeros, often disconnected
+        directed = bool(rng.integers(2))
+        if not directed:
+            w = np.triu(w, 1) + np.triu(w, 1).T
+        for weight_transform in ("absolute", "raw"):
+            assert_matches_kruskal(w, directed, weight_transform)
+
+
+def test_forest_choice_among_equal_weights_sets_merged_sizes():
+    # component {0, 3, 4} and singletons 1, 2, joined by three 0.5 edges; the
+    # forest {(1, 2), (1, 3)} merges the singletons first (sizes 3, 5), while
+    # {(1, 3), (2, 4)}, the same weights, would give sizes 4, 5
+    g = WeightedGraph.from_edges(
+        5, [(0, 3, 0.9), (3, 4, 0.9), (1, 2, 0.5), (1, 3, 0.5), (2, 4, 0.5)]
+    )
+    _, _, events = filtration_curves(g)
+    assert events.thresholds.tolist() == [0.9, 0.9, 0.5, 0.5]
+    assert events.merged_sizes.tolist() == [2, 3, 3, 5]
+    assert_matches_kruskal(g.weights, False, "absolute")
+
+
+def test_exact_memory_stays_below_three_dense_matrices(rng):
+    p = 1500
+    w = rng.uniform(-1, 1, (p, p))
+    g = WeightedGraph((w + w.T) / 2)
+    tracemalloc.start()
+    try:
+        filtration_curves(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense p x p float64 matrix is 8 * p**2 bytes = 17 MiB
+    assert peak < 3 * 8 * p**2
+
+
 # ---------------------------------------------------------------- graph sum
 
 
@@ -329,16 +404,21 @@ def test_binned_breakpoints_near_exact(rng):
         assert np.min(np.abs(exact_count.breakpoints - bp)) <= 1.0 / n_bins + 1e-12
 
 
+class DenseRows:
+    """A weight stream that serves ``row(u)`` from a dense symmetric matrix."""
+
+    def __init__(self, w):
+        self.w = np.maximum(w, w.T)
+        self.n_nodes = w.shape[0]
+
+    def row(self, u):
+        return self.w[u].copy()
+
+
 def test_binned_exact_when_weights_on_boundaries():
-    class FakeStream:
-        n_nodes = 5
-
-        def __iter__(self):
-            w = np.zeros((5, 5))
-            w[0, 1], w[1, 2], w[2, 3], w[3, 4] = 0.25, 0.5, 0.5, 0.75
-            yield 0, 0, w
-
-    count_curve, largest_curve = filtration_curves_binned(FakeStream(), n_bins=4)
+    w = np.zeros((5, 5))
+    w[0, 1], w[1, 2], w[2, 3], w[3, 4] = 0.25, 0.5, 0.5, 0.75
+    count_curve, largest_curve = filtration_curves_binned(DenseRows(w), n_bins=4)
     g = WeightedGraph.from_edges(5, [(0, 1, 0.25), (1, 2, 0.5), (2, 3, 0.5), (3, 4, 0.75)])
     exact_count, exact_largest, _ = filtration_curves(g)
     np.testing.assert_array_equal(count_curve.breakpoints, exact_count.breakpoints)
@@ -347,15 +427,9 @@ def test_binned_exact_when_weights_on_boundaries():
 
 
 def test_binned_single_bucket():
-    class FakeStream:
-        n_nodes = 4
-
-        def __iter__(self):
-            w = np.zeros((4, 4))
-            w[0, 1], w[0, 2], w[0, 3] = 0.42, 0.43, 0.44
-            yield 0, 0, w
-
-    count_curve, largest_curve = filtration_curves_binned(FakeStream(), n_bins=10)
+    w = np.zeros((4, 4))
+    w[0, 1], w[0, 2], w[0, 3] = 0.42, 0.43, 0.44
+    count_curve, largest_curve = filtration_curves_binned(DenseRows(w), n_bins=10)
     assert list(count_curve.breakpoints) == [0.5]
     assert list(count_curve.values) == [1, 4]
     assert list(largest_curve.values) == [4, 1]
