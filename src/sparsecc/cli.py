@@ -57,9 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("x_path")
     f.add_argument("y_path")
     mode = f.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact curves (default)")
+    mode.add_argument("--exact", action="store_true",
+                      help="exact curves and merge events (default)")
     mode.add_argument("--bins", type=int, default=None,
-                      help="streamed curves quantized to this many bins")
+                      help="curves snapped to this many bins")
     wt = f.add_mutually_exclusive_group()
     wt.add_argument("--absolute", dest="absolute", action="store_true",
                     help="filter on absolute weights (default)")
@@ -119,20 +120,18 @@ def _cmd_build(args, out: Path) -> None:
 
 
 def _cmd_filtrate(args, out: Path) -> None:
+    if args.bins is not None and not args.absolute:
+        raise ValueError("--raw requires exact mode (binned weights live in [0, 1])")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
+    # one Prim pass over streamed weight rows in every mode: no p x p matrix
+    stream = crosscorr.AbsWeightBlocks(ds, args.block_size, args.symmetrize)
     if args.bins is not None:
-        if not args.absolute:
-            raise ValueError("--raw requires exact mode (binned weights live in [0, 1])")
-        stream = crosscorr.AbsWeightBlocks(ds, args.block_size, args.symmetrize)
         count_curve, largest_curve = filtration.filtration_curves_binned(
             stream, n_bins=args.bins, threads=args.threads
         )
     else:
-        g = filtration.WeightedGraph.from_crosscorr(
-            crosscorr.cross_correlate(ds, args.block_size, args.symmetrize)
-        )
         transform = "absolute" if args.absolute else "raw"
-        count_curve, largest_curve, events = filtration.filtration_curves(g, transform)
+        count_curve, largest_curve, events = filtration._streamed_curves(stream, transform)
         events.write_csv(out / "merge_events.csv")
     count_curve.write_csv(out / "curve_component_count.csv")
     largest_curve.write_csv(out / "curve_largest_component_size.csv")

@@ -174,7 +174,9 @@ class AbsWeightBlocks:
     ``row(u)`` gives node u's weights to every node (entry u is meaningless;
     ``block_size`` does not apply). Its entries are bitwise equal to the
     matching block entries in either orientation: both run the same kernel
-    over the same observation order, and products and sums commute.
+    over the same observation order, and products and sums commute. It is
+    built from the two signed kernel rows ``_signed_rows(u)``, from which the
+    exact filtration also takes its raw and directed weights.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):
@@ -201,10 +203,14 @@ class AbsWeightBlocks:
         return i0, j0, self._combine(b, c)
 
     def row(self, u: int) -> np.ndarray:
+        return self._combine(*self._signed_rows(u))
+
+    def _signed_rows(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node u's two directed cross-correlation rows: ``b[v] = x_u . y_v``
+        and ``c[v] = y_u . x_v``, bitwise the entries (u, v) and (v, u) of the
+        unsymmetrized :func:`cross_correlate` matrix."""
         x, y = self.ds.x, self.ds.y
-        b = _product_blocks(x[:, u : u + 1], y)[0]
-        c = _product_blocks(y[:, u : u + 1], x)[0]
-        return self._combine(b, c)
+        return _product_blocks(x[:, u : u + 1], y)[0], _product_blocks(y[:, u : u + 1], x)[0]
 
     def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         if self.symmetrize:

@@ -4,9 +4,12 @@ Thresholding a weighted graph at every level at once yields a nested family
 of binary graphs. Two integer step functions summarize it: the number of
 connected components (non-decreasing in the threshold) and the size of the
 largest component (non-increasing). Both change only at the weights of a
-maximum spanning forest, so the exact and the streamed (binned) filtration
-both build that forest by one Prim pass over weight rows (``_prim_forest``)
-and get both curves by replaying its at most p - 1 edges through a union-find.
+maximum spanning forest, so every filtration builds that forest by one Prim
+pass over weight rows (``_prim_forest``) and gets both curves by replaying its
+at most p - 1 edges through a union-find. The rows come from a dense weight
+matrix (``filtration_curves``) or are computed one at a time from the
+observations (``_streamed_curves`` and, snapped to a grid,
+``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
 
 Conventions, fixed throughout:
   - an edge is present at level lam iff its weight strictly exceeds lam;
@@ -162,17 +165,24 @@ class MergeEvents:
                 fh.write(f"{repr(float(t))},{int(s)}\n")
 
 
-def _undirected_weights(g: WeightedGraph, weight_transform: str) -> np.ndarray:
-    """Effective undirected weight matrix; -inf marks absent pairs."""
+def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None) -> np.ndarray:
+    """Undirected filtration weights of the pairs in ``w``; -inf marks absent ones.
+
+    Weights are absolute or raw, and a zero weight is no edge. ``w_rev``, when
+    given, holds the same pairs in the other direction, and each pair takes the
+    larger of its two directions (weak connectivity). ``w`` may be a whole
+    matrix (with ``w_rev`` its transpose) or one node's row (with ``w_rev``
+    the matching column); each array is transformed once, vectorised.
+    """
     if weight_transform == "absolute":
-        b = np.abs(g.weights)
+        b = np.abs(w)
     elif weight_transform == "raw":
-        b = g.weights.copy()
+        b = np.array(w)
     else:
         raise ValueError(f"unknown weight_transform {weight_transform!r}")
     b[b == 0.0] = -np.inf
-    if g.directed:
-        b = np.maximum(b, b.T)
+    if w_rev is not None:
+        np.maximum(b, _pair_weights(w_rev, weight_transform), out=b)
     return b
 
 
@@ -228,8 +238,30 @@ def filtration_curves(
     replayed through the union-find merge log. Diagonal entries are ignored.
     Memory is the weight matrix plus O(p).
     """
-    w = _undirected_weights(g, weight_transform)
+    w = _pair_weights(g.weights, weight_transform, g.weights.T if g.directed else None)
     return _merge_log_curves(g.n_nodes, *_prim_forest(lambda u: w[u], g.n_nodes))
+
+
+def _streamed_curves(
+    stream, weight_transform: str = "absolute"
+) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
+    """:func:`filtration_curves` of a stream's cross-correlation graph, with no
+    p x p matrix: the weight rows come from the stream's two signed kernel
+    rows, one node at a time, so memory is O(p) on top of the observations.
+
+    ``stream`` is an :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Its rows are
+    bitwise those of :func:`~sparsecc.crosscorr.cross_correlate`, so curves
+    and merge events equal those of the dense graph
+    ``WeightedGraph.from_crosscorr(cross_correlate(...))``.
+    """
+
+    def row(u: int) -> np.ndarray:
+        b, c = stream._signed_rows(u)
+        if stream.symmetrize:
+            return _pair_weights((b + c) / 2.0, weight_transform)
+        return _pair_weights(b, weight_transform, c)
+
+    return _merge_log_curves(stream.n_nodes, *_prim_forest(row, stream.n_nodes))
 
 
 def _merge_log_curves(
@@ -297,8 +329,8 @@ def filtration_curves_binned(
 
     Both curves are set by a maximum spanning forest alone, and snapping up is
     monotone, so a maximum spanning tree of the raw weights is one of the
-    snapped graph too. The tree comes from the Prim pass that
-    :func:`filtration_curves` runs (each row computed once, as its node joins
+    snapped graph too. The tree comes from the same Prim pass over streamed
+    rows that the exact curves run (each row computed once, as its node joins
     the tree); its p - 1 edges are snapped, the zero-weight ones (absent pairs)
     dropped, and the rest replayed through the same merge log. Memory is O(p)
     on top of the n x p observations the stream holds, so O(p * n) in all; the

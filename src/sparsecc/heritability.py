@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import cross_correlate
+from .crosscorr import CrossCorrMatrix, cross_correlate
 from .dataset import PairedDataset
 from .errors import NodeSetMismatch
 from .filtration import KIND_COMPONENTS, WeightedGraph
@@ -68,15 +68,16 @@ def hgi(
 
 
 def _hgi(mz, dz, symmetrize, block_size, with_curves) -> tuple[HeritabilityResult, list]:
-    """:func:`hgi`, plus with ``with_curves`` each twin group's curves
-    (``group_curves``), filtrated from its matrix as soon as that exists."""
+    """:func:`hgi`, plus with ``with_curves`` each twin group's curves on
+    symmetrized weights (``group_curves``), filtrated from its matrix as soon
+    as that exists."""
     if mz.node_ids != dz.node_ids:
         raise NodeSetMismatch("MZ and DZ datasets cover different node sets")
     ccs, curves = [], []
     for ds in (mz, dz):
         ccs.append(cross_correlate(ds, block_size=block_size, symmetrize=symmetrize))
         if with_curves:
-            curves.append(_graph_curves(WeightedGraph.from_crosscorr(ccs[-1])))
+            curves.append(_graph_curves(_symmetrized_graph(ccs[-1])))
     cc_mz, cc_dz = ccs
     rho_mz = np.diag(cc_mz.rho).copy()
     rho_dz = np.diag(cc_dz.rho).copy()
@@ -93,6 +94,21 @@ def _hgi(mz, dz, symmetrize, block_size, with_curves) -> tuple[HeritabilityResul
         symmetrized=symmetrize,
     )
     return result, curves
+
+
+def _symmetrized_graph(cc: CrossCorrMatrix) -> WeightedGraph:
+    """Graph of the symmetrized cross-correlation, from either form of ``cc``.
+
+    A directed matrix gives ``(rho + rho.T) / 2``: per pair the same two
+    products that ``cross_correlate(symmetrize=True)`` sums, and addition
+    commutes, so the weights are bitwise equal. One p x p copy is made.
+    """
+    if cc.symmetrized:
+        return WeightedGraph.from_crosscorr(cc)
+    w = cc.rho + cc.rho.T
+    w /= 2.0
+    np.fill_diagonal(w, 0.0)
+    return WeightedGraph(w, node_ids=cc.node_ids)
 
 
 def hgi_significance(
@@ -115,14 +131,12 @@ def _hgi_and_significance(
 ) -> tuple[HeritabilityResult, dict[str, KSResult]]:
     """:func:`hgi` and the significance of every kind in ``kinds``.
 
-    With ``symmetrize`` the significance step filtrates the two symmetrized
-    matrices that :func:`hgi` computes, so each twin group is cross-correlated
-    once; otherwise it cross-correlates both groups again, symmetrized.
+    The significance step filtrates the symmetrized weights of the matrices
+    :func:`hgi` computes (``_symmetrized_graph``), so each twin group is
+    cross-correlated once whatever ``symmetrize`` is.
     """
-    result, curves = _hgi(mz, dz, symmetrize, block_size, with_curves=symmetrize)
-    if symmetrize:
-        return result, _ks_results(*curves, kinds)
-    return result, _compare_kinds(mz, dz, kinds, symmetrize=True, block_size=block_size)
+    result, curves = _hgi(mz, dz, symmetrize, block_size, with_curves=True)
+    return result, _ks_results(*curves, kinds)
 
 
 def write_hi_csv(result: HeritabilityResult, path) -> None:

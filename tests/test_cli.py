@@ -1,10 +1,21 @@
 import json
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sparsecc import SimConfig, dataset, heritability, inference, run_validation, save_binary
+from sparsecc import (
+    SimConfig,
+    WeightedGraph,
+    cross_correlate,
+    dataset,
+    filtration_curves,
+    heritability,
+    inference,
+    run_validation,
+    save_binary,
+)
 from sparsecc.cli import main
 
 import worked_example
@@ -91,6 +102,84 @@ def test_filtrate_exact_and_bins_mutually_exclusive(tmp_path, group_csvs):
     xp, yp = group_csvs("g3")
     with pytest.raises(SystemExit):
         main(["filtrate", xp, yp, "--exact", "--bins", "10", "--out", str(tmp_path / "o")])
+
+
+def test_filtrate_raw_bins_rejected_before_ingest(tmp_path, capsys):
+    rc = main(["filtrate", "nope_x.csv", "nope_y.csv", "--raw", "--bins", "10",
+               "--out", str(tmp_path / "o")])
+    assert rc != 0
+    err = capsys.readouterr().err
+    assert "--raw requires exact mode" in err
+    assert "no such file" not in err
+
+
+def tied_zero_inputs(kind):
+    """Inputs whose cross-correlations hold exact zeros and tied weights.
+
+    Centred +-1 columns in orthogonal sign patterns have products that sum to
+    exactly 0. ``signs`` builds every node from them, so weights take a few
+    values only and some nodes link to the rest only through pairs whose one
+    direction is 0 and the other negative; ``mixed`` adds random nodes and
+    duplicates five of them.
+    """
+    h = np.array([[1.0]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    signs = h[:, 1:]
+    rng = np.random.default_rng(0)
+    if kind == "signs":
+        a, b = rng.integers(7, size=(2, 16))
+        flip = rng.choice([-1.0, 1.0], size=(2, 16))
+        return signs[:, a] * flip[0], signs[:, b] * flip[1]
+    x0 = rng.standard_normal((8, 10))
+    y0 = x0 + 0.5 * rng.standard_normal((8, 10))
+    return (np.hstack([signs, x0, x0[:, :5]]),
+            np.hstack([signs[:, 3::-1], y0[:, 7:], y0, y0[:, :5]]))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "signs"])
+@pytest.mark.parametrize(
+    "flags", [[], ["--raw"], ["--no-symmetrize"], ["--raw", "--no-symmetrize"]]
+)
+def test_filtrate_exact_matches_dense_reference(tmp_path, kind, flags):
+    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+    for values, path in zip(tied_zero_inputs(kind), (xp, yp)):
+        dataset.save_csv(values, path)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["filtrate", str(xp), str(yp), *flags, "--out", str(out)]) == 0
+    ds = dataset.normalize_pair(dataset.ingest(xp), dataset.ingest(yp))
+    cc = cross_correlate(ds, symmetrize="--no-symmetrize" not in flags)
+    upper = cc.rho[np.triu_indices(ds.n_nodes, 1)]
+    assert (upper == 0.0).any() and np.unique(upper).size < upper.size
+    transform = "raw" if "--raw" in flags else "absolute"
+    count, largest, events = filtration_curves(WeightedGraph.from_crosscorr(cc), transform)
+    ref.mkdir()
+    count.write_csv(ref / "curve_component_count.csv")
+    largest.write_csv(ref / "curve_largest_component_size.csv")
+    events.write_csv(ref / "merge_events.csv")
+    for f in ref.iterdir():
+        assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--raw"], ["--no-symmetrize"], ["--bins", "1000"]]
+)
+def test_filtrate_memory_stays_linear_in_nodes(tmp_path, flags):
+    p = 3000
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((10, p))
+    xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
+    save_binary(x, xp)
+    save_binary(x + 0.3 * rng.standard_normal((10, p)), yp)
+    tracemalloc.start()
+    try:
+        rc = main(["filtrate", str(xp), str(yp), *flags, "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    # one dense p x p float64 matrix would be 8 * p**2 bytes = 69 MiB
+    assert peak < 8 * 2**20
 
 
 def test_compare_same_group_twice(tmp_path, group_csvs):
@@ -251,8 +340,8 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--no-symmetrize",
                "--out", str(tmp_path / "hgi_directed")])
     assert rc == 0
-    # directed node-pair matrices, then symmetrized ones for the test
-    assert pipeline_calls == {"cross_correlate": 4, "filtration_curves": 2}
+    # directed node-pair matrices; the test symmetrizes them, not recomputes
+    assert pipeline_calls == {"cross_correlate": 2, "filtration_curves": 2}
     for kind in ("component_count", "largest_component_size"):
         name = f"result_{kind}.json"
         directed = (tmp_path / "hgi_directed" / name).read_bytes()
