@@ -2,9 +2,10 @@
 """Large-node-count smoke run: blocked, binned curves plus the two-group test.
 
 Builds two synthetic groups at the requested node count, computes both
-quantized filtration curves per group through the block stream (the dense
-pair matrix is never materialized), compares them, and reports timing and
-peak memory.
+quantized filtration curves per group from one Prim pass over the row stream
+``AbsWeightBlocks.row(u)`` (each weight row computed once, the dense pair
+matrix never materialized), compares them, and reports timing and peak
+memory.
 """
 
 import argparse
@@ -29,9 +30,11 @@ def main() -> int:
     ap.add_argument("--n-nodes", type=int, default=25972)
     ap.add_argument("--n-obs", type=int, default=20)
     ap.add_argument("--bins", type=int, default=10_000)
-    ap.add_argument("--block-size", type=int, default=1024)
+    ap.add_argument("--block-size", type=int, default=1024,
+                    help="accepted and unused: weight rows ignore the block size")
     ap.add_argument("--seed", type=int, default=70)
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=None,
+                    help="accepted and unused: the Prim pass is sequential")
     args = ap.parse_args()
 
     t0 = time.time()

@@ -104,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args, out: Path) -> None:
+    if not all(lam >= 0 for lam in args.lambdas):
+        raise ValueError("--lambda must be >= 0")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
     cc = crosscorr.cross_correlate(ds, block_size=args.block_size, symmetrize=args.symmetrize)
     g = filtration.WeightedGraph.from_crosscorr(cc)
@@ -138,6 +140,8 @@ def _cmd_filtrate(args, out: Path) -> None:
 
 
 def _cmd_compare(args, out: Path) -> None:
+    if args.permutations < 0:
+        raise ValueError("--permutations must be >= 0")
     ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
     kinds = _KINDS[args.kind]
@@ -154,6 +158,8 @@ def _cmd_compare(args, out: Path) -> None:
 
 
 def _cmd_hgi(args, out: Path) -> None:
+    if not args.edge_threshold >= 0:
+        raise ValueError("--edge-threshold must be >= 0")
     mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
     result, results = heritability._hgi_and_significance(

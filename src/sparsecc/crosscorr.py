@@ -5,8 +5,11 @@ normalized column i of x with the normalized column j of y. The L1-penalized
 estimate at sparsity ``lam`` is obtained entrywise by soft thresholding; no
 iterative solver is ever needed.
 
-All products are accumulated observation-by-observation in a fixed order, so
-results are bit-identical regardless of block size or thread count.
+Every observation product comes from one kernel entry, ``_signed_blocks``:
+dense matrices, streamed blocks and streamed rows alike. It accumulates
+observation by observation in a fixed order, so results are bit-identical
+regardless of block size or thread count, and it is the one place where the
+two directed cross-correlations are averaged.
 """
 
 from __future__ import annotations
@@ -68,6 +71,25 @@ def _product_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool):
+    """The one kernel entry: the directed blocks ``b = x_I . y_J`` and
+    ``c = y_I . x_J``, or with ``symmetrize`` their average as both.
+
+    On a diagonal block (``I == J``) ``c`` is ``b.T`` bitwise (the products
+    commute and are summed in the same order), so it is not computed again.
+    """
+    b = _product_blocks(x[:, I], y[:, J])
+    c = b.T if I == J else _product_blocks(y[:, I], x[:, J])
+    if symmetrize:
+        b = c = (b + c) / 2.0
+    return b, c
+
+
+def _block_pairs(p: int, bs: int) -> list[tuple[int, int]]:
+    """Starts (i0, j0) of the upper-triangle blocks, cut every bs nodes."""
+    return [(i0, j0) for i0 in range(0, p, bs) for j0 in range(i0, p, bs)]
+
+
 def cross_correlate(
     ds: PairedDataset, block_size: int = 1024, symmetrize: bool = False
 ) -> CrossCorrMatrix:
@@ -78,28 +100,11 @@ def cross_correlate(
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    x, y, p = ds.x, ds.y, ds.n_nodes
-    rho = np.empty((p, p))
-    starts = range(0, p, block_size)
-    if symmetrize:
-        for i0 in starts:
-            i1 = min(i0 + block_size, p)
-            for j0 in range(i0, p, block_size):
-                j1 = min(j0 + block_size, p)
-                b = _product_blocks(x[:, i0:i1], y[:, j0:j1])
-                c = _product_blocks(y[:, i0:i1], x[:, j0:j1])
-                # on diagonal blocks c equals b.T bitwise (commutative products,
-                # same accumulation order), so blk is exactly symmetric
-                blk = (b + c) / 2.0
-                rho[i0:i1, j0:j1] = blk
-                if j0 > i0:
-                    rho[j0:j1, i0:i1] = blk.T
-    else:
-        for i0 in starts:
-            i1 = min(i0 + block_size, p)
-            for j0 in starts:
-                j1 = min(j0 + block_size, p)
-                rho[i0:i1, j0:j1] = _product_blocks(x[:, i0:i1], y[:, j0:j1])
+    rho = np.empty((ds.n_nodes, ds.n_nodes))
+    for i0, j0 in _block_pairs(ds.n_nodes, block_size):
+        I, J = slice(i0, i0 + block_size), slice(j0, j0 + block_size)
+        b, c = _signed_blocks(ds.x, ds.y, I, J, symmetrize)
+        rho[I, J], rho[J, I] = b, c.T
     return CrossCorrMatrix(rho, symmetrized=symmetrize, node_ids=ds.node_ids)
 
 
@@ -172,11 +177,12 @@ class AbsWeightBlocks:
     connectivity). The full p x p matrix is never materialized.
 
     ``row(u)`` gives node u's weights to every node (entry u is meaningless;
-    ``block_size`` does not apply). Its entries are bitwise equal to the
-    matching block entries in either orientation: both run the same kernel
-    over the same observation order, and products and sums commute. It is
-    built from the two signed kernel rows ``_signed_rows(u)``, from which the
-    exact filtration also takes its raw and directed weights.
+    ``block_size`` does not apply), bitwise equal to the matching block entries
+    in either orientation: the same kernel, and products and sums commute. It
+    combines the signed kernel rows ``b, c = _signed_rows(u)``, bitwise row u
+    and column u of ``cross_correlate(ds, symmetrize=...).rho``, from which the
+    exact filtration also takes its raw and directed weights. Under
+    ``symmetrize`` both are the one averaged row (``b is c``), read once.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):
@@ -191,31 +197,23 @@ class AbsWeightBlocks:
         return self.ds.n_nodes
 
     def block_pairs(self) -> list[tuple[int, int]]:
-        p, bs = self.ds.n_nodes, self.block_size
-        return [(i0, j0) for i0 in range(0, p, bs) for j0 in range(i0, p, bs)]
+        return _block_pairs(self.ds.n_nodes, self.block_size)
 
     def compute_block(self, pair: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-        i0, j0 = pair
-        x, y, p, bs = self.ds.x, self.ds.y, self.ds.n_nodes, self.block_size
-        i1, j1 = min(i0 + bs, p), min(j0 + bs, p)
-        b = _product_blocks(x[:, i0:i1], y[:, j0:j1])
-        c = _product_blocks(y[:, i0:i1], x[:, j0:j1])
-        return i0, j0, self._combine(b, c)
+        (i0, j0), bs = pair, self.block_size
+        I, J = slice(i0, i0 + bs), slice(j0, j0 + bs)
+        return i0, j0, self._combine(*_signed_blocks(self.ds.x, self.ds.y, I, J, self.symmetrize))
 
     def row(self, u: int) -> np.ndarray:
         return self._combine(*self._signed_rows(u))
 
     def _signed_rows(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Node u's two directed cross-correlation rows: ``b[v] = x_u . y_v``
-        and ``c[v] = y_u . x_v``, bitwise the entries (u, v) and (v, u) of the
-        unsymmetrized :func:`cross_correlate` matrix."""
-        x, y = self.ds.x, self.ds.y
-        return _product_blocks(x[:, u : u + 1], y)[0], _product_blocks(y[:, u : u + 1], x)[0]
+        """``b[v] = x_u . y_v`` and ``c[v] = y_u . x_v``, or their average as both."""
+        b, c = _signed_blocks(self.ds.x, self.ds.y, slice(u, u + 1), slice(None), self.symmetrize)
+        return (b[0],) * 2 if b is c else (b[0], c[0])
 
     def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        if self.symmetrize:
-            return np.abs(b + c) / 2.0
-        return np.maximum(np.abs(b), np.abs(c))
+        return np.abs(b) if b is c else np.maximum(np.abs(b), np.abs(c))
 
     def __iter__(self):
         for pair in self.block_pairs():

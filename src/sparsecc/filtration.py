@@ -172,7 +172,8 @@ def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None) -> np.ndarra
     given, holds the same pairs in the other direction, and each pair takes the
     larger of its two directions (weak connectivity). ``w`` may be a whole
     matrix (with ``w_rev`` its transpose) or one node's row (with ``w_rev``
-    the matching column); each array is transformed once, vectorised.
+    the matching column); each array is transformed once, vectorised, and
+    ``w_rev is w`` (an already symmetric row) is read once.
     """
     if weight_transform == "absolute":
         b = np.abs(w)
@@ -181,7 +182,7 @@ def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None) -> np.ndarra
     else:
         raise ValueError(f"unknown weight_transform {weight_transform!r}")
     b[b == 0.0] = -np.inf
-    if w_rev is not None:
+    if w_rev is not None and w_rev is not w:
         np.maximum(b, _pair_weights(w_rev, weight_transform), out=b)
     return b
 
@@ -257,8 +258,6 @@ def _streamed_curves(
 
     def row(u: int) -> np.ndarray:
         b, c = stream._signed_rows(u)
-        if stream.symmetrize:
-            return _pair_weights((b + c) / 2.0, weight_transform)
         return _pair_weights(b, weight_transform, c)
 
     return _merge_log_curves(stream.n_nodes, *_prim_forest(row, stream.n_nodes))

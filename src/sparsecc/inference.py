@@ -212,9 +212,9 @@ def exact_sup_tail(p: int, c: int) -> float:
     """Exact P(sup |difference| >= c) for two aligned merge ladders of p-1 steps.
 
     Counts monotone lattice paths from (0,0) to (p-1,p-1) whose coordinate gap
-    stays below c, via the two-term recursion on the grid. Exact but
-    exponential in memory for large p; intended as a small-p cross-check of
-    the asymptotic series, not a production path.
+    stays below c, via the two-term recursion on the grid. Exact but it holds
+    O(p²) Python integers of up to ~2p bits; intended as a small-p cross-check
+    of the asymptotic series, not a production path.
     """
     if p < 2:
         raise ValueError("p must be >= 2")

@@ -113,6 +113,24 @@ def test_filtrate_raw_bins_rejected_before_ingest(tmp_path, capsys):
     assert "no such file" not in err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("hgi", ["--edge-threshold", "-1"]),
+        ("build", ["--lambda", "0.5", "--lambda", "-0.1"]),
+        ("compare", ["--permutations", "-3"]),
+    ],
+)
+def test_out_of_range_numbers_rejected_before_ingest(tmp_path, group_csvs, capsys, command,
+                                                     flags):
+    paths = [*group_csvs("a"), *group_csvs("b")][: 2 if command == "build" else 4]
+    out = tmp_path / "out"
+    rc = main([command, *paths, *flags, "--out", str(out)])
+    assert rc == 1
+    assert f"{flags[-2]} must be >= 0" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def tied_zero_inputs(kind):
     """Inputs whose cross-correlations hold exact zeros and tied weights.
 

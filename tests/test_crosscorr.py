@@ -12,6 +12,7 @@ from sparsecc import (
     symmetric_sparse_network,
     write_edge_list,
 )
+from sparsecc import crosscorr
 
 import worked_example
 from conftest import random_dataset
@@ -193,3 +194,33 @@ def test_abs_weight_row_matches_blocks_bitwise(rng, symmetrize):
         # both orientations: row i at column j and row j at column i
         assert np.array_equal(rows[iu, ju], blocks[iu, ju])
         assert np.array_equal(rows[ju, iu], blocks[iu, ju])
+    # the signed kernel rows are row u and column u of the dense matrix
+    rho = cross_correlate(ds, symmetrize=symmetrize).rho
+    stream = AbsWeightBlocks(ds, symmetrize=symmetrize)
+    for u in range(70):
+        b, c = stream._signed_rows(u)
+        assert np.array_equal(b, rho[u])
+        assert np.array_equal(c, rho[:, u])
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("block_size, expected", [(7, 100), (64, 4), (1024, 1)])
+def test_kernel_calls_per_matrix(rng, monkeypatch, symmetrize, block_size, expected):
+    # nb row blocks cost nb**2 block products in either mode: a diagonal
+    # block's second direction is the transpose of its first
+    calls = 0
+    product = crosscorr._product_blocks
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    monkeypatch.setattr(crosscorr, "_product_blocks", counted)
+    ds = random_dataset(rng, 9, 70)
+    cross_correlate(ds, block_size=block_size, symmetrize=symmetrize)
+    assert calls == expected
+    calls = 0
+    for _ in AbsWeightBlocks(ds, block_size=block_size, symmetrize=symmetrize):
+        pass
+    assert calls == expected
