@@ -106,19 +106,23 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_build(args, out: Path) -> None:
     if not all(lam >= 0 for lam in args.lambdas):
         raise ValueError("--lambda must be >= 0")
+    for k, lam in enumerate(args.lambdas):
+        for m in args.lambdas[:k]:
+            if f"{m:g}" == f"{lam:g}":
+                raise ValueError(f"--lambda {m!r} and {lam!r} share edges_lambda_{lam:g}.csv")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
     cc = crosscorr.cross_correlate(ds, block_size=args.block_size, symmetrize=args.symmetrize)
-    g = filtration.WeightedGraph.from_crosscorr(cc)
-    count_curve, largest_curve, _ = filtration.filtration_curves(g, "absolute")
-    with open(out / "summary.csv", "w") as fh:
-        fh.write("lambda,edges,components,largest\n")
-        for lam in args.lambdas:
-            net = crosscorr.sparse_network(cc, lam)
-            crosscorr.write_edge_list(net, out / f"edges_lambda_{lam:g}.csv")
-            fh.write(
-                f"{lam:g},{len(net.entries)},"
-                f"{count_curve.value_at(lam)},{largest_curve.value_at(lam)}\n"
-            )
+    count_curve, largest_curve, _ = filtration.filtration_curves(
+        filtration.WeightedGraph.from_crosscorr(cc), "absolute"
+    )
+    edges = []
+    for lam in args.lambdas:
+        net = crosscorr.sparse_network(cc, lam)
+        crosscorr.write_edge_list(net, out / f"edges_lambda_{lam:g}.csv")
+        edges.append(net.values.size)
+    lams = np.array(args.lambdas)
+    dataset._write_rows(out / "summary.csv", "lambda,edges,components,largest", "{:g},{},{},{}",
+                        lams, edges, count_curve.value_at(lams), largest_curve.value_at(lams))
 
 
 def _cmd_filtrate(args, out: Path) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PairedDataset
+from .dataset import PairedDataset, _write_rows
 from .errors import DimensionMismatch
 
 
@@ -45,15 +45,22 @@ class CrossCorrMatrix:
 class SparseCrossCorr:
     """Nonzero entries of the soft-thresholded cross-correlation at one lam.
 
-    Keys are (i, j) with i < j when built from a symmetrized matrix, ordered
-    pairs i != j otherwise. Diagonal entries are never stored: networks carry
-    no self-loops.
+    Edge k is ``(rows[k], cols[k])`` (int64) with weight ``values[k]``
+    (float64), in row-major order, the edge file's order. Pairs have i < j
+    when built from a symmetrized matrix, i != j otherwise: networks carry no
+    self-loops. ``entries`` is a dict view built from the arrays.
     """
 
     lam: float
     n_nodes: int
-    entries: dict[tuple[int, int], float]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     symmetric: bool
+
+    @property
+    def entries(self) -> dict[tuple[int, int], float]:
+        return dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.values.tolist()))
 
 
 def _product_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -123,48 +130,38 @@ def soft_threshold(rho, lam):
     return float(out) if out.ndim == 0 else out
 
 
+def _kept_pairs(keep: np.ndarray, upper: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major ``(rows, cols)`` of the off-diagonal pairs where ``keep`` is
+    true, above the diagonal only when ``upper``."""
+    keep = np.triu(keep, k=1) if upper else keep & ~np.eye(len(keep), dtype=bool)
+    return np.nonzero(keep)
+
+
 def sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr:
     """Entrywise soft threshold; zero entries and the diagonal are omitted."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    p = cc.n_nodes
-    if cc.symmetrized:
-        ii, jj = np.triu_indices(p, k=1)
-    else:
-        ii, jj = np.nonzero(~np.eye(p, dtype=bool))
-    vals = cc.rho[ii, jj]
-    keep = np.abs(vals) > lam
-    shrunk = soft_threshold(vals[keep], lam)
-    entries = {
-        (int(i), int(j)): float(v) for i, j, v in zip(ii[keep], jj[keep], np.atleast_1d(shrunk))
-    }
-    return SparseCrossCorr(float(lam), p, entries, symmetric=cc.symmetrized)
+    rows, cols = _kept_pairs(np.abs(cc.rho) > lam, upper=cc.symmetrized)
+    values = soft_threshold(cc.rho[rows, cols], lam)
+    return SparseCrossCorr(float(lam), cc.n_nodes, rows, cols, values, symmetric=cc.symmetrized)
 
 
 def symmetric_sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr:
-    """Average of the two directed sparse estimates, keyed i < j.
+    """Average of the two directed sparse estimates, pairs i < j.
 
     Applies soft thresholding to each regression direction separately and
     averages, which is not the same as thresholding the symmetrized matrix.
     """
     if cc.symmetrized:
         raise ValueError("needs the unsymmetrized (directed) cross-correlation matrix")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     eta = (soft_threshold(cc.rho, lam) + soft_threshold(cc.rho.T, lam)) / 2.0
-    ii, jj = np.triu_indices(cc.n_nodes, k=1)
-    vals = eta[ii, jj]
-    keep = vals != 0.0
-    entries = {(int(i), int(j)): float(v) for i, j, v in zip(ii[keep], jj[keep], vals[keep])}
-    return SparseCrossCorr(float(lam), cc.n_nodes, entries, symmetric=True)
+    rows, cols = _kept_pairs(eta != 0.0, upper=True)
+    return SparseCrossCorr(float(lam), cc.n_nodes, rows, cols, eta[rows, cols], symmetric=True)
 
 
 def write_edge_list(sparse: SparseCrossCorr, path) -> None:
-    """Export nonzero entries as "i,j,weight" rows (0-based indices)."""
-    with open(path, "w") as fh:
-        fh.write("i,j,weight\n")
-        for (i, j), v in sorted(sparse.entries.items()):
-            fh.write(f"{i},{j},{repr(v)}\n")
+    """Rows "i,j,weight" (0-based indices) in the arrays' row-major order."""
+    _write_rows(path, "i,j,weight", "{},{},{!r}", sparse.rows, sparse.cols, sparse.values)
 
 
 class AbsWeightBlocks:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,9 @@ from .errors import DimensionMismatch, MalformedFile, NonFiniteEntry, ZeroVarian
 # A column is considered constant when its centered norm is this small
 # relative to the raw column magnitude.
 _ZERO_VAR_RTOL = 1e-12
+
+# Rows that ``_write_rows`` turns into Python objects at a time (a few MiB).
+_ROWS_PER_CHUNK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -148,12 +152,26 @@ def ingest(path, format: str = "auto") -> RawMatrix:
 
 
 def save_csv(values: np.ndarray, path, node_ids=None) -> None:
-    values = np.atleast_2d(np.asarray(values))
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    header = None if node_ids is None else ",".join(node_ids)
+    _write_rows(path, header, ",".join(["{!r}"] * values.shape[1]), *values.T)
+
+
+def _write_rows(path, header: str | None, row_format: str, *columns) -> None:
+    """Every CSV output: ``header`` (unless None), then ``row_format.format(*row)``
+    for each row of the equal-length ``columns``, converted ``_ROWS_PER_CHUNK``
+    rows at a time by ``tolist()``, so ``{!r}`` writes a float64 as
+    ``repr(float(v))``.
+    """
+    line = row_format + "\n"
+
+    def chunk(k):  # dropped as soon as its rows are written
+        return [np.asarray(c[k : k + _ROWS_PER_CHUNK]).tolist() for c in columns]
+
     with open(path, "w") as fh:
-        if node_ids is not None:
-            fh.write(",".join(node_ids) + "\n")
-        for row in values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write("" if header is None else header + "\n")
+        for k in range(0, len(columns[0]), _ROWS_PER_CHUNK):
+            fh.writelines(starmap(line.format, zip(*chunk(k), strict=True)))
 
 
 def save_binary(values: np.ndarray, path, node_ids=None) -> None:

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import CrossCorrMatrix, SparseCrossCorr, sparse_network
+from .crosscorr import CrossCorrMatrix, SparseCrossCorr, _kept_pairs, sparse_network
+from .dataset import _write_rows
 from .errors import CurveMismatch, NodeSetMismatch
 
 KIND_COMPONENTS = "component_count"
@@ -133,12 +134,9 @@ class FiltrationCurve:
     def write_csv(self, path) -> None:
         """Rows "threshold,value": one per breakpoint, plus the two sentinel
         rows for the unbounded intervals below and above."""
-        with open(path, "w") as fh:
-            fh.write("threshold,value\n")
-            fh.write(f"-inf,{int(self.values[0])}\n")
-            for bp, v in zip(self.breakpoints, self.values[1:]):
-                fh.write(f"{repr(float(bp))},{int(v)}\n")
-            fh.write(f"inf,{int(self.values[-1])}\n")
+        thresholds = np.concatenate(([-np.inf], self.breakpoints, [np.inf]))
+        values = np.append(self.values, self.values[-1])
+        _write_rows(path, "threshold,value", "{!r},{}", thresholds, values)
 
 
 @dataclass(eq=False)
@@ -159,10 +157,7 @@ class MergeEvents:
         self.merged_sizes = np.asarray(self.merged_sizes, dtype=np.int64)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("threshold,new_size\n")
-            for t, s in zip(self.thresholds, self.merged_sizes):
-                fh.write(f"{repr(float(t))},{int(s)}\n")
+        _write_rows(path, "threshold,new_size", "{!r},{}", self.thresholds, self.merged_sizes)
 
 
 def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None) -> np.ndarray:
@@ -196,22 +191,14 @@ def binarize(g: WeightedGraph, lam: float, mode: str = "above") -> BinaryGraph:
         keep = g.weights != 0.0
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    np.fill_diagonal(keep, False)
-    if g.directed:
-        edges = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(keep)))
-    else:
-        keep = np.triu(keep | keep.T, k=1)
-        edges = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(keep)))
-    return BinaryGraph(g.n_nodes, edges, directed=g.directed)
+    rows, cols = _kept_pairs(keep if g.directed else keep | keep.T, upper=not g.directed)
+    return BinaryGraph(g.n_nodes, frozenset(zip(rows.tolist(), cols.tolist())), g.directed)
 
 
 def support_graph(sparse: SparseCrossCorr) -> BinaryGraph:
     """The nonzero-support binary graph of a sparse estimate."""
-    return BinaryGraph(
-        sparse.n_nodes,
-        frozenset(sparse.entries),
-        directed=not sparse.symmetric,
-    )
+    edges = frozenset(zip(sparse.rows.tolist(), sparse.cols.tolist()))
+    return BinaryGraph(sparse.n_nodes, edges, directed=not sparse.symmetric)
 
 
 def soft_threshold_equivalence_check(cc: CrossCorrMatrix, lam: float) -> bool:
@@ -220,8 +207,6 @@ def soft_threshold_equivalence_check(cc: CrossCorrMatrix, lam: float) -> bool:
     This holds identically (it is the fast path the rest of the package relies
     on); the check exists as a permanently runnable cross-validation.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     left = support_graph(sparse_network(cc, lam))
     absg = WeightedGraph(np.abs(cc.rho) - np.diag(np.diag(np.abs(cc.rho))),
                          directed=not cc.symmetrized, node_ids=cc.node_ids)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import CrossCorrMatrix, cross_correlate
-from .dataset import PairedDataset
+from .crosscorr import CrossCorrMatrix, _kept_pairs, cross_correlate
+from .dataset import PairedDataset, _write_rows
 from .errors import NodeSetMismatch
 from .filtration import KIND_COMPONENTS, WeightedGraph
 from .inference import KSResult, _compare_kinds, _graph_curves, _ks_results
@@ -141,24 +141,18 @@ def _hgi_and_significance(
 
 def write_hi_csv(result: HeritabilityResult, path) -> None:
     """Rows "node_id,hi,a,c"."""
-    with open(path, "w") as fh:
-        fh.write("node_id,hi,a,c\n")
-        for name, h, a, c in zip(result.node_ids, result.hi, result.a_factor, result.c_factor):
-            fh.write(f"{name},{repr(float(h))},{repr(float(a))},{repr(float(c))}\n")
+    _write_rows(path, "node_id,hi,a,c", "{},{!r},{!r},{!r}",
+                result.node_ids, result.hi, result.a_factor, result.c_factor)
 
 
 def write_hgi_edges(result: HeritabilityResult, path, threshold: float = 0.0) -> None:
-    """Rows "i,j,hgi" for pairs with |hgi| strictly above the threshold.
+    """Rows "i,j,hgi" for pairs i < j with |hgi| strictly above the threshold,
+    in row-major order (the pair extraction of the sparse networks).
 
     The threshold keeps output size bounded for large node sets; 0 exports
     every nonzero pair.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    ii, jj = np.triu_indices(result.n_nodes, k=1)
-    vals = result.hgi[ii, jj]
-    keep = np.abs(vals) > threshold
-    with open(path, "w") as fh:
-        fh.write("i,j,hgi\n")
-        for i, j, v in zip(ii[keep], jj[keep], vals[keep]):
-            fh.write(f"{int(i)},{int(j)},{repr(float(v))}\n")
+    rows, cols = _kept_pairs(np.abs(result.hgi) > threshold, upper=True)
+    _write_rows(path, "i,j,hgi", "{},{},{!r}", rows, cols, result.hgi[rows, cols])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PairedDataset, normalize_arrays
+from .dataset import PairedDataset, _write_rows, normalize_arrays
 from .filtration import KINDS
 from .inference import _ks_results, group_curves
 from ._parallel import ordered_map
@@ -138,9 +138,8 @@ def run_validation(
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    """Rows "comparison,kind,mean_p,sd_p,n_reps"."""
-    with open(path, "w") as fh:
-        fh.write("comparison,kind,mean_p,sd_p,n_reps\n")
-        for r in rows:
-            sd = "" if r["sd_p"] is None else repr(r["sd_p"])
-            fh.write(f"{r['comparison']},{r['kind']},{repr(r['mean_p'])},{sd},{r['n_reps']}\n")
+    """Rows "comparison,kind,mean_p,sd_p,n_reps"; an sd_p of None is left empty."""
+    names = ("comparison", "kind", "mean_p", "sd_p", "n_reps")
+    columns = [[r[name] for r in rows] for name in names]
+    columns[3] = ["" if sd is None else repr(sd) for sd in columns[3]]
+    _write_rows(path, ",".join(names), "{},{},{!r},{},{}", *columns)

@@ -15,6 +15,8 @@ from sparsecc import (
     inference,
     run_validation,
     save_binary,
+    soft_threshold,
+    sparse_network,
 )
 from sparsecc.cli import main
 
@@ -114,20 +116,27 @@ def test_filtrate_raw_bins_rejected_before_ingest(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, message",
     [
-        ("hgi", ["--edge-threshold", "-1"]),
-        ("build", ["--lambda", "0.5", "--lambda", "-0.1"]),
-        ("compare", ["--permutations", "-3"]),
+        pytest.param("hgi", ["--edge-threshold", "-1"], "--edge-threshold must be >= 0",
+                     id="hgi-flags0"),
+        pytest.param("build", ["--lambda", "0.5", "--lambda", "-0.1"], "--lambda must be >= 0",
+                     id="build-flags1"),
+        pytest.param("compare", ["--permutations", "-3"], "--permutations must be >= 0",
+                     id="compare-flags2"),
+        # both levels print as 0.123456, so the second edge file would overwrite the first
+        pytest.param("build", ["--lambda", "0.1234561", "--lambda", "0.1234562"],
+                     "--lambda 0.1234561 and 0.1234562 share edges_lambda_0.123456.csv",
+                     id="build-same-edge-file"),
     ],
 )
 def test_out_of_range_numbers_rejected_before_ingest(tmp_path, group_csvs, capsys, command,
-                                                     flags):
+                                                     flags, message):
     paths = [*group_csvs("a"), *group_csvs("b")][: 2 if command == "build" else 4]
     out = tmp_path / "out"
     rc = main([command, *paths, *flags, "--out", str(out)])
     assert rc == 1
-    assert f"{flags[-2]} must be >= 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not any(out.iterdir())
 
 
@@ -198,6 +207,76 @@ def test_filtrate_memory_stays_linear_in_nodes(tmp_path, flags):
     assert rc == 0
     # one dense p x p float64 matrix would be 8 * p**2 bytes = 69 MiB
     assert peak < 8 * 2**20
+
+
+def render_pairs(header, w, upper):
+    """Reference edge file: the nonzero off-diagonal entries of the dense
+    matrix ``w`` in (i, j) order, only those above the diagonal when ``upper``."""
+    lines = [header]
+    p = len(w)
+    for i in range(p):
+        for j in range(i + 1 if upper else 0, p):
+            if i != j and w[i, j] != 0.0:
+                lines.append(f"{i},{j},{repr(float(w[i, j]))}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_edge_files_match_dense_rendering(tmp_path, symmetrize):
+    # p = 400 gives 79 800 pairs above the diagonal, past one writer chunk
+    p = 400
+    rng = np.random.default_rng(11)
+    paths = []
+    for tag in ("mz", "dz"):
+        x = rng.standard_normal((10, p))
+        for name, values in (("x", x), ("y", x + rng.standard_normal((10, p)))):
+            paths.append(tmp_path / f"{tag}_{name}.bin")
+            save_binary(values, paths[-1])
+    assert p * (p - 1) // 2 > dataset._ROWS_PER_CHUNK
+    sym = [] if symmetrize else ["--no-symmetrize"]
+    out = tmp_path / "out"
+    lams = (0.0, 0.3)
+    assert main(["build", *map(str, paths[:2]), "--lambda", "0", "--lambda", "0.3", *sym,
+                 "--out", str(out)]) == 0
+    assert main(["hgi", *map(str, paths), "--edge-threshold", "0", *sym,
+                 "--out", str(out / "hgi")]) == 0
+
+    groups = [dataset.normalize_pair(dataset.ingest(paths[k]), dataset.ingest(paths[k + 1]))
+              for k in (0, 2)]
+    cc = cross_correlate(groups[0], symmetrize=symmetrize)
+    for lam in lams:
+        expected = render_pairs("i,j,weight", soft_threshold(cc.rho, lam), upper=symmetrize)
+        assert (out / f"edges_lambda_{lam:g}.csv").read_text() == expected
+        net = sparse_network(cc, lam)
+        assert net.rows.dtype == net.cols.dtype == np.int64
+        assert net.values.dtype == np.float64
+        assert net.entries == dict(
+            zip(zip(net.rows.tolist(), net.cols.tolist()), net.values.tolist())
+        )
+    result = heritability.hgi(*groups, symmetrize=symmetrize)
+    assert (out / "hgi" / "hgi_edges.csv").read_text() == render_pairs(
+        "i,j,hgi", result.hgi, upper=True
+    )
+
+
+def test_build_memory_below_six_dense_matrices(tmp_path):
+    # at lambda = 0 every one of the ~500k pairs is an edge
+    p = 1000
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((10, p))
+    xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
+    save_binary(x, xp)
+    save_binary(x + 0.3 * rng.standard_normal((10, p)), yp)
+    tracemalloc.start()
+    try:
+        rc = main(["build", str(xp), str(yp), "--lambda", "0", "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(read_lines(tmp_path / "o" / "edges_lambda_0.csv")) == 1 + p * (p - 1) // 2
+    # one dense p x p float64 matrix is 8 * p**2 bytes = 7.6 MiB
+    assert peak < 6 * 8 * p**2
 
 
 def test_compare_same_group_twice(tmp_path, group_csvs):
