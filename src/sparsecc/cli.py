@@ -8,6 +8,7 @@ byte-identical files regardless of the thread count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -16,6 +17,11 @@ import numpy as np
 from . import crosscorr, dataset, filtration, heritability, inference, simulation
 from .errors import SparseCCError
 from ._parallel import resolve_threads
+
+# Dense p x p float64 matrices that `build` and `hgi` hold at their peak, with
+# headroom: tracemalloc at p = 600 read 3.7 (build, two --lambda values), 4.5
+# (build --lambda 0, every pair an edge) and 4.4-5.0 (hgi).
+_DENSE_MATRICES = 5
 
 _KINDS = {
     "count": (filtration.KIND_COMPONENTS,),
@@ -39,6 +45,21 @@ def _load_pair(x_path, y_path, fmt, policy="error"):
     x = dataset.ingest(x_path, format=fmt)
     y = dataset.ingest(y_path, format=fmt)
     return dataset.normalize_pair(x, y, zero_variance_policy=policy)
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_dense_fits(p: int) -> None:
+    """Refuse, before the first p x p allocation, a dense working set larger
+    than physical memory, rather than fail partway through the run."""
+    need, have = _DENSE_MATRICES * 8 * p * p, _physical_memory()
+    if need > have:
+        raise SparseCCError(
+            f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p matrices, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +132,7 @@ def _cmd_build(args, out: Path) -> None:
             if f"{m:g}" == f"{lam:g}":
                 raise ValueError(f"--lambda {m!r} and {lam!r} share edges_lambda_{lam:g}.csv")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
+    _check_dense_fits(ds.n_nodes)
     cc = crosscorr.cross_correlate(ds, block_size=args.block_size, symmetrize=args.symmetrize)
     count_curve, largest_curve, _ = filtration.filtration_curves(
         filtration.WeightedGraph.from_crosscorr(cc), "absolute"
@@ -166,6 +188,7 @@ def _cmd_hgi(args, out: Path) -> None:
         raise ValueError("--edge-threshold must be >= 0")
     mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
+    _check_dense_fits(mz.n_nodes)
     result, results = heritability._hgi_and_significance(
         mz, dz, _KINDS[args.kind], args.symmetrize, args.block_size
     )

@@ -183,13 +183,42 @@ def save_binary(values: np.ndarray, path, node_ids=None) -> None:
 
 
 def _normalize_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center and unit-scale columns; return (normalized, zero-variance mask)."""
-    centered = values - values.mean(axis=0)
-    norms = np.sqrt((centered * centered).sum(axis=0))
-    scale = np.maximum(np.abs(values).max(axis=0), 1.0)
+    """Center and unit-scale columns; return (normalized, zero-variance mask).
+
+    ``values`` is one (n, p) matrix or a (G, n, p) stack of them. Each column
+    is reduced over its own n entries in order, so a stack is normalized
+    bitwise as each of its matrices alone.
+    """
+    centered = values - values.mean(axis=-2, keepdims=True)
+    norms = np.sqrt((centered * centered).sum(axis=-2))
+    scale = np.maximum(np.abs(values).max(axis=-2), 1.0)
     degenerate = norms <= _ZERO_VAR_RTOL * scale
-    safe = np.where(degenerate, 1.0, norms)
-    return centered / safe, degenerate
+    centered /= np.where(degenerate, 1.0, norms)[..., None, :]
+    return centered, degenerate
+
+
+def _constant_signal(node_ids, bad: np.ndarray) -> ZeroVarianceNode:
+    names = ", ".join(node_ids[i] for i in np.flatnonzero(bad))
+    return ZeroVarianceNode(f"constant signal at nodes: {names}")
+
+
+def _normalize_groups(groups, node_ids: tuple[str, ...]) -> list[PairedDataset]:
+    """:func:`normalize_arrays` of each raw ``(x, y)`` pair in ``groups``, over
+    the shared ``node_ids``. Groups with equal observation counts are
+    normalized as one stack, bitwise as each alone. The first group in order
+    with a constant column raises :class:`ZeroVarianceNode`.
+    """
+    datasets, constant = [None] * len(groups), [None] * len(groups)
+    for n in {x.shape[0] for x, _ in groups}:
+        ks = [k for k, (x, _) in enumerate(groups) if x.shape[0] == n]
+        xs, bad_x = _normalize_columns(np.stack([groups[k][0] for k in ks]))
+        ys, bad_y = _normalize_columns(np.stack([groups[k][1] for k in ks]))
+        for k, x, y, bad in zip(ks, xs, ys, bad_x | bad_y):
+            datasets[k], constant[k] = PairedDataset(x, y, node_ids), bad
+    for bad in constant:
+        if bad.any():
+            raise _constant_signal(node_ids, bad)
+    return datasets
 
 
 def normalize_pair(
@@ -214,9 +243,9 @@ def normalize_pair(
     y, bad_y = _normalize_columns(y_raw.values)
     bad = bad_x | bad_y
     if bad.any():
-        names = [x_raw.node_ids[i] for i in np.flatnonzero(bad)]
         if zero_variance_policy == "error":
-            raise ZeroVarianceNode(f"constant signal at nodes: {', '.join(names)}")
+            raise _constant_signal(x_raw.node_ids, bad)
+        names = [x_raw.node_ids[i] for i in np.flatnonzero(bad)]
         keep = ~bad
         kept_ids = tuple(v for v, k in zip(x_raw.node_ids, keep) if k)
         if keep.sum() < 2:

@@ -5,11 +5,13 @@ of binary graphs. Two integer step functions summarize it: the number of
 connected components (non-decreasing in the threshold) and the size of the
 largest component (non-increasing). Both change only at the weights of a
 maximum spanning forest, so every filtration builds that forest by one Prim
-pass over weight rows (``_prim_forest``) and gets both curves by replaying its
-at most p - 1 edges through a union-find. The rows come from a dense weight
-matrix (``filtration_curves``) or are computed one at a time from the
-observations (``_streamed_curves`` and, snapped to a grid,
-``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
+pass over weight rows (``_prim_forests``, which runs G graphs in lockstep)
+and gets both curves by replaying its at most p - 1 edges through a
+union-find. The rows come from a dense weight matrix (``filtration_curves``),
+a stack of them (``_forest_curves``, for batches of replicate groups) or are
+computed one at a time from the observations (``_streamed_curves`` and,
+snapped to a grid, ``filtration_curves_binned``), so the streamed paths hold
+no p x p matrix.
 
 Conventions, fixed throughout:
   - an edge is present at level lam iff its weight strictly exceeds lam;
@@ -219,13 +221,13 @@ def filtration_curves(
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
     """Component-count and largest-size curves over all thresholds at once.
 
-    One Prim pass (``_prim_forest``) over the rows of the undirected weight
-    matrix builds the maximum spanning forest, and its at most p - 1 edges are
-    replayed through the union-find merge log. Diagonal entries are ignored.
-    Memory is the weight matrix plus O(p).
+    One Prim pass (``_prim_forests`` at G = 1) over the rows of the undirected
+    weight matrix builds the maximum spanning forest, and its at most p - 1
+    edges are replayed through the union-find merge log. Diagonal entries are
+    ignored. Memory is the weight matrix plus O(p).
     """
     w = _pair_weights(g.weights, weight_transform, g.weights.T if g.directed else None)
-    return _merge_log_curves(g.n_nodes, *_prim_forest(lambda u: w[u], g.n_nodes))
+    return _forest_curves(w[None])[0]
 
 
 def _streamed_curves(
@@ -245,7 +247,7 @@ def _streamed_curves(
         b, c = stream._signed_rows(u)
         return _pair_weights(b, weight_transform, c)
 
-    return _merge_log_curves(stream.n_nodes, *_prim_forest(row, stream.n_nodes))
+    return _merge_log_curves(stream.n_nodes, *_prim_forests(row, 1, stream.n_nodes)[0])
 
 
 def _merge_log_curves(
@@ -325,7 +327,7 @@ def filtration_curves_binned(
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    ii, jj, w = _prim_forest(cc_stream.row, cc_stream.n_nodes)
+    ii, jj, w = _prim_forests(cc_stream.row, 1, cc_stream.n_nodes)[0]
     q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins).astype(np.int64) - 1
     keep = q >= 0
     return _merge_log_curves(
@@ -333,52 +335,93 @@ def filtration_curves_binned(
     )[:2]
 
 
-def _prim_forest(row, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximum spanning forest (Prim, 1957) of the graph on p nodes whose
-    weights from node u ``row(u)`` returns; -inf marks an absent pair and
-    entry u is ignored. Edges come back as (i, j, w) with i < j.
+def _forest_curves(w: np.ndarray) -> list[tuple[FiltrationCurve, FiltrationCurve, MergeEvents]]:
+    """Curves and merge log of each graph in a ``(G, p, p)`` stack of
+    undirected weights (``_pair_weights``), all G forests built at once."""
+    G, p = w.shape[:2]
+    return [_merge_log_curves(p, *f) for f in _prim_forests(w.reshape(G * p, p).__getitem__, G, p)]
+
+
+def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Maximum spanning forests (Prim, 1957) of G graphs on p nodes, built in
+    lockstep. This is the one spanning-forest core: every filtration calls it,
+    the streamed and single-graph ones with G = 1. Node v of graph g sits at
+    flat position g * p + v. ``rows(at)`` returns the weights from the nodes at
+    positions ``at`` to the nodes of their graphs: for G = 1 ``at`` is an int
+    (the node) and the result one row, otherwise ``at`` holds G positions and
+    the result is ``(G, p)``. -inf marks an absent pair and a node's own entry
+    is ignored. Each graph's edges come back as (i, j, w) with i < j.
 
     Edges are ranked by the strict total order of a sorted Kruskal pass:
     higher weight first, then the smaller (i, j) pair. It decides both whether
     an equal weight replaces a node's best edge to the forest and which of
     several equally heavy outside nodes joins next, so the forest is the unique
     maximum one under that order, Kruskal's edge for edge. When no finite
-    weight reaches the forest, a new tree starts at the lowest outside node.
-    Requests each row once, in the order nodes join, and keeps O(p) state.
+    weight reaches a forest, a new tree starts at its graph's lowest outside
+    node. Every step adds one node to each graph, so all G finish together.
+    A step writes only the entries whose best edge changes, and the tie rules
+    run only where there is a tie. Requests each graph's rows once, in the
+    order its nodes join, and keeps O(G p) state.
+
+    Permutation and study replicates call it on batches of up to 768 KiB of
+    weights (8 or 9 graphs at p = 100, see ``inference._BATCH_BYTES``). Each
+    graph's forest is the one it gets alone, so results depend neither on G
+    nor on the thread count.
     """
-    best = np.full(p, -np.inf)  # heaviest weight from each outside node to the forest
-    src = np.zeros(p, dtype=np.int32)  # the forest end of that edge
-    outside = np.ones(p, dtype=bool)
-    closer = np.empty(p, dtype=bool)
-    joined, ww = [], []
-    u = 0
-    for _ in range(p - 1):
-        outside[u] = False
-        r = row(u)
+    best = np.full(G * p, -np.inf)  # heaviest weight from each outside node to the forest
+    src = np.zeros(G * p, dtype=np.intp)  # the step whose node is that edge's forest end
+    outside = np.ones(G * p, dtype=bool)
+    closer = np.empty(G * p, dtype=bool)
+    per_graph = best.reshape(G, p)
+    nodes, offsets = np.arange(p), np.arange(G) * p
+    joins = np.empty((max(p, 1), G), dtype=np.intp)  # joins[s]: the positions step s reads
+    ww = []
+
+    def heaviest():  # the position of each graph's heaviest best edge
+        return per_graph.argmax(axis=1) + offsets
+
+    any_of, at = np.count_nonzero, offsets  # node 0 of every graph
+    if G == 1:  # an int position and scalar tests: as cheap as a one-graph loop
+        heaviest, any_of, at = best.argmax, bool, 0
+    for step in range(p - 1):
+        joins[step] = at
+        outside[at] = False
+        r = rows(at).ravel()
         np.greater_equal(r, best, out=closer)
         closer &= outside
         k = closer.nonzero()[0]
         rk = r[k]
         tied = rk == best[k]
-        if np.count_nonzero(tied):  # {u, v} precedes {src[v], v} iff u < src[v]
-            keep = ~tied | (src[k] > u)
+        if np.count_nonzero(tied):  # {u, v} precedes v's best edge iff u < that edge's forest end
+            g = k // p
+            keep = ~tied | (joins[src[k], g] > joins[step, g])
             k, rk = k[keep], rk[keep]
         best[k] = rk
-        src[k] = u
-        u = int(best.argmax())
-        w = best[u]
-        best[u] = -np.inf
-        if w == -np.inf:  # nothing finite reaches the forest
-            u = int(outside.argmax())
-            continue
-        if best[best.argmax()] == w:  # equally heavy: the smallest (i, j) pair joins
-            best[u] = w
-            tied = np.flatnonzero(best == w)
-            lo, hi = np.minimum(tied, src[tied]), np.maximum(tied, src[tied])
-            u = int(tied[(lo * p + hi).argmin()])
-            best[u] = -np.inf
-        joined.append(u)
+        src[k] = step
+        at = heaviest()
+        w = best[at]
+        best[at] = -np.inf
+        # as heavy as the next best: a tie, or no finite weight left (-inf)
+        special = best[heaviest()] == w
+        if any_of(special):
+            at, wa, special = np.atleast_1d(at, w, special)
+            restart = special & (wa == -np.inf)  # nothing finite reaches the forest
+            at[restart] = outside.reshape(G, p)[restart].argmax(axis=1) + offsets[restart]
+            t = (special & ~restart).nonzero()[0]  # equally heavy: the smallest (i, j) pair joins
+            best[at[t]] = wa[t]
+            ends = joins[src.reshape(G, p)[t], t[:, None]] - offsets[t, None]
+            lo, hi = np.minimum(nodes, ends), np.maximum(nodes, ends)
+            key = np.where(per_graph[t] == wa[t, None], lo * p + hi, p * p)
+            at[t] = key.argmin(axis=1) + offsets[t]
+            best[at[t]] = -np.inf
+            at = at if G > 1 else int(at[0])
         ww.append(w)
-    joined = np.array(joined, dtype=np.int64)
-    ends = src[joined]  # fixed once a node has joined
-    return np.minimum(joined, ends), np.maximum(joined, ends), np.array(ww)
+    joins[p - 1] = at
+    ends = joins[src[joins[1:]], np.arange(G)] - offsets  # fixed once a node has joined
+    ww = np.array(ww).reshape(p - 1, G)
+    forests = []
+    for g in range(G):
+        edge = ww[:, g] != -np.inf
+        i, j = joins[1:][edge, g] - offsets[g], ends[edge, g]
+        forests.append((np.minimum(i, j), np.maximum(i, j), ww[edge, g]))
+    return forests

@@ -22,16 +22,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosscorr import cross_correlate
-from .dataset import PairedDataset, normalize_arrays
+from .dataset import PairedDataset, _normalize_groups
 from .errors import CurveMismatch, NodeSetMismatch
 from .filtration import (
     KIND_COMPONENTS,
     KINDS,
     FiltrationCurve,
     WeightedGraph,
+    _forest_curves,
+    _pair_weights,
     filtration_curves,
 )
 from ._parallel import ordered_map
+
+# The weights one replicate batch holds at most: 8 groups at p = 100, one
+# replicate from p = 157 on. Each thread holds one batch, so peak memory grows
+# with it: on `compare --permutations 200 --threads 2` at p = 100 this budget
+# read 4-5 % above one group at a time, 1 MiB 8-9.5 % (next to the benchmark's
+# 10 % bound) and 2 MiB 19 %, for 6 and 13 % less CPU.
+_BATCH_BYTES = 3 << 18
 
 
 @dataclass(eq=False)
@@ -104,12 +113,42 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
 
 def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1024) -> dict:
     """Every filtration curve of one group as {kind: FiltrationCurve}, all from one
-    cross-correlation and one filtration pass, so each group is computed once."""
-    return _graph_curves(WeightedGraph.from_crosscorr(cross_correlate(ds, block_size, symmetrize)))
+    cross-correlation and one spanning forest, so each group is computed once.
+
+    This is the replicate engine's weights-and-forests stage at G = 1, so a
+    group's curves are the same whether it is alone or in a batch.
+    """
+    return _datasets_curves([ds], symmetrize, block_size)[0]
 
 
 def _graph_curves(g: WeightedGraph) -> dict:
     return {c.kind: c for c in filtration_curves(g, weight_transform="absolute")[:2]}
+
+
+def _datasets_curves(datasets, symmetrize: bool, block_size: int) -> list[dict]:
+    """The batched replicate engine: :func:`group_curves` of G normalized
+    groups on one node set at once, in order.
+
+    Each group's cross-correlation (``cross_correlate``) is written through
+    ``_pair_weights`` into one ``(G, p, p)`` buffer, and all G spanning forests
+    are built by one lockstep Prim pass over it (``_forest_curves``). Replicate
+    groups come from ``dataset._normalize_groups``, which normalizes them as
+    stacks. Every step keeps each group's arithmetic, so a group's curves do
+    not depend on the batch it is in.
+    """
+    p = datasets[0].n_nodes
+    w = np.empty((len(datasets), p, p))
+    for wg, ds in zip(w, datasets):
+        rho = cross_correlate(ds, block_size, symmetrize).rho
+        wg[...] = _pair_weights(rho, "absolute", None if symmetrize else rho.T)
+    return [dict(zip(KINDS, curves[:2])) for curves in _forest_curves(w)]
+
+
+def _batches(n_reps: int, groups_per_rep: int, p: int):
+    """Replicate ranges in order, each as many whole replicates as fit
+    ``_BATCH_BYTES`` of p x p weights, and at least one."""
+    size = max(1, _BATCH_BYTES // (groups_per_rep * 8 * p * p))
+    return (range(a, min(a + size, n_reps)) for a in range(0, n_reps, size))
 
 
 def _check_pair(ds1: PairedDataset, ds2: PairedDataset, kinds) -> None:
@@ -155,17 +194,22 @@ def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, block_size, 
     x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
     n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
 
-    def sups(idx1, idx2) -> np.ndarray:
-        c1, c2 = (group_curves(normalize_arrays(x[i], y[i], ds1.node_ids), symmetrize, block_size)
-                  for i in (idx1, idx2))
-        return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
+    def sups(perms) -> list[np.ndarray]:
+        """Per permutation, the sup distance of every kind between its two groups."""
+        groups = _normalize_groups(
+            [(x[i], y[i]) for perm in perms for i in (perm[:n1], perm[n1:])], ds1.node_ids
+        )
+        curves = _datasets_curves(groups, symmetrize, block_size)
+        return [np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
+                for c1, c2 in zip(curves[::2], curves[1::2])]
 
-    def one_rep(rep: int) -> np.ndarray:
-        perm = np.random.default_rng(np.random.SeedSequence([seed, rep])).permutation(n_total)
-        return sups(perm[:n1], perm[n1:])
+    def one_batch(reps: range) -> list[np.ndarray]:
+        return sups([np.random.default_rng(np.random.SeedSequence([seed, rep])).permutation(n_total)
+                     for rep in reps])
 
-    d_obs = sups(np.arange(n1), np.arange(n1, n_total))
-    exceed = sum(d >= d_obs for d in ordered_map(one_rep, range(n_perm), threads))
+    (d_obs,) = sups([np.arange(n_total)])
+    batches = ordered_map(one_batch, _batches(n_perm, 2, ds1.n_nodes), threads)
+    exceed = sum(d >= d_obs for batch in batches for d in batch)
     return {kind: (1 + int(e)) / (1 + n_perm) for kind, e in zip(kinds, exceed)}
 
 
@@ -183,8 +227,15 @@ def permutation_test(
 
     Paired observations (rows) are pooled and reassigned to two groups of the
     original sizes; each permuted group is re-normalized and its curves are
-    computed once (``group_curves``). Replicate r draws from a stream seeded by
-    (seed, r), so results depend neither on scheduling nor on the kinds asked.
+    computed once. Replicate r draws from a stream seeded by (seed, r), so
+    results depend neither on scheduling nor on the kinds asked.
+
+    Replicates run in batches of whole replicates, as many as hold at most
+    768 KiB of p x p weights (4 at p = 100, one from p = 157 on); a batch
+    normalizes its groups as stacks and builds their spanning forests in one
+    lockstep pass, and batches are what ``threads`` share out. Every group
+    keeps the arithmetic it has alone, so the p-values are identical at any
+    thread count.
     """
     return _permutation_pvalues(
         ds1, ds2, (kind,), n_perm, seed, symmetrize, block_size, threads

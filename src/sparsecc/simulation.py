@@ -12,9 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PairedDataset, _write_rows, normalize_arrays
+from .dataset import (
+    PairedDataset,
+    _normalize_groups,
+    _write_rows,
+    default_node_ids,
+    normalize_arrays,
+)
 from .filtration import KINDS
-from .inference import _ks_results, group_curves
+from .inference import _batches, _datasets_curves, _ks_results
 from ._parallel import ordered_map
 
 
@@ -41,17 +47,26 @@ def rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, rep]))
 
 
-def _draw(cfg: SimConfig, rng: np.random.Generator):
+def _raw_group(cfg: SimConfig, rng: np.random.Generator, n_dependent: int = 0):
+    """Raw (x, y): x iid standard normal, y = x + independent noise per node,
+    except that the first ``n_dependent`` y columns track x[:, 0]."""
     x = rng.standard_normal((cfg.n_obs, cfg.n_nodes))
     eps = rng.standard_normal((cfg.n_obs, cfg.n_nodes))
-    return x, eps
+    y = x + cfg.noise_sd * eps
+    if n_dependent > 0:
+        y[:, :n_dependent] = x[:, [0]] + cfg.noise_sd * eps[:, :n_dependent]
+    return x, y
+
+
+def _raw_triple(cfg: SimConfig, rep: int) -> list:
+    """Repetition ``rep``'s raw groups: null, null, dependent, from its stream."""
+    rng = rep_rng(cfg.seed, rep)
+    return [_raw_group(cfg, rng), _raw_group(cfg, rng), _raw_group(cfg, rng, cfg.n_dependent)]
 
 
 def generate_null_group(cfg: SimConfig, rng: np.random.Generator) -> PairedDataset:
     """x iid standard normal; y = x + independent noise, per node."""
-    x, eps = _draw(cfg, rng)
-    y = x + cfg.noise_sd * eps
-    return normalize_arrays(x, y)
+    return normalize_arrays(*_raw_group(cfg, rng))
 
 
 def generate_dependent_group(cfg: SimConfig, rng: np.random.Generator) -> PairedDataset:
@@ -60,12 +75,7 @@ def generate_dependent_group(cfg: SimConfig, rng: np.random.Generator) -> Paired
     Consumes the RNG stream identically to the null generator, so with
     n_dependent = 0 the two are byte-for-byte equal.
     """
-    x, eps = _draw(cfg, rng)
-    y = x + cfg.noise_sd * eps
-    d = cfg.n_dependent
-    if d > 0:
-        y[:, :d] = x[:, [0]] + cfg.noise_sd * eps[:, :d]
-    return normalize_arrays(x, y)
+    return normalize_arrays(*_raw_group(cfg, rng, cfg.n_dependent))
 
 
 def generate_twin_group(
@@ -101,26 +111,33 @@ def run_validation(
 
     Emits one row per (comparison, kind) with the mean and standard deviation
     of the asymptotic p-values across repetitions. Each repetition computes
-    the curves of its three groups once (``group_curves``) and compares every
-    requested kind on them.
+    the curves of its three groups once and compares every requested kind on
+    them. Repetitions run in batches through the replicate engine of
+    :func:`~sparsecc.inference.permutation_test` (at most 768 KiB of p x p
+    weights, 3 repetitions at p = 100), and batches are what ``threads``
+    share out; every group keeps the arithmetic it has alone, so the rows are
+    identical at any thread count.
     """
     kinds = tuple(kinds)
     for k in kinds:
         if k not in KINDS:
             raise ValueError(f"unknown curve kind {k!r}")
+    node_ids = default_node_ids(cfg.n_nodes)
 
-    def one_rep(rep: int):
-        rng = rep_rng(cfg.seed, rep)
-        g1 = group_curves(generate_null_group(cfg, rng), symmetrize)
-        g2 = group_curves(generate_null_group(cfg, rng), symmetrize)
-        g3 = group_curves(generate_dependent_group(cfg, rng), symmetrize)
-        out = {}
-        for comparison, other in (("null_vs_null", g2), ("null_vs_dependent", g3)):
-            for kind, res in _ks_results(g1, other, kinds).items():
-                out[(comparison, kind)] = res.p_asymptotic
+    def one_batch(reps: range) -> list[dict]:
+        groups = _normalize_groups([g for rep in reps for g in _raw_triple(cfg, rep)], node_ids)
+        curves = _datasets_curves(groups, symmetrize, block_size=1024)
+        out = []
+        for g1, g2, g3 in zip(curves[::3], curves[1::3], curves[2::3]):
+            p_values = {}
+            for comparison, other in (("null_vs_null", g2), ("null_vs_dependent", g3)):
+                for kind, res in _ks_results(g1, other, kinds).items():
+                    p_values[(comparison, kind)] = res.p_asymptotic
+            out.append(p_values)
         return out
 
-    reps = list(ordered_map(one_rep, range(cfg.n_reps), threads))
+    batches = ordered_map(one_batch, _batches(cfg.n_reps, 3, cfg.n_nodes), threads)
+    reps = [r for batch in batches for r in batch]
     rows = []
     for comparison in ("null_vs_null", "null_vs_dependent"):
         for kind in kinds:

@@ -8,8 +8,11 @@ import pytest
 from sparsecc import (
     SimConfig,
     WeightedGraph,
+    cli,
     cross_correlate,
+    crosscorr,
     dataset,
+    filtration,
     filtration_curves,
     heritability,
     inference,
@@ -391,24 +394,25 @@ def test_net_threads_env(tmp_path, group_csvs, monkeypatch):
 
 @pytest.fixture()
 def pipeline_calls(monkeypatch):
-    """Counts of the cross-correlations and filtrations the inference and
-    heritability layers run."""
-    calls = {"cross_correlate": 0, "filtration_curves": 0}
+    """Counts of the cross-correlations the inference and heritability layers
+    run, and of the spanning forests built, one per graph at the entry of the
+    forest core, which takes G graphs per call."""
+    calls = {"cross_correlate": 0, "forests": 0}
     lock = threading.Lock()  # replicates run on worker threads
 
-    def counted(module, name):
+    def counted(module, name, key, graphs):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             with lock:
-                calls[name] += 1
+                calls[key] += graphs(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(inference, "cross_correlate")
-    counted(heritability, "cross_correlate")
-    counted(inference, "filtration_curves")
+    counted(inference, "cross_correlate", "cross_correlate", lambda *a: 1)
+    counted(heritability, "cross_correlate", "cross_correlate", lambda *a: 1)
+    counted(filtration, "_prim_forests", "forests", lambda rows, G, p: G)
     return calls
 
 
@@ -420,29 +424,75 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     assert rc == 0
     # the two groups once, then both permuted groups of the observed split
     # and of each of the 9 replicates, once for both kinds
-    assert pipeline_calls == {"cross_correlate": 22, "filtration_curves": 22}
+    assert pipeline_calls == {"cross_correlate": 22, "forests": 22}
 
-    pipeline_calls.update(cross_correlate=0, filtration_curves=0)
+    pipeline_calls.update(cross_correlate=0, forests=0)
     cfg = SimConfig(n_obs=8, n_nodes=12, n_reps=3, seed=4)
     run_validation(cfg, threads=2)
-    assert pipeline_calls == {"cross_correlate": 9, "filtration_curves": 9}
+    assert pipeline_calls == {"cross_correlate": 9, "forests": 9}
 
-    pipeline_calls.update(cross_correlate=0, filtration_curves=0)
+    pipeline_calls.update(cross_correlate=0, forests=0)
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "hgi")])
     assert rc == 0
     # each twin group's node-pair matrix also gives its curves
-    assert pipeline_calls == {"cross_correlate": 2, "filtration_curves": 2}
+    assert pipeline_calls == {"cross_correlate": 2, "forests": 2}
 
-    pipeline_calls.update(cross_correlate=0, filtration_curves=0)
+    pipeline_calls.update(cross_correlate=0, forests=0)
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--no-symmetrize",
                "--out", str(tmp_path / "hgi_directed")])
     assert rc == 0
     # directed node-pair matrices; the test symmetrizes them, not recomputes
-    assert pipeline_calls == {"cross_correlate": 2, "filtration_curves": 2}
+    assert pipeline_calls == {"cross_correlate": 2, "forests": 2}
     for kind in ("component_count", "largest_component_size"):
         name = f"result_{kind}.json"
         directed = (tmp_path / "hgi_directed" / name).read_bytes()
         assert directed == (tmp_path / "hgi" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["build", "hgi"])
+def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsys, monkeypatch,
+                                                     command):
+    paths = [*group_csvs("a"), *group_csvs("b")][: 2 if command == "build" else 4]
+    flags = ["--lambda", "0.5"] if command == "build" else []
+    need = cli._DENSE_MATRICES * 8 * 18 * 18  # p = 18
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a p x p matrix was computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(crosscorr, "cross_correlate", no_dense)
+        m.setattr(heritability, "cross_correlate", no_dense)
+        out = tmp_path / "refused"
+        rc = main([command, *paths, *flags, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"sparsecc {command}: error: 18 nodes need about" in err
+    assert "more than the 0.0 GiB of physical memory" in err
+    assert not any(out.iterdir())
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert main([command, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
+
+
+def test_permutation_outputs_identical_at_any_thread_count(tmp_path, group_csvs):
+    # one replicate, one short of a batch and one past it; groups of 12 and
+    # 10 observations are normalized as two stacks
+    p = 60
+    batch = len(next(inference._batches(10**6, 2, p)))
+    assert batch > 2
+    x1, y1 = group_csvs("t1", n=12, p=p)
+    x2, y2 = group_csvs("t2", n=10, p=p)
+    for n_perm in (1, batch - 1, batch + 1):
+        outputs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"n{n_perm}_t{threads}"
+            rc = main(["compare", x1, y1, x2, y2, "--permutations", str(n_perm), "--seed", "4",
+                       "--threads", str(threads), "--out", str(out)])
+            assert rc == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0]["result_component_count.json"])["n_perm"] == n_perm
 
 
 @pytest.mark.parametrize("command", ["compare", "hgi"])

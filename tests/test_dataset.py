@@ -146,3 +146,30 @@ def test_normalize_idempotent_and_contracts(seed, n_obs, n_nodes):
     )
     np.testing.assert_allclose(twice.x, once.x, atol=1e-10)
     np.testing.assert_allclose(twice.y, once.y, atol=1e-10)
+
+
+def test_normalize_groups_stacks_bitwise_as_each_alone(rng):
+    # groups of two observation counts, normalized as two stacks
+    for _ in range(100):
+        p = int(rng.integers(2, 30))
+        scale = 10.0 ** rng.integers(-3, 4)
+        groups = [(rng.standard_normal((n, p)) * scale + rng.uniform(-5, 5),
+                   rng.standard_normal((n, p)) * scale)
+                  for n in rng.choice([int(rng.integers(2, 40)), int(rng.integers(2, 40))], 5)]
+        ids = dataset.default_node_ids(p)
+        for ds, (x, y) in zip(dataset._normalize_groups(groups, ids), groups):
+            alone = dataset.normalize_arrays(x, y)
+            assert ds.node_ids == alone.node_ids
+            assert ds.x.tobytes() == alone.x.tobytes() and ds.y.tobytes() == alone.y.tobytes()
+
+
+def test_normalize_groups_raises_for_first_constant_group(rng):
+    ids = ("a", "b", "c")
+    groups = [(rng.standard_normal((n, 3)), rng.standard_normal((n, 3))) for n in (4, 5, 4, 5)]
+    groups[1][1][:, 2] = 1.0  # the first constant group in order: node c of y
+    groups[2][0][:, 0] = 2.0  # a later one, in the stack normalized first
+    with pytest.raises(ZeroVarianceNode) as alone:
+        dataset.normalize_arrays(*groups[1], node_ids=ids)
+    with pytest.raises(ZeroVarianceNode) as batched:
+        dataset._normalize_groups(groups, ids)
+    assert str(batched.value) == str(alone.value) == "constant signal at nodes: c"

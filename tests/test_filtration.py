@@ -20,7 +20,7 @@ from sparsecc import (
     sparse_network,
     support_graph,
 )
-from sparsecc import crosscorr
+from sparsecc import crosscorr, filtration
 from sparsecc.errors import NodeSetMismatch
 
 import worked_example
@@ -258,11 +258,13 @@ def test_curve_monotonicity_enforced(rng):
 
 def kruskal_merge_log(w):
     """All-pairs Kruskal over the finite upper-triangle weights in (-w, i, j)
-    order: the merge thresholds and the largest size after each merge."""
+    order: the forest edges (i, j, w) in merge order, and the largest size
+    after each merge."""
     p = w.shape[0]
     parent, size, largest = list(range(p)), [1] * p, 1
-    thresholds, sizes = [], []
-    for neg_w, i, j in sorted((-w[i, j], i, j) for i in range(p) for j in range(i + 1, p)):
+    edges, sizes = [], []
+    for neg_w, i0, j0 in sorted((-w[i, j], i, j) for i in range(p) for j in range(i + 1, p)):
+        i, j = i0, j0
         while parent[i] != i:
             i = parent[i]
         while parent[j] != j:
@@ -270,18 +272,19 @@ def kruskal_merge_log(w):
         if neg_w != np.inf and i != j:
             parent[i], size[j] = j, size[i] + size[j]
             largest = max(largest, size[j])
-            thresholds.append(-neg_w)
+            edges.append((i0, j0, -neg_w))
             sizes.append(largest)
-    return thresholds, sizes
+    return edges, sizes
 
 
-def assert_matches_kruskal(w, directed, weight_transform):
+def assert_curves_match_kruskal(w, directed, weight_transform, curves, forest=None):
+    """``curves`` (count, largest, events) and, when given, the forest's
+    (i, j, w) arrays are those of the all-pairs Kruskal on ``w``."""
     a = np.abs(w) if weight_transform == "absolute" else w
     eff = np.where(a != 0.0, a, -np.inf)
-    thresholds, sizes = kruskal_merge_log(np.maximum(eff, eff.T) if directed else eff)
-    count_curve, largest_curve, events = filtration_curves(
-        WeightedGraph(w, directed=directed), weight_transform
-    )
+    edges, sizes = kruskal_merge_log(np.maximum(eff, eff.T) if directed else eff)
+    thresholds = [t for _, _, t in edges]
+    count_curve, largest_curve, events = curves
     assert events.thresholds.tolist() == thresholds
     assert events.merged_sizes.tolist() == sizes
     bps = np.unique(thresholds)
@@ -289,19 +292,45 @@ def assert_matches_kruskal(w, directed, weight_transform):
     assert count_curve.breakpoints.tolist() == largest_curve.breakpoints.tolist() == bps.tolist()
     assert count_curve.values.tolist() == [w.shape[0] - n for n in above]
     assert largest_curve.values.tolist() == [sizes[n - 1] if n else 1 for n in above]
+    if forest is not None:
+        ii, jj, ww = forest
+        assert sorted(zip(ii.tolist(), jj.tolist(), ww.tolist())) == sorted(edges)
+
+
+def assert_matches_kruskal(w, directed, weight_transform):
+    g = WeightedGraph(w, directed=directed)
+    assert_curves_match_kruskal(w, directed, weight_transform,
+                                filtration_curves(g, weight_transform))
+
+
+def tied_graph(rng, p):
+    """Weights with heavy ties and zeros (often disconnected, so forests
+    restart), directed or not, and the weight transform to filtrate them by."""
+    levels = int(rng.integers(1, 4))
+    w = rng.integers(-levels, levels + 1, (p, p)) / levels
+    w *= rng.random((p, p)) < rng.uniform(0.1, 1.0)
+    directed = bool(rng.integers(2))
+    if not directed:
+        w = np.triu(w, 1) + np.triu(w, 1).T
+    return w, directed, ("absolute", "raw")[int(rng.integers(2))]
 
 
 def test_forest_matches_all_pairs_kruskal_on_ties(rng):
     for _ in range(300):
-        p = int(rng.integers(2, 13))
-        levels = int(rng.integers(1, 4))
-        w = rng.integers(-levels, levels + 1, (p, p)) / levels  # heavy ties
-        w *= rng.random((p, p)) < rng.uniform(0.1, 1.0)  # zeros, often disconnected
-        directed = bool(rng.integers(2))
-        if not directed:
-            w = np.triu(w, 1) + np.triu(w, 1).T
+        w, directed, _ = tied_graph(rng, int(rng.integers(2, 13)))
         for weight_transform in ("absolute", "raw"):
             assert_matches_kruskal(w, directed, weight_transform)
+    # G graphs of one size in one lockstep pass: each graph's forest and
+    # curves are its own, whatever the other graphs in the stack do
+    for G in (1, 2, 7, 13):
+        for _ in range(40):
+            p = int(rng.integers(2, 13))
+            graphs = [tied_graph(rng, p) for _ in range(G)]
+            stack = np.stack([filtration._pair_weights(w, t, w.T if d else None)
+                              for w, d, t in graphs])
+            forests = filtration._prim_forests(stack.reshape(G * p, p).__getitem__, G, p)
+            for (w, d, t), curves, forest in zip(graphs, filtration._forest_curves(stack), forests):
+                assert_curves_match_kruskal(w, d, t, curves, forest)
 
 
 def test_forest_choice_among_equal_weights_sets_merged_sizes():

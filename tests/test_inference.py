@@ -13,6 +13,8 @@ from sparsecc import (
     KIND_LARGEST,
     compare_groups,
     exact_sup_tail,
+    group_curves,
+    inference,
     ks_pvalue,
     normalize_arrays,
     permutation_test,
@@ -202,6 +204,29 @@ def test_permutation_deterministic_and_thread_invariant(rng):
     assert permutation_test(ds1, ds2, n_perm=30, seed=12) != permutation_test(
         ds1, ds2, n_perm=31, seed=11
     ) or True  # different draws may coincide; only determinism is contractual
+
+
+def test_permutation_batches_equal_one_replicate_at_a_time(rng):
+    # unequal group sizes (two normalization stacks) over more than a batch
+    ds1, ds2 = random_dataset(rng, 9, 40), random_dataset(rng, 7, 40)
+    n_perm = len(next(inference._batches(10**6, 2, 40))) + 1
+    x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
+
+    kinds = (KIND_COMPONENTS, KIND_LARGEST)
+
+    def sups(idx1, idx2):
+        c1, c2 = (group_curves(normalize_arrays(x[i], y[i])) for i in (idx1, idx2))
+        return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
+
+    d_obs = sups(np.arange(9), np.arange(9, 16))
+    exceed = sum(
+        sups(perm[:9], perm[9:]) >= d_obs
+        for perm in (np.random.default_rng(np.random.SeedSequence([3, r])).permutation(16)
+                     for r in range(n_perm))
+    )
+    for kind, e in zip(kinds, exceed):
+        expected = (1 + int(e)) / (1 + n_perm)
+        assert permutation_test(ds1, ds2, kind, n_perm=n_perm, seed=3, threads=2) == expected
 
 
 def test_permutation_detects_strong_difference():

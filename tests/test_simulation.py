@@ -13,6 +13,7 @@ from sparsecc import (
     run_validation,
     write_summary_csv,
 )
+from sparsecc import inference
 from sparsecc.filtration import WeightedGraph
 
 
@@ -84,6 +85,25 @@ def test_run_validation_thread_invariance():
     cfg = small_cfg(n_reps=6)
     rows = [run_validation(cfg, threads=t) for t in (1, 2, 8)]
     assert rows[0] == rows[1] == rows[2]
+
+
+def test_run_validation_rows_unchanged_by_batching():
+    # ten repetitions at p = 100 run as batches of 3, 3, 3 and 1; the values
+    # are those the study gave when every group was computed alone
+    expected = {
+        True: [0.34398971122701816, 0.2437502049020409, 0.01398229022915766,
+               0.022913231766101123, 0.25032120820925857, 0.24996433211630295,
+               0.005620718948560199, 0.011469238669920945],
+        False: [0.34498204799378296, 0.2659162043861195, 0.022047333722607965,
+                0.04804144657018474, 0.44049006583617006, 0.2717641136262137,
+                0.008046074545627054, 0.023833280849422447],
+    }
+    assert [len(b) for b in inference._batches(10, 3, 100)] == [3, 3, 3, 1]
+    for symmetrize, n_dependent in ((True, 10), (False, 3)):
+        cfg = SimConfig(n_obs=10, n_nodes=100, n_reps=10, seed=11, n_dependent=n_dependent)
+        for threads in (1, 2, 3):
+            rows = run_validation(cfg, symmetrize=symmetrize, threads=threads)
+            assert [v for r in rows for v in (r["mean_p"], r["sd_p"])] == expected[symmetrize]
 
 
 def test_run_validation_single_rep_has_no_sd(tmp_path):
