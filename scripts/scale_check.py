@@ -30,11 +30,7 @@ def main() -> int:
     ap.add_argument("--n-nodes", type=int, default=25972)
     ap.add_argument("--n-obs", type=int, default=20)
     ap.add_argument("--bins", type=int, default=10_000)
-    ap.add_argument("--block-size", type=int, default=1024,
-                    help="accepted and unused: weight rows ignore the block size")
     ap.add_argument("--seed", type=int, default=70)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="accepted and unused: the Prim pass is sequential")
     args = ap.parse_args()
 
     t0 = time.time()
@@ -47,10 +43,8 @@ def main() -> int:
     curve_sets = []
     for i, ds in enumerate(groups, 1):
         t1 = time.time()
-        stream = AbsWeightBlocks(ds, block_size=args.block_size, symmetrize=True)
-        curve_sets.append(
-            filtration_curves_binned(stream, n_bins=args.bins, threads=args.threads)
-        )
+        stream = AbsWeightBlocks(ds, symmetrize=True)
+        curve_sets.append(filtration_curves_binned(stream, n_bins=args.bins))
         print(f"group {i} curves: {time.time() - t1:.1f}s "
               f"({curve_sets[-1][0].breakpoints.size} breakpoints)")
 

@@ -18,10 +18,12 @@ from . import crosscorr, dataset, filtration, heritability, inference, simulatio
 from .errors import SparseCCError
 from ._parallel import resolve_threads
 
-# Dense p x p float64 matrices that `build` and `hgi` hold at their peak, with
-# headroom: tracemalloc at p = 600 read 3.7 (build, two --lambda values), 4.5
-# (build --lambda 0, every pair an edge) and 4.4-5.0 (hgi).
-_DENSE_MATRICES = 5
+# Dense p x p float64 matrices a command holds at its peak, with headroom;
+# `compare` and `simulate` hold theirs per replicate batch in flight, one per
+# thread. tracemalloc at p = 600 read 4.1-4.5 (build), 7.1 (build
+# --no-symmetrize --lambda 0, every ordered pair an edge), 4.6-4.9 (hgi), 5.5
+# (compare; 4.2 without --permutations) and 6.3 (simulate).
+_DENSE_MATRICES = {"build": 5, "build --no-symmetrize": 8, "hgi": 5, "compare": 6, "simulate": 7}
 
 _KINDS = {
     "count": (filtration.KIND_COMPONENTS,),
@@ -51,15 +53,21 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_dense_fits(p: int) -> None:
+def _check_dense_fits(p: int, command: str, batches: int = 1) -> None:
     """Refuse, before the first p x p allocation, a dense working set larger
-    than physical memory, rather than fail partway through the run."""
-    need, have = _DENSE_MATRICES * 8 * p * p, _physical_memory()
+    than physical memory, rather than fail partway through the run.
+    ``batches`` is how many replicate batches run at once."""
+    need, have = _DENSE_MATRICES[command] * batches * 8 * p * p, _physical_memory()
     if need > have:
         raise SparseCCError(
             f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p matrices, "
             f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _batches_at_once(threads, replicates: int) -> int:
+    """An upper bound on the replicate batches in flight: one per thread."""
+    return max(1, min(resolve_threads(threads), replicates))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,11 +140,9 @@ def _cmd_build(args, out: Path) -> None:
             if f"{m:g}" == f"{lam:g}":
                 raise ValueError(f"--lambda {m!r} and {lam!r} share edges_lambda_{lam:g}.csv")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
-    _check_dense_fits(ds.n_nodes)
+    _check_dense_fits(ds.n_nodes, "build" if args.symmetrize else "build --no-symmetrize")
     cc = crosscorr.cross_correlate(ds, block_size=args.block_size, symmetrize=args.symmetrize)
-    count_curve, largest_curve, _ = filtration.filtration_curves(
-        filtration.WeightedGraph.from_crosscorr(cc), "absolute"
-    )
+    (curves,) = inference._matrix_curves([cc], 1, ds.n_nodes)
     edges = []
     for lam in args.lambdas:
         net = crosscorr.sparse_network(cc, lam)
@@ -144,7 +150,7 @@ def _cmd_build(args, out: Path) -> None:
         edges.append(net.values.size)
     lams = np.array(args.lambdas)
     dataset._write_rows(out / "summary.csv", "lambda,edges,components,largest", "{:g},{},{},{}",
-                        lams, edges, count_curve.value_at(lams), largest_curve.value_at(lams))
+                        lams, edges, *(curves[kind].value_at(lams) for kind in filtration.KINDS))
 
 
 def _cmd_filtrate(args, out: Path) -> None:
@@ -154,9 +160,7 @@ def _cmd_filtrate(args, out: Path) -> None:
     # one Prim pass over streamed weight rows in every mode: no p x p matrix
     stream = crosscorr.AbsWeightBlocks(ds, args.block_size, args.symmetrize)
     if args.bins is not None:
-        count_curve, largest_curve = filtration.filtration_curves_binned(
-            stream, n_bins=args.bins, threads=args.threads
-        )
+        count_curve, largest_curve = filtration.filtration_curves_binned(stream, n_bins=args.bins)
     else:
         transform = "absolute" if args.absolute else "raw"
         count_curve, largest_curve, events = filtration._streamed_curves(stream, transform)
@@ -170,6 +174,7 @@ def _cmd_compare(args, out: Path) -> None:
         raise ValueError("--permutations must be >= 0")
     ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
+    _check_dense_fits(ds1.n_nodes, "compare", _batches_at_once(args.threads, args.permutations))
     kinds = _KINDS[args.kind]
     results = inference._compare_kinds(ds1, ds2, kinds, args.symmetrize, args.block_size)
     if args.permutations > 0:
@@ -188,7 +193,7 @@ def _cmd_hgi(args, out: Path) -> None:
         raise ValueError("--edge-threshold must be >= 0")
     mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
-    _check_dense_fits(mz.n_nodes)
+    _check_dense_fits(mz.n_nodes, "hgi")
     result, results = heritability._hgi_and_significance(
         mz, dz, _KINDS[args.kind], args.symmetrize, args.block_size
     )
@@ -207,6 +212,7 @@ def _cmd_simulate(args, out: Path) -> None:
         n_reps=args.reps,
         seed=args.seed,
     )
+    _check_dense_fits(cfg.n_nodes, "simulate", _batches_at_once(args.threads, cfg.n_reps))
     rows = simulation.run_validation(cfg, symmetrize=args.symmetrize, threads=args.threads)
     simulation.write_summary_csv(rows, out / "summary.csv")
 

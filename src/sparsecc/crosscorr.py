@@ -8,8 +8,8 @@ iterative solver is ever needed.
 Every observation product comes from one kernel entry, ``_signed_blocks``:
 dense matrices, streamed blocks and streamed rows alike. It accumulates
 observation by observation in a fixed order, so results are bit-identical
-regardless of block size or thread count, and it is the one place where the
-two directed cross-correlations are averaged.
+regardless of block size or thread count. The two directed
+cross-correlations are averaged there and, bitwise alike, by ``_symmetrized``.
 """
 
 from __future__ import annotations
@@ -90,6 +90,20 @@ def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool):
     if symmetrize:
         b = c = (b + c) / 2.0
     return b, c
+
+
+def _symmetrized(cc: CrossCorrMatrix) -> CrossCorrMatrix:
+    """A directed ``cc`` as ``(rho + rho.T) / 2``, a symmetrized one as it is.
+
+    Entries (i, j) and (j, i) of a directed ``rho`` are bitwise the ``b`` and
+    ``c`` that ``_signed_blocks`` averages for the pair, and addition commutes,
+    so this is bitwise ``cross_correlate(symmetrize=True)``'s matrix.
+    """
+    if cc.symmetrized:
+        return cc
+    rho = cc.rho + cc.rho.T
+    rho /= 2.0
+    return CrossCorrMatrix(rho, symmetrized=True, node_ids=cc.node_ids)
 
 
 def _block_pairs(p: int, bs: int) -> list[tuple[int, int]]:

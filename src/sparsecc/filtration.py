@@ -7,11 +7,12 @@ largest component (non-increasing). Both change only at the weights of a
 maximum spanning forest, so every filtration builds that forest by one Prim
 pass over weight rows (``_prim_forests``, which runs G graphs in lockstep)
 and gets both curves by replaying its at most p - 1 edges through a
-union-find. The rows come from a dense weight matrix (``filtration_curves``),
-a stack of them (``_forest_curves``, for batches of replicate groups) or are
-computed one at a time from the observations (``_streamed_curves`` and,
-snapped to a grid, ``filtration_curves_binned``), so the streamed paths hold
-no p x p matrix.
+union-find. The rows come from a dense weight matrix (``filtration_curves``,
+the library's graph path), a stack of them (``_forest_curves``, which every
+dense CLI path reaches through ``inference._matrix_curves``, one group or a
+batch of replicate groups at a time) or are computed one at a time from the
+observations (``_streamed_curves`` and, snapped to a grid,
+``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
 
 Conventions, fixed throughout:
   - an edge is present at level lam iff its weight strictly exceeds lam;
@@ -162,7 +163,7 @@ class MergeEvents:
         _write_rows(path, "threshold,new_size", "{!r},{}", self.thresholds, self.merged_sizes)
 
 
-def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None) -> np.ndarray:
+def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None, out=None) -> np.ndarray:
     """Undirected filtration weights of the pairs in ``w``; -inf marks absent ones.
 
     Weights are absolute or raw, and a zero weight is no edge. ``w_rev``, when
@@ -170,12 +171,13 @@ def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None) -> np.ndarra
     larger of its two directions (weak connectivity). ``w`` may be a whole
     matrix (with ``w_rev`` its transpose) or one node's row (with ``w_rev``
     the matching column); each array is transformed once, vectorised, and
-    ``w_rev is w`` (an already symmetric row) is read once.
+    ``w_rev is w`` (an already symmetric row) is read once. The weights are
+    written to ``out`` when given (one graph of a stack), else to a new array.
     """
     if weight_transform == "absolute":
-        b = np.abs(w)
+        b = np.abs(w, out=out)
     elif weight_transform == "raw":
-        b = np.array(w)
+        b = np.positive(w, out=out)  # a copy
     else:
         raise ValueError(f"unknown weight_transform {weight_transform!r}")
     b[b == 0.0] = -np.inf
@@ -337,7 +339,8 @@ def filtration_curves_binned(
 
 def _forest_curves(w: np.ndarray) -> list[tuple[FiltrationCurve, FiltrationCurve, MergeEvents]]:
     """Curves and merge log of each graph in a ``(G, p, p)`` stack of
-    undirected weights (``_pair_weights``), all G forests built at once."""
+    undirected weights (``_pair_weights``), all G forests built at once: every
+    dense CLI path's, through ``inference._matrix_curves``."""
     G, p = w.shape[:2]
     return [_merge_log_curves(p, *f) for f in _prim_forests(w.reshape(G * p, p).__getitem__, G, p)]
 

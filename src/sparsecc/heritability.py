@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import CrossCorrMatrix, _kept_pairs, cross_correlate
+from .crosscorr import CrossCorrMatrix, _kept_pairs, _symmetrized, cross_correlate
 from .dataset import PairedDataset, _write_rows
 from .errors import NodeSetMismatch
-from .filtration import KIND_COMPONENTS, WeightedGraph
-from .inference import KSResult, _compare_kinds, _graph_curves, _ks_results
+from .filtration import KIND_COMPONENTS
+from .inference import KSResult, _compare_kinds, _ks_results, _matrix_curves
 
 
 @dataclass(eq=False)
@@ -64,51 +64,25 @@ def hgi(
     Computed blockwise through the cross-correlation machinery; the diagonal
     equals the node-level index applied to the per-node twin correlations.
     """
-    return _hgi(mz, dz, symmetrize, block_size, with_curves=False)[0]
+    return _hgi_result(*_twin_matrices(mz, dz, symmetrize, block_size))
 
 
-def _hgi(mz, dz, symmetrize, block_size, with_curves) -> tuple[HeritabilityResult, list]:
-    """:func:`hgi`, plus with ``with_curves`` each twin group's curves on
-    symmetrized weights (``group_curves``), filtrated from its matrix as soon
-    as that exists."""
+def _twin_matrices(mz, dz, symmetrize, block_size) -> list[CrossCorrMatrix]:
+    """Each twin group's cross-correlation matrix, MZ first."""
     if mz.node_ids != dz.node_ids:
         raise NodeSetMismatch("MZ and DZ datasets cover different node sets")
-    ccs, curves = [], []
-    for ds in (mz, dz):
-        ccs.append(cross_correlate(ds, block_size=block_size, symmetrize=symmetrize))
-        if with_curves:
-            curves.append(_graph_curves(_symmetrized_graph(ccs[-1])))
-    cc_mz, cc_dz = ccs
+    return [cross_correlate(ds, block_size=block_size, symmetrize=symmetrize) for ds in (mz, dz)]
+
+
+def _hgi_result(cc_mz: CrossCorrMatrix, cc_dz: CrossCorrMatrix) -> HeritabilityResult:
     rho_mz = np.diag(cc_mz.rho).copy()
     rho_dz = np.diag(cc_dz.rho).copy()
     hgi_matrix = 2.0 * (cc_mz.rho - cc_dz.rho)
     hi, a, c = falconer_hi(rho_mz, rho_dz)
-    result = HeritabilityResult(
-        node_ids=mz.node_ids,
-        hi=hi,
-        a_factor=a,
-        c_factor=c,
-        rho_mz=rho_mz,
-        rho_dz=rho_dz,
-        hgi=hgi_matrix,
-        symmetrized=symmetrize,
+    return HeritabilityResult(
+        node_ids=cc_mz.node_ids, hi=hi, a_factor=a, c_factor=c, rho_mz=rho_mz, rho_dz=rho_dz,
+        hgi=hgi_matrix, symmetrized=cc_mz.symmetrized,
     )
-    return result, curves
-
-
-def _symmetrized_graph(cc: CrossCorrMatrix) -> WeightedGraph:
-    """Graph of the symmetrized cross-correlation, from either form of ``cc``.
-
-    A directed matrix gives ``(rho + rho.T) / 2``: per pair the same two
-    products that ``cross_correlate(symmetrize=True)`` sums, and addition
-    commutes, so the weights are bitwise equal. One p x p copy is made.
-    """
-    if cc.symmetrized:
-        return WeightedGraph.from_crosscorr(cc)
-    w = cc.rho + cc.rho.T
-    w /= 2.0
-    np.fill_diagonal(w, 0.0)
-    return WeightedGraph(w, node_ids=cc.node_ids)
 
 
 def hgi_significance(
@@ -132,11 +106,13 @@ def _hgi_and_significance(
     """:func:`hgi` and the significance of every kind in ``kinds``.
 
     The significance step filtrates the symmetrized weights of the matrices
-    :func:`hgi` computes (``_symmetrized_graph``), so each twin group is
-    cross-correlated once whatever ``symmetrize`` is.
+    :func:`hgi` computes (``crosscorr._symmetrized``), so each twin group is
+    cross-correlated once whatever ``symmetrize`` is. Each group is filtrated
+    alone (G = 1), so one weight buffer is alive at a time.
     """
-    result, curves = _hgi(mz, dz, symmetrize, block_size, with_curves=True)
-    return result, _ks_results(*curves, kinds)
+    ccs = _twin_matrices(mz, dz, symmetrize, block_size)
+    curves = [_matrix_curves([_symmetrized(cc)], 1, cc.n_nodes)[0] for cc in ccs]
+    return _hgi_result(*ccs), _ks_results(*curves, kinds)
 
 
 def write_hi_csv(result: HeritabilityResult, path) -> None:

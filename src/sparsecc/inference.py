@@ -24,15 +24,7 @@ import numpy as np
 from .crosscorr import cross_correlate
 from .dataset import PairedDataset, _normalize_groups
 from .errors import CurveMismatch, NodeSetMismatch
-from .filtration import (
-    KIND_COMPONENTS,
-    KINDS,
-    FiltrationCurve,
-    WeightedGraph,
-    _forest_curves,
-    _pair_weights,
-    filtration_curves,
-)
+from .filtration import KIND_COMPONENTS, KINDS, FiltrationCurve, _forest_curves, _pair_weights
 from ._parallel import ordered_map
 
 # The weights one replicate batch holds at most: 8 groups at p = 100, one
@@ -115,32 +107,33 @@ def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1
     """Every filtration curve of one group as {kind: FiltrationCurve}, all from one
     cross-correlation and one spanning forest, so each group is computed once.
 
-    This is the replicate engine's weights-and-forests stage at G = 1, so a
-    group's curves are the same whether it is alone or in a batch.
+    This is the replicate engine's curves stage at G = 1, so a group's curves
+    are the same whether it is alone or in a batch.
     """
     return _datasets_curves([ds], symmetrize, block_size)[0]
 
 
-def _graph_curves(g: WeightedGraph) -> dict:
-    return {c.kind: c for c in filtration_curves(g, weight_transform="absolute")[:2]}
-
-
 def _datasets_curves(datasets, symmetrize: bool, block_size: int) -> list[dict]:
     """The batched replicate engine: :func:`group_curves` of G normalized
-    groups on one node set at once, in order.
+    groups on one node set at once, in order. Replicate groups come from
+    ``dataset._normalize_groups``, which normalizes them as stacks."""
+    ccs = (cross_correlate(ds, block_size, symmetrize) for ds in datasets)
+    return _matrix_curves(ccs, len(datasets), datasets[0].n_nodes)
 
-    Each group's cross-correlation (``cross_correlate``) is written through
-    ``_pair_weights`` into one ``(G, p, p)`` buffer, and all G spanning forests
-    are built by one lockstep Prim pass over it (``_forest_curves``). Replicate
-    groups come from ``dataset._normalize_groups``, which normalizes them as
-    stacks. Every step keeps each group's arithmetic, so a group's curves do
-    not depend on the batch it is in.
+
+def _matrix_curves(ccs, G: int, p: int) -> list[dict]:
+    """The one curves stage of the dense paths: {kind: FiltrationCurve} of each
+    of G cross-correlation matrices on p nodes, in order.
+
+    Each matrix's weights (``_pair_weights``) go straight into one
+    ``(G, p, p)`` buffer, and one lockstep Prim pass builds all G forests
+    (``_forest_curves``). Every graph keeps the arithmetic it has alone.
     """
-    p = datasets[0].n_nodes
-    w = np.empty((len(datasets), p, p))
-    for wg, ds in zip(w, datasets):
-        rho = cross_correlate(ds, block_size, symmetrize).rho
-        wg[...] = _pair_weights(rho, "absolute", None if symmetrize else rho.T)
+    w, ccs = np.empty((G, p, p)), iter(ccs)
+    for wg in w:
+        cc = next(ccs)
+        _pair_weights(cc.rho, "absolute", None if cc.symmetrized else cc.rho.T, out=wg)
+        del cc  # released before the next matrix is computed
     return [dict(zip(KINDS, curves[:2])) for curves in _forest_curves(w)]
 
 

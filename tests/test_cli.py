@@ -18,6 +18,7 @@ from sparsecc import (
     inference,
     run_validation,
     save_binary,
+    simulation,
     soft_threshold,
     sparse_network,
 )
@@ -336,6 +337,33 @@ def test_hgi_outputs(tmp_path, group_csvs):
         assert (out / f"result_{kind}.json").exists()
 
 
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_cli_matches_public_reference_paths(tmp_path, group_csvs, symmetrize):
+    # p = 40 at --block-size 16 spans three row blocks; the references run at
+    # the default block size
+    mz, dz = group_csvs("ref_mz", p=40), group_csvs("ref_dz", p=40)
+    sym = [] if symmetrize else ["--no-symmetrize"]
+    ds = dataset.normalize_pair(*map(dataset.ingest, mz))
+    cc = cross_correlate(ds, symmetrize=symmetrize)
+    curves = filtration_curves(WeightedGraph.from_crosscorr(cc))[:2]
+    # a merge weight itself, where the strict `weight > lam` rule decides
+    lams = [0.0, 0.2, float(curves[0].breakpoints[-5]), 0.6, 0.9]
+    out = tmp_path / "build"
+    assert main(["build", *mz, *(f for lam in lams for f in ("--lambda", repr(lam))),
+                 "--block-size", "16", *sym, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in read_lines(out / "summary.csv")[1:]]
+    assert [[int(r[2]), int(r[3])] for r in rows] == [[c.value_at(lam) for c in curves]
+                                                      for lam in lams]
+
+    out = tmp_path / "hgi"
+    assert main(["hgi", *mz, *dz, "--kind", "both", "--block-size", "16", *sym,
+                 "--out", str(out)]) == 0
+    groups = [dataset.normalize_pair(*map(dataset.ingest, pair)) for pair in (mz, dz)]
+    for kind in filtration.KINDS:
+        expected = vars(heritability.hgi_significance(*groups, kind))
+        assert json.loads((out / f"result_{kind}.json").read_text()) == expected
+
+
 def test_simulate_summary(tmp_path):
     out = tmp_path / "sim"
     rc = main(["simulate", "--n-obs", "8", "--n-nodes", "15", "--reps", "3",
@@ -449,29 +477,47 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
         assert directed == (tmp_path / "hgi" / name).read_bytes()
 
 
-@pytest.mark.parametrize("command", ["build", "hgi"])
+@pytest.mark.parametrize("command, flags, batches", [
+    pytest.param("build", ["--lambda", "0.5"], 1, id="build"),
+    pytest.param("build --no-symmetrize", ["--lambda", "0.5", "--no-symmetrize"], 1,
+                 id="build-no-symmetrize"),
+    pytest.param("hgi", [], 1, id="hgi"),
+    pytest.param("compare", [], 1, id="compare"),
+    # one replicate batch in flight per thread, at most one per replicate
+    pytest.param("compare", ["--permutations", "3", "--threads", "2"], 2,
+                 id="compare-two-threads"),
+    pytest.param("simulate", ["--n-nodes", "18", "--reps", "3", "--threads", "2"], 2,
+                 id="simulate-two-threads"),
+    pytest.param("simulate", ["--n-nodes", "18", "--reps", "1", "--threads", "2"], 1,
+                 id="simulate-one-rep"),
+])
 def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsys, monkeypatch,
-                                                     command):
-    paths = [*group_csvs("a"), *group_csvs("b")][: 2 if command == "build" else 4]
-    flags = ["--lambda", "0.5"] if command == "build" else []
-    need = cli._DENSE_MATRICES * 8 * 18 * 18  # p = 18
+                                                     command, flags, batches):
+    name = command.split()[0]
+    n_paths = {"build": 2, "hgi": 4, "compare": 4, "simulate": 0}[name]
+    paths = [*group_csvs("a"), *group_csvs("b")][:n_paths]  # p = 18
+    need = cli._DENSE_MATRICES[command] * batches * 8 * 18 * 18
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("a p x p matrix was computed")
 
+    def no_data(*args, **kwargs):
+        raise AssertionError("study data was drawn")
+
     with monkeypatch.context() as m:
-        m.setattr(crosscorr, "cross_correlate", no_dense)
-        m.setattr(heritability, "cross_correlate", no_dense)
+        for module in (crosscorr, heritability, inference):
+            m.setattr(module, "cross_correlate", no_dense)
+        m.setattr(simulation, "_raw_group", no_data)
         out = tmp_path / "refused"
-        rc = main([command, *paths, *flags, "--out", str(out)])
+        rc = main([name, *paths, *flags, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"sparsecc {command}: error: 18 nodes need about" in err
+    assert f"sparsecc {name}: error: 18 nodes need about" in err
     assert "more than the 0.0 GiB of physical memory" in err
     assert not any(out.iterdir())
     monkeypatch.setattr(cli, "_physical_memory", lambda: need)
-    assert main([command, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
+    assert main([name, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
 
 
 def test_permutation_outputs_identical_at_any_thread_count(tmp_path, group_csvs):
