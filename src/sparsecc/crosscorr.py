@@ -5,11 +5,17 @@ normalized column i of x with the normalized column j of y. The L1-penalized
 estimate at sparsity ``lam`` is obtained entrywise by soft thresholding; no
 iterative solver is ever needed.
 
-Every observation product comes from one kernel entry, ``_signed_blocks``:
-dense matrices, streamed blocks and streamed rows alike. It accumulates
-observation by observation in a fixed order, so results are bit-identical
-regardless of block size or thread count. The two directed
-cross-correlations are averaged there and, bitwise alike, by ``_symmetrized``.
+Every observation product comes from one kernel entry, ``_signed_blocks``,
+over one call, ``_product_blocks``: dense matrices, streamed blocks and
+streamed rows alike. That call is ``np.einsum``'s C loop, which adds each
+entry's terms in observation order as a rank-1 accumulation does, so results
+are bit-identical regardless of block size or thread count (1 x 1 blocks past
+8193 observations excepted; see ``_product_blocks``). The order holds because
+``PairedDataset`` stores ``x`` and ``y`` C-ordered, so no kernel operand is
+contiguous along the observations, the layout in which einsum sums them in
+another order. BLAS gemm is faster but sums by shape-dependent blocking, so it
+is not used. The two directed cross-correlations are averaged in
+``_signed_blocks`` and, bitwise alike, by ``_symmetrized``.
 """
 
 from __future__ import annotations
@@ -64,18 +70,20 @@ class SparseCrossCorr:
 
 
 def _product_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X.T @ Y with summation strictly sequential over observations.
+    """X.T @ Y with each entry summed over the observations one by one, in order.
 
-    Rank-1 accumulation keeps the per-entry addition order independent of the
-    output block shape, which BLAS gemm does not guarantee.
+    This is numpy's einsum C loop, not BLAS. When neither operand is
+    contiguous along the observations, as ``PairedDataset``'s C order makes
+    every column slice, it multiplies and adds each entry's terms in
+    observation order, the rank-1 accumulation's order, whatever the block
+    shape; ``test_product_kernel_is_the_rank1_loop`` pins this bitwise. On
+    operands contiguous along the observations einsum reduces them in another
+    order. A 1 x 1 product (block size 1) reduces in chunks of numpy's
+    8192-element iterator buffer, so past 8193 observations its bits leave the
+    rank-1 order. BLAS gemm is faster still but sums by its own blocking, up
+    to 1.4e-14 away, so it is not used.
     """
-    n = X.shape[0]
-    out = np.zeros((X.shape[1], Y.shape[1]))
-    tmp = np.empty_like(out)
-    for k in range(n):
-        np.multiply(X[k][:, None], Y[k][None, :], out=tmp)
-        out += tmp
-    return out
+    return np.einsum("ki,kj->ij", X, Y)
 
 
 def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool):

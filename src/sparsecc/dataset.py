@@ -32,7 +32,7 @@ class RawMatrix:
     node_ids: tuple[str, ...]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise DimensionMismatch(f"expected a 2-D matrix, got shape {self.values.shape}")
         n, p = self.values.shape
@@ -55,12 +55,25 @@ class RawMatrix:
 
 @dataclass(eq=False)
 class PairedDataset:
-    """Two normalized observation matrices over a shared node set."""
+    """Two normalized observation matrices over a shared node set.
+
+    ``x`` and ``y`` are stored as C-ordered float64 (no copy when they already
+    are), the layout on which the product kernel sums in observation order.
+    """
 
     x: np.ndarray
     y: np.ndarray
     node_ids: tuple[str, ...]
     dropped_nodes: tuple[str, ...] = field(default=())
+
+    def __post_init__(self):
+        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
+        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
+        if self.x.ndim != 2 or self.x.shape != self.y.shape:
+            raise DimensionMismatch(f"need equal 2-D shapes, got {self.x.shape} and {self.y.shape}")
+        n, p = self.x.shape
+        if n < 2 or p < 2:
+            raise DimensionMismatch(f"need at least 2 observations and 2 nodes, got {n}x{p}")
 
     @property
     def n_obs(self) -> int:

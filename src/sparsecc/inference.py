@@ -241,9 +241,7 @@ def random_pairing_null(ds: PairedDataset, seed: int = 0) -> PairedDataset:
     No y row keeps its original partner. Column means and norms are
     permutation-invariant, so the result is still a valid normalized dataset.
     """
-    n = ds.n_obs
-    if n < 2:
-        raise ValueError("need at least 2 observations to derange")
+    n = ds.n_obs  # at least 2, as PairedDataset guarantees
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     while True:
         perm = rng.permutation(n)

@@ -12,7 +12,8 @@ from sparsecc import (
     symmetric_sparse_network,
     write_edge_list,
 )
-from sparsecc import crosscorr
+from sparsecc import PairedDataset, crosscorr
+from sparsecc.errors import DimensionMismatch
 
 import worked_example
 from conftest import random_dataset
@@ -132,6 +133,44 @@ def test_blocked_equals_dense_bitwise(rng):
         for bs in (13, 32, 64, 96, 200):
             blocked = cross_correlate(ds, block_size=bs, symmetrize=symmetrize)
             assert np.array_equal(blocked.rho, dense.rho)
+
+
+def rank1_products(X, Y):
+    """X.T @ Y as a sequential rank-1 accumulation over the observations."""
+    out = np.zeros((X.shape[1], Y.shape[1]))
+    for k in range(X.shape[0]):
+        out += np.multiply.outer(X[k], Y[k])
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 61, 257, 1000])
+def test_product_kernel_is_the_rank1_loop(n):
+    # operands cut from C-ordered arrays as _signed_blocks cuts them: blocks
+    # and diagonal blocks of odd widths, a single row against every node, and
+    # the strided single columns of block_size 1
+    x, y = np.random.default_rng(n).standard_normal((2, n, 13))
+    cuts = [slice(0, 13), slice(2, 9), slice(3, 7), slice(0, 1), slice(5, 6), slice(12, 13)]
+    for I in cuts:
+        for J in cuts:
+            for a, b in ((x, y), (y, x)):
+                assert np.array_equal(crosscorr._product_blocks(a[:, I], b[:, J]),
+                                      rank1_products(a[:, I], b[:, J]))
+
+
+def test_paired_dataset_layout_gives_c_ordered_bits(rng):
+    ds = normalize_arrays(*rng.standard_normal((2, 40, 23)))
+    # observations contiguous: Fortran order, and every other column of it
+    layouts = [np.asfortranarray, lambda m: np.asfortranarray(np.repeat(m, 2, axis=1))[:, ::2]]
+    for layout in layouts:
+        other = PairedDataset(layout(ds.x), layout(ds.y), ds.node_ids)
+        assert other.x.flags.c_contiguous and other.y.flags.c_contiguous
+        for symmetrize in (False, True):
+            for bs in (1, 7, 1024):
+                assert np.array_equal(cross_correlate(other, bs, symmetrize).rho,
+                                      cross_correlate(ds, bs, symmetrize).rho)
+    for n, p in ((5, 1), (1, 5)):
+        with pytest.raises(DimensionMismatch):
+            PairedDataset(np.zeros((n, p)), np.zeros((n, p)), ("v1",) * p)
 
 
 def test_symmetric_sparse_network(rng):

@@ -91,6 +91,13 @@ def test_normalize_hand_value():
     ds.check_normalized()
 
 
+def test_normalize_ignores_memory_layout(rng):
+    x, y = rng.standard_normal((2, 50, 30))
+    c = dataset.normalize_arrays(x, y)
+    f = dataset.normalize_arrays(np.asfortranarray(x), np.asfortranarray(y))
+    assert np.array_equal(c.x, f.x) and np.array_equal(c.y, f.y)
+
+
 def test_normalize_zero_variance_error():
     raw_x = dataset.RawMatrix(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]]), ("a", "b"))
     raw_y = dataset.RawMatrix(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 4.0]]), ("a", "b"))
