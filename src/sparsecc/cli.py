@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,9 +22,10 @@ from ._parallel import resolve_threads
 # Dense p x p float64 matrices a command holds at its peak, with headroom;
 # `compare` and `simulate` hold theirs per replicate batch in flight, one per
 # thread. tracemalloc at p = 600 read 4.1-4.5 (build), 7.1 (build
-# --no-symmetrize --lambda 0, every ordered pair an edge), 4.6-4.9 (hgi), 5.5
-# (compare; 4.2 without --permutations) and 6.3 (simulate).
-_DENSE_MATRICES = {"build": 5, "build --no-symmetrize": 8, "hgi": 5, "compare": 6, "simulate": 7}
+# --no-symmetrize --lambda 0, every ordered pair an edge), 5.5 (compare; 4.2
+# without --permutations) and 6.3 (simulate). `filtrate` and `hgi` stream
+# their rows and hold none.
+_DENSE_MATRICES = {"build": 5, "build --no-symmetrize": 8, "compare": 6, "simulate": 7}
 
 _KINDS = {
     "count": (filtration.KIND_COMPONENTS,),
@@ -62,6 +64,28 @@ def _check_dense_fits(p: int, command: str, batches: int = 1) -> None:
         raise SparseCCError(
             f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p matrices, "
             f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def _check_edges_fit(p: int, threshold: float, path: Path) -> None:
+    """Refuse, before any row is computed, an ``hgi --edge-threshold 0`` edge
+    file larger than the free space where it goes (plus the file it replaces).
+
+    At threshold 0 the file holds every pair i < j whose two groups'
+    correlations differ. The bound counts each pair's index digits (each node
+    is in p - 1 pairs), its two commas and newline and 3 bytes for the value,
+    the shortest ``repr`` of a nonzero float, so it never exceeds such a file.
+    At a positive threshold the file can be empty, and nothing is refused.
+    """
+    if threshold > 0:
+        return
+    digits = sum(len(str(i)) for i in range(p))
+    need = len("i,j,hgi\n") + (p - 1) * digits + 6 * (p * (p - 1) // 2)
+    have = shutil.disk_usage(path.parent).free + (path.stat().st_size if path.is_file() else 0)
+    if need > have:
+        raise SparseCCError(
+            f"{path.name} at --edge-threshold 0 needs at least {need:,} bytes for {p} nodes, "
+            f"more than the {have:,} bytes free under {path.parent}"
         )
 
 
@@ -149,8 +173,9 @@ def _cmd_build(args, out: Path) -> None:
         crosscorr.write_edge_list(net, out / f"edges_lambda_{lam:g}.csv")
         edges.append(net.values.size)
     lams = np.array(args.lambdas)
+    values = (curves[kind].value_at(lams) for kind in filtration.KINDS)
     dataset._write_rows(out / "summary.csv", "lambda,edges,components,largest", "{:g},{},{},{}",
-                        lams, edges, *(curves[kind].value_at(lams) for kind in filtration.KINDS))
+                        [(lams, edges, *values)])
 
 
 def _cmd_filtrate(args, out: Path) -> None:
@@ -193,12 +218,12 @@ def _cmd_hgi(args, out: Path) -> None:
         raise ValueError("--edge-threshold must be >= 0")
     mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
-    _check_dense_fits(mz.n_nodes, "hgi")
-    result, results = heritability._hgi_and_significance(
-        mz, dz, _KINDS[args.kind], args.symmetrize, args.block_size
+    heritability._check_twins(mz, dz)
+    _check_edges_fit(mz.n_nodes, args.edge_threshold, out / "hgi_edges.csv")
+    results = heritability._streamed_hgi(
+        mz, dz, _KINDS[args.kind], args.symmetrize, args.block_size, args.edge_threshold,
+        out / "hi.csv", out / "hgi_edges.csv",
     )
-    heritability.write_hi_csv(result, out / "hi.csv")
-    heritability.write_hgi_edges(result, out / "hgi_edges.csv", threshold=args.edge_threshold)
     for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 

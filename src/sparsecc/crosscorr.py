@@ -15,7 +15,7 @@ are bit-identical regardless of block size or thread count (1 x 1 blocks past
 contiguous along the observations, the layout in which einsum sums them in
 another order. BLAS gemm is faster but sums by shape-dependent blocking, so it
 is not used. The two directed cross-correlations are averaged in
-``_signed_blocks`` and, bitwise alike, by ``_symmetrized``.
+``_signed_blocks``.
 """
 
 from __future__ import annotations
@@ -100,20 +100,6 @@ def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool):
     return b, c
 
 
-def _symmetrized(cc: CrossCorrMatrix) -> CrossCorrMatrix:
-    """A directed ``cc`` as ``(rho + rho.T) / 2``, a symmetrized one as it is.
-
-    Entries (i, j) and (j, i) of a directed ``rho`` are bitwise the ``b`` and
-    ``c`` that ``_signed_blocks`` averages for the pair, and addition commutes,
-    so this is bitwise ``cross_correlate(symmetrize=True)``'s matrix.
-    """
-    if cc.symmetrized:
-        return cc
-    rho = cc.rho + cc.rho.T
-    rho /= 2.0
-    return CrossCorrMatrix(rho, symmetrized=True, node_ids=cc.node_ids)
-
-
 def _block_pairs(p: int, bs: int) -> list[tuple[int, int]]:
     """Starts (i0, j0) of the upper-triangle blocks, cut every bs nodes."""
     return [(i0, j0) for i0 in range(0, p, bs) for j0 in range(i0, p, bs)]
@@ -183,7 +169,7 @@ def symmetric_sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr
 
 def write_edge_list(sparse: SparseCrossCorr, path) -> None:
     """Rows "i,j,weight" (0-based indices) in the arrays' row-major order."""
-    _write_rows(path, "i,j,weight", "{},{},{!r}", sparse.rows, sparse.cols, sparse.values)
+    _write_rows(path, "i,j,weight", "{},{},{!r}", [(sparse.rows, sparse.cols, sparse.values)])
 
 
 class AbsWeightBlocks:
@@ -226,9 +212,13 @@ class AbsWeightBlocks:
     def row(self, u: int) -> np.ndarray:
         return self._combine(*self._signed_rows(u))
 
-    def _signed_rows(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """``b[v] = x_u . y_v`` and ``c[v] = y_u . x_v``, or their average as both."""
-        b, c = _signed_blocks(self.ds.x, self.ds.y, slice(u, u + 1), slice(None), self.symmetrize)
+    def _signed_rows(self, u: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``b[v] = x_u . y_w`` and ``c[v] = y_u . x_w`` for the nodes w = start + v
+        from ``start`` on, or their average as both. A row one node wide is a
+        1 x 1 product, summed in another order past 8193 observations
+        (``_product_blocks``)."""
+        J = slice(start, None)
+        b, c = _signed_blocks(self.ds.x, self.ds.y, slice(u, u + 1), J, self.symmetrize)
         return (b[0],) * 2 if b is c else (b[0], c[0])
 
     def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -167,24 +167,30 @@ def ingest(path, format: str = "auto") -> RawMatrix:
 def save_csv(values: np.ndarray, path, node_ids=None) -> None:
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     header = None if node_ids is None else ",".join(node_ids)
-    _write_rows(path, header, ",".join(["{!r}"] * values.shape[1]), *values.T)
+    _write_rows(path, header, ",".join(["{!r}"] * values.shape[1]), [values.T])
 
 
-def _write_rows(path, header: str | None, row_format: str, *columns) -> None:
+def _write_rows(path, header: str | None, row_format: str, blocks) -> None:
     """Every CSV output: ``header`` (unless None), then ``row_format.format(*row)``
-    for each row of the equal-length ``columns``, converted ``_ROWS_PER_CHUNK``
-    rows at a time by ``tolist()``, so ``{!r}`` writes a float64 as
-    ``repr(float(v))``.
+    for each row of each block in ``blocks``, an iterable of tuples of
+    equal-length columns; whole-array writers pass one block, streamed ones
+    one block per stretch of rows as they compute it.
+
+    A block is rendered ``_ROWS_PER_CHUNK`` rows at a time. ``tolist()`` turns
+    the columns into Python objects, so ``{!r}`` writes a float64 as
+    ``repr(float(v))``, and one ``str.format`` call renders the whole chunk
+    from ``row_format`` repeated once per row, byte-identical to one call per
+    row as long as its fields are auto-numbered (``{}``, ``{!r}``, ``{:g}``).
     """
     line = row_format + "\n"
-
-    def chunk(k):  # dropped as soon as its rows are written
-        return [np.asarray(c[k : k + _ROWS_PER_CHUNK]).tolist() for c in columns]
-
     with open(path, "w") as fh:
         fh.write("" if header is None else header + "\n")
-        for k in range(0, len(columns[0]), _ROWS_PER_CHUNK):
-            fh.writelines(starmap(line.format, zip(*chunk(k), strict=True)))
+        for columns in blocks:
+            for k in range(0, len(columns[0]), _ROWS_PER_CHUNK):
+                chunk = [np.asarray(c[k : k + _ROWS_PER_CHUNK]).tolist() for c in columns]
+                # one flat argument list, row by row; dropped once its rows are written
+                values = list(chain.from_iterable(zip(*chunk, strict=True)))
+                fh.write((line * len(chunk[0])).format(*values))
 
 
 def save_binary(values: np.ndarray, path, node_ids=None) -> None:

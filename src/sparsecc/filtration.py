@@ -139,7 +139,7 @@ class FiltrationCurve:
         rows for the unbounded intervals below and above."""
         thresholds = np.concatenate(([-np.inf], self.breakpoints, [np.inf]))
         values = np.append(self.values, self.values[-1])
-        _write_rows(path, "threshold,value", "{!r},{}", thresholds, values)
+        _write_rows(path, "threshold,value", "{!r},{}", [(thresholds, values)])
 
 
 @dataclass(eq=False)
@@ -160,7 +160,7 @@ class MergeEvents:
         self.merged_sizes = np.asarray(self.merged_sizes, dtype=np.int64)
 
     def write_csv(self, path) -> None:
-        _write_rows(path, "threshold,new_size", "{!r},{}", self.thresholds, self.merged_sizes)
+        _write_rows(path, "threshold,new_size", "{!r},{}", [(self.thresholds, self.merged_sizes)])
 
 
 def _pair_weights(w: np.ndarray, weight_transform: str, w_rev=None, out=None) -> np.ndarray:

@@ -4,6 +4,10 @@ The node-level index doubles the gap between the identical-twin and
 fraternal-twin correlations at that node; the network-level index applies the
 same contrast to symmetrized cross-correlations between node pairs, so its
 diagonal reproduces the node-level values.
+
+The public :func:`hgi` returns the dense node-pair matrix. The CLI's ``hgi``
+goes through ``_streamed_hgi`` instead, which writes the same files from rows
+computed one node at a time and holds no p x p matrix.
 """
 
 from __future__ import annotations
@@ -12,11 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import CrossCorrMatrix, _kept_pairs, _symmetrized, cross_correlate
+from .crosscorr import AbsWeightBlocks, CrossCorrMatrix, _kept_pairs, cross_correlate
 from .dataset import PairedDataset, _write_rows
 from .errors import NodeSetMismatch
-from .filtration import KIND_COMPONENTS
-from .inference import KSResult, _compare_kinds, _ks_results, _matrix_curves
+from .filtration import KIND_COMPONENTS, KINDS, _streamed_curves
+from .inference import KSResult, _compare_kinds, _ks_results
+
+# Header and row format of each output file
+_HI_CSV = ("node_id,hi,a,c", "{},{!r},{!r},{!r}")
+_HGI_EDGES_CSV = ("i,j,hgi", "{},{},{!r}")
 
 
 @dataclass(eq=False)
@@ -67,10 +75,14 @@ def hgi(
     return _hgi_result(*_twin_matrices(mz, dz, symmetrize, block_size))
 
 
-def _twin_matrices(mz, dz, symmetrize, block_size) -> list[CrossCorrMatrix]:
-    """Each twin group's cross-correlation matrix, MZ first."""
+def _check_twins(mz: PairedDataset, dz: PairedDataset) -> None:
     if mz.node_ids != dz.node_ids:
         raise NodeSetMismatch("MZ and DZ datasets cover different node sets")
+
+
+def _twin_matrices(mz, dz, symmetrize, block_size) -> list[CrossCorrMatrix]:
+    """Each twin group's cross-correlation matrix, MZ first."""
+    _check_twins(mz, dz)
     return [cross_correlate(ds, block_size=block_size, symmetrize=symmetrize) for ds in (mz, dz)]
 
 
@@ -100,25 +112,47 @@ def hgi_significance(
     return _compare_kinds(mz, dz, (kind,), symmetrize=True, block_size=block_size)[kind]
 
 
-def _hgi_and_significance(
-    mz, dz, kinds, symmetrize, block_size
-) -> tuple[HeritabilityResult, dict[str, KSResult]]:
-    """:func:`hgi` and the significance of every kind in ``kinds``.
+def _streamed_hgi(
+    mz, dz, kinds, symmetrize, block_size, threshold, hi_path, edges_path
+) -> dict[str, KSResult]:
+    """The CLI's ``hgi`` with no p x p matrix, in O(p * n) memory: the files
+    :func:`write_hi_csv` and :func:`write_hgi_edges` write for :func:`hgi`,
+    bitwise, and :func:`hgi_significance` of every kind in ``kinds``.
 
-    The significance step filtrates the symmetrized weights of the matrices
-    :func:`hgi` computes (``crosscorr._symmetrized``), so each twin group is
-    cross-correlated once whatever ``symmetrize`` is. Each group is filtrated
-    alone (G = 1), so one weight buffer is alive at a time.
+    Each twin group's curves come from its streamed spanning forest
+    (``filtration._streamed_curves``), symmetrized whatever ``symmetrize``
+    is. One pass over the nodes u in ascending order then reads row u of both
+    groups (``AbsWeightBlocks._signed_rows``, bitwise the rows of
+    :func:`~sparsecc.crosscorr.cross_correlate`) from column u on, or from
+    column p - 2 for the last node, so that no product is one column wide.
+    Entry u gives the node-level correlations, the rest the pairs u < j in the
+    edge file's order, written as they are computed. The node sets must match
+    (``_check_twins``). Rows ignore ``block_size``; it is only validated.
     """
-    ccs = _twin_matrices(mz, dz, symmetrize, block_size)
-    curves = [_matrix_curves([_symmetrized(cc)], 1, cc.n_nodes)[0] for cc in ccs]
-    return _hgi_result(*ccs), _ks_results(*curves, kinds)
+    curves = [dict(zip(KINDS, _streamed_curves(AbsWeightBlocks(ds, block_size))[:2]))
+              for ds in (mz, dz)]
+    streams = [AbsWeightBlocks(ds, block_size, symmetrize) for ds in (mz, dz)]
+    p = mz.n_nodes
+    rho = np.empty((2, p))  # rho_mz and rho_dz, filled as the pass goes
+
+    def edge_rows():
+        for u in range(p):
+            s = min(u, p - 2)
+            b_mz, b_dz = (stream._signed_rows(u, s)[0] for stream in streams)
+            rho[:, u] = b_mz[u - s], b_dz[u - s]
+            h = 2.0 * (b_mz[u - s + 1 :] - b_dz[u - s + 1 :])
+            (j,) = np.nonzero(np.abs(h) > threshold)
+            yield np.full(j.size, u), j + (u + 1), h[j]
+
+    _write_rows(edges_path, *_HGI_EDGES_CSV, edge_rows())
+    _write_rows(hi_path, *_HI_CSV, [(mz.node_ids, *falconer_hi(*rho))])
+    return _ks_results(*curves, kinds)
 
 
 def write_hi_csv(result: HeritabilityResult, path) -> None:
     """Rows "node_id,hi,a,c"."""
-    _write_rows(path, "node_id,hi,a,c", "{},{!r},{!r},{!r}",
-                result.node_ids, result.hi, result.a_factor, result.c_factor)
+    _write_rows(path, *_HI_CSV,
+                [(result.node_ids, result.hi, result.a_factor, result.c_factor)])
 
 
 def write_hgi_edges(result: HeritabilityResult, path, threshold: float = 0.0) -> None:
@@ -131,4 +165,4 @@ def write_hgi_edges(result: HeritabilityResult, path, threshold: float = 0.0) ->
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
     rows, cols = _kept_pairs(np.abs(result.hgi) > threshold, upper=True)
-    _write_rows(path, "i,j,hgi", "{},{},{!r}", rows, cols, result.hgi[rows, cols])
+    _write_rows(path, *_HGI_EDGES_CSV, [(rows, cols, result.hgi[rows, cols])])

@@ -159,4 +159,4 @@ def write_summary_csv(rows: list[dict], path) -> None:
     names = ("comparison", "kind", "mean_p", "sd_p", "n_reps")
     columns = [[r[name] for r in rows] for name in names]
     columns[3] = ["" if sd is None else repr(sd) for sd in columns[3]]
-    _write_rows(path, ",".join(names), "{},{},{!r},{},{}", *columns)
+    _write_rows(path, ",".join(names), "{},{},{!r},{},{}", [columns])

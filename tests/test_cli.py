@@ -1,6 +1,7 @@
 import json
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,18 +194,26 @@ def test_filtrate_exact_matches_dense_reference(tmp_path, kind, flags):
 
 
 @pytest.mark.parametrize(
-    "flags", [[], ["--raw"], ["--no-symmetrize"], ["--bins", "1000"]]
+    "flags", [[], ["--raw"], ["--no-symmetrize"], ["--bins", "1000"],
+              # hgi, at a threshold that keeps about a thousand of the 4.5 M pairs
+              ["hgi", "--edge-threshold", "3"],
+              ["hgi", "--edge-threshold", "3", "--no-symmetrize"]]
 )
 def test_filtrate_memory_stays_linear_in_nodes(tmp_path, flags):
+    """``filtrate`` in every mode, and ``hgi`` (flags that start with "hgi"),
+    stream their weight rows and hold no p x p matrix."""
+    command, flags = ("hgi", flags[1:]) if flags[:1] == ["hgi"] else ("filtrate", flags)
     p = 3000
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((10, p))
-    xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
-    save_binary(x, xp)
-    save_binary(x + 0.3 * rng.standard_normal((10, p)), yp)
+    paths = []
+    for group in range(2 if command == "hgi" else 1):
+        x = rng.standard_normal((10, p))
+        for name, values in (("x", x), ("y", x + 0.3 * rng.standard_normal((10, p)))):
+            paths.append(tmp_path / f"{name}{group}.bin")
+            save_binary(values, paths[-1])
     tracemalloc.start()
     try:
-        rc = main(["filtrate", str(xp), str(yp), *flags, "--out", str(tmp_path / "o")])
+        rc = main([command, *map(str, paths), *flags, "--out", str(tmp_path / "o")])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -462,15 +471,15 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     pipeline_calls.update(cross_correlate=0, forests=0)
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "hgi")])
     assert rc == 0
-    # each twin group's node-pair matrix also gives its curves
-    assert pipeline_calls == {"cross_correlate": 2, "forests": 2}
+    # one streamed forest per twin group, and no node-pair matrix
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2}
 
     pipeline_calls.update(cross_correlate=0, forests=0)
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--no-symmetrize",
                "--out", str(tmp_path / "hgi_directed")])
     assert rc == 0
-    # directed node-pair matrices; the test symmetrizes them, not recomputes
-    assert pipeline_calls == {"cross_correlate": 2, "forests": 2}
+    # the test always filtrates the symmetrized rows
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2}
     for kind in ("component_count", "largest_component_size"):
         name = f"result_{kind}.json"
         directed = (tmp_path / "hgi_directed" / name).read_bytes()
@@ -481,7 +490,6 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     pytest.param("build", ["--lambda", "0.5"], 1, id="build"),
     pytest.param("build --no-symmetrize", ["--lambda", "0.5", "--no-symmetrize"], 1,
                  id="build-no-symmetrize"),
-    pytest.param("hgi", [], 1, id="hgi"),
     pytest.param("compare", [], 1, id="compare"),
     # one replicate batch in flight per thread, at most one per replicate
     pytest.param("compare", ["--permutations", "3", "--threads", "2"], 2,
@@ -494,7 +502,7 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
 def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsys, monkeypatch,
                                                      command, flags, batches):
     name = command.split()[0]
-    n_paths = {"build": 2, "hgi": 4, "compare": 4, "simulate": 0}[name]
+    n_paths = {"build": 2, "compare": 4, "simulate": 0}[name]
     paths = [*group_csvs("a"), *group_csvs("b")][:n_paths]  # p = 18
     need = cli._DENSE_MATRICES[command] * batches * 8 * 18 * 18
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -518,6 +526,79 @@ def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsy
     assert not any(out.iterdir())
     monkeypatch.setattr(cli, "_physical_memory", lambda: need)
     assert main([name, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
+
+
+def test_hgi_runs_where_one_dense_matrix_would_not_fit(tmp_path, group_csvs, monkeypatch):
+    paths = [*group_csvs("a"), *group_csvs("b")]  # p = 18
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 18 * 18 - 1)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a p x p matrix was computed")
+
+    for module in (crosscorr, heritability, inference):
+        monkeypatch.setattr(module, "cross_correlate", no_dense)
+    for sym in ([], ["--no-symmetrize"]):
+        out = tmp_path / f"out{len(sym)}"
+        assert main(["hgi", *paths, "--edge-threshold", "0", *sym, "--out", str(out)]) == 0
+        assert len(read_lines(out / "hgi_edges.csv")) == 1 + 18 * 17 // 2
+        assert len(read_lines(out / "hi.csv")) == 1 + 18
+
+
+def test_hgi_edge_file_refused_when_it_cannot_fit(tmp_path, group_csvs, monkeypatch, capsys):
+    paths = [*group_csvs("a"), *group_csvs("b")]  # p = 18
+    # every pair's row holds its indices, two commas, a newline and 3 value bytes or more
+    need = len("i,j,hgi\n") + sum(len(f"{i},{j},\n") + 3
+                                   for i in range(18) for j in range(i + 1, 18))
+    free = need - 1
+    monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: SimpleNamespace(free=free))
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    out = tmp_path / "refused"
+    with monkeypatch.context() as m:
+        m.setattr(crosscorr, "_product_blocks", no_rows)
+        assert main(["hgi", *paths, "--edge-threshold", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"sparsecc hgi: error: hgi_edges.csv at --edge-threshold 0 needs at least "
+                f"{need:,} bytes for 18 nodes, more than the {need - 1:,} bytes free") in err
+    assert not any(out.iterdir())
+    # a positive threshold can keep no row at all, so it is never refused
+    free = 0
+    assert main(["hgi", *paths, "--edge-threshold", "0.5", "--out", str(tmp_path / "kept")]) == 0
+
+    free = need
+    assert main(["hgi", *paths, "--edge-threshold", "0", "--out", str(out)]) == 0
+    assert (out / "hgi_edges.csv").stat().st_size >= need
+    # the file a rerun replaces counts as free
+    free = 0
+    assert main(["hgi", *paths, "--edge-threshold", "0", "--out", str(out)]) == 0
+
+
+def test_hgi_outputs_do_not_depend_on_block_size(tmp_path):
+    # past 8193 observations a 1 x 1 kernel product sums in another order;
+    # hgi's rows are at least two nodes wide whatever --block-size is
+    rng = np.random.default_rng(3)
+    paths = []
+    for tag in ("mz", "dz"):
+        x = rng.standard_normal((8300, 3))
+        for name, values in (("x", x), ("y", x + rng.standard_normal((8300, 3)))):
+            paths.append(str(tmp_path / f"{tag}_{name}.bin"))
+            save_binary(values, paths[-1])
+    outputs = []
+    for flags in ([], ["--block-size", "1"]):
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["hgi", *paths, "--edge-threshold", "0", *flags, "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
+    # the dense library path at the default block size, three nodes wide
+    groups = [dataset.normalize_pair(*map(dataset.ingest, paths[k : k + 2])) for k in (0, 2)]
+    result = heritability.hgi(*groups)
+    heritability.write_hi_csv(result, tmp_path / "hi.csv")
+    heritability.write_hgi_edges(result, tmp_path / "hgi_edges.csv")
+    for name in ("hi.csv", "hgi_edges.csv"):
+        assert outputs[0][name] == (tmp_path / name).read_bytes()
 
 
 def test_permutation_outputs_identical_at_any_thread_count(tmp_path, group_csvs):

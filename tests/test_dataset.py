@@ -180,3 +180,20 @@ def test_normalize_groups_raises_for_first_constant_group(rng):
     with pytest.raises(ZeroVarianceNode) as batched:
         dataset._normalize_groups(groups, ids)
     assert str(batched.value) == str(alone.value) == "constant signal at nodes: c"
+
+
+def test_write_rows_renders_each_row_of_every_block(tmp_path, monkeypatch):
+    # 4-row chunks: the 9-row block straddles two chunk boundaries
+    monkeypatch.setattr(dataset, "_ROWS_PER_CHUNK", 4)
+    values = [-0.0, 5e-324, 1e-05, 1e16, np.inf, -np.inf, 0.1]
+    rows = [(i, f"v{i}", values[i % len(values)]) for i in range(17)]
+    cuts = [0, 0, 3, 3, 12, 17]  # empty blocks first and in between
+
+    def block(part):
+        return (np.array([r[0] for r in part], dtype=np.int64), tuple(r[1] for r in part),
+                np.array([r[2] for r in part], dtype=np.float64))
+
+    blocks = (block(rows[a:b]) for a, b in zip(cuts, cuts[1:]))
+    path = tmp_path / "rows.csv"
+    dataset._write_rows(path, "i,id,w", "{},{},{!r}", blocks)
+    assert path.read_text() == "i,id,w\n" + "".join("{},{},{!r}\n".format(*r) for r in rows)
