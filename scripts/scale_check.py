@@ -33,8 +33,11 @@ from sparsecc import (
     sup_distance,
 )
 
+# hgi's --edge-threshold: on null groups it keeps the edge file to a few rows
+HGI_EDGE_THRESHOLD = 3.0
 
-def run_hgi(groups, edge_threshold: float) -> None:
+
+def run_hgi(groups) -> None:
     """``sparsecc hgi`` on the two groups in a child process, whose peak RSS
     is its own."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -49,14 +52,14 @@ def run_hgi(groups, edge_threshold: float) -> None:
             filter(None, (src, os.environ.get("PYTHONPATH"))))}
         t0 = time.time()
         subprocess.run([sys.executable, "-m", "sparsecc.cli", "hgi", *map(str, paths),
-                        "--edge-threshold", repr(edge_threshold), "--out", str(tmp / "out")],
+                        "--edge-threshold", repr(HGI_EDGE_THRESHOLD), "--out", str(tmp / "out")],
                        env=env, check=True)
         seconds = time.time() - t0
         with open(tmp / "out" / "hgi_edges.csv", "rb") as fh:
             rows = sum(1 for _ in fh) - 1
     peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0**2
     print(f"hgi (group 1 as MZ, group 2 as DZ): {seconds:.1f}s, {rows} edge rows "
-          f"above {edge_threshold:g}, peak rss {peak:.2f} GiB")
+          f"above {HGI_EDGE_THRESHOLD:g}, peak rss {peak:.2f} GiB")
 
 
 def main() -> int:
@@ -65,8 +68,6 @@ def main() -> int:
     ap.add_argument("--n-obs", type=int, default=20)
     ap.add_argument("--bins", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=70)
-    ap.add_argument("--edge-threshold", type=float, default=3.0,
-                    help="hgi's --edge-threshold; the default keeps the edge file small")
     args = ap.parse_args()
 
     t0 = time.time()
@@ -93,7 +94,7 @@ def main() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0**2
     print(f"curves and comparison: {time.time() - t0:.1f}s, peak rss {peak:.2f} GiB")
 
-    run_hgi(groups, args.edge_threshold)
+    run_hgi(groups)
     print(f"total {time.time() - t0:.1f}s")
     return 0
 

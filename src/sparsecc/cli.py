@@ -75,7 +75,10 @@ def _check_edges_fit(p: int, threshold: float, path: Path) -> None:
     correlations differ. The bound counts each pair's index digits (each node
     is in p - 1 pairs), its two commas and newline and 3 bytes for the value,
     the shortest ``repr`` of a nonzero float, so it never exceeds such a file.
-    At a positive threshold the file can be empty, and nothing is refused.
+    It is a worst case: pairs whose hgi is exactly 0 are not written, so
+    inputs with many of them can be refused although their file would fit,
+    and the message says so. At a positive threshold the file can be empty,
+    and nothing is refused.
     """
     if threshold > 0:
         return
@@ -85,7 +88,8 @@ def _check_edges_fit(p: int, threshold: float, path: Path) -> None:
     if need > have:
         raise SparseCCError(
             f"{path.name} at --edge-threshold 0 needs at least {need:,} bytes for {p} nodes, "
-            f"more than the {have:,} bytes free under {path.parent}"
+            f"more than the {have:,} bytes free under {path.parent} (a worst-case bound that "
+            f"counts every pair; a positive --edge-threshold is not checked)"
         )
 
 

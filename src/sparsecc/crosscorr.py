@@ -86,14 +86,17 @@ def _product_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,kj->ij", X, Y)
 
 
-def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool):
+def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool, reverse: bool = True):
     """The one kernel entry: the directed blocks ``b = x_I . y_J`` and
-    ``c = y_I . x_J``, or with ``symmetrize`` their average as both.
+    ``c = y_I . x_J``, or with ``symmetrize`` their average as both. A directed
+    call without ``reverse`` computes ``b`` alone and gives ``c = None``.
 
     On a diagonal block (``I == J``) ``c`` is ``b.T`` bitwise (the products
     commute and are summed in the same order), so it is not computed again.
     """
     b = _product_blocks(x[:, I], y[:, J])
+    if not (symmetrize or reverse):
+        return b, None
     c = b.T if I == J else _product_blocks(y[:, I], x[:, J])
     if symmetrize:
         b = c = (b + c) / 2.0
@@ -212,14 +215,17 @@ class AbsWeightBlocks:
     def row(self, u: int) -> np.ndarray:
         return self._combine(*self._signed_rows(u))
 
-    def _signed_rows(self, u: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    def _signed_rows(
+        self, u: int, start: int = 0, reverse: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """``b[v] = x_u . y_w`` and ``c[v] = y_u . x_w`` for the nodes w = start + v
-        from ``start`` on, or their average as both. A row one node wide is a
-        1 x 1 product, summed in another order past 8193 observations
+        from ``start`` on, or their average as both. Without ``reverse`` a
+        directed stream skips ``c`` and gives None for it. A row one node wide
+        is a 1 x 1 product, summed in another order past 8193 observations
         (``_product_blocks``)."""
         J = slice(start, None)
-        b, c = _signed_blocks(self.ds.x, self.ds.y, slice(u, u + 1), J, self.symmetrize)
-        return (b[0],) * 2 if b is c else (b[0], c[0])
+        b, c = _signed_blocks(self.ds.x, self.ds.y, slice(u, u + 1), J, self.symmetrize, reverse)
+        return (b[0],) * 2 if b is c else (b[0], None if c is None else c[0])
 
     def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.abs(b) if b is c else np.maximum(np.abs(b), np.abs(c))

@@ -22,6 +22,7 @@ _ZERO_VAR_RTOL = 1e-12
 
 # Rows that ``_write_rows`` turns into Python objects at a time (a few MiB).
 _ROWS_PER_CHUNK = 1 << 16
+_VALUES_PER_CHUNK = 1 << 17
 
 
 @dataclass(eq=False)
@@ -176,8 +177,11 @@ def _write_rows(path, header: str | None, row_format: str, blocks) -> None:
     equal-length columns; whole-array writers pass one block, streamed ones
     one block per stretch of rows as they compute it.
 
-    A block is rendered ``_ROWS_PER_CHUNK`` rows at a time. ``tolist()`` turns
-    the columns into Python objects, so ``{!r}`` writes a float64 as
+    A block is rendered in chunks of at most ``_ROWS_PER_CHUNK`` rows and, for
+    rows of three columns or more, ``_VALUES_PER_CHUNK`` values (one row at
+    least), so a chunk's Python objects and text stay near 10 MiB whatever the
+    width. ``tolist()``
+    turns the columns into Python objects, so ``{!r}`` writes a float64 as
     ``repr(float(v))``, and one ``str.format`` call renders the whole chunk
     from ``row_format`` repeated once per row, byte-identical to one call per
     row as long as its fields are auto-numbered (``{}``, ``{!r}``, ``{:g}``).
@@ -186,8 +190,9 @@ def _write_rows(path, header: str | None, row_format: str, blocks) -> None:
     with open(path, "w") as fh:
         fh.write("" if header is None else header + "\n")
         for columns in blocks:
-            for k in range(0, len(columns[0]), _ROWS_PER_CHUNK):
-                chunk = [np.asarray(c[k : k + _ROWS_PER_CHUNK]).tolist() for c in columns]
+            step = max(1, min(_ROWS_PER_CHUNK, _VALUES_PER_CHUNK // len(columns)))
+            for k in range(0, len(columns[0]), step):
+                chunk = [np.asarray(c[k : k + step]).tolist() for c in columns]
                 # one flat argument list, row by row; dropped once its rows are written
                 values = list(chain.from_iterable(zip(*chunk, strict=True)))
                 fh.write((line * len(chunk[0])).format(*values))

@@ -123,7 +123,8 @@ def _streamed_hgi(
     (``filtration._streamed_curves``), symmetrized whatever ``symmetrize``
     is. One pass over the nodes u in ascending order then reads row u of both
     groups (``AbsWeightBlocks._signed_rows``, bitwise the rows of
-    :func:`~sparsecc.crosscorr.cross_correlate`) from column u on, or from
+    :func:`~sparsecc.crosscorr.cross_correlate`; a directed pass skips the
+    reverse rows it does not use) from column u on, or from
     column p - 2 for the last node, so that no product is one column wide.
     Entry u gives the node-level correlations, the rest the pairs u < j in the
     edge file's order, written as they are computed. The node sets must match
@@ -138,7 +139,7 @@ def _streamed_hgi(
     def edge_rows():
         for u in range(p):
             s = min(u, p - 2)
-            b_mz, b_dz = (stream._signed_rows(u, s)[0] for stream in streams)
+            b_mz, b_dz = (stream._signed_rows(u, s, reverse=False)[0] for stream in streams)
             rho[:, u] = b_mz[u - s], b_dz[u - s]
             h = 2.0 * (b_mz[u - s + 1 :] - b_dz[u - s + 1 :])
             (j,) = np.nonzero(np.abs(h) > threshold)

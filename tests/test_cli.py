@@ -562,6 +562,7 @@ def test_hgi_edge_file_refused_when_it_cannot_fit(tmp_path, group_csvs, monkeypa
         err = capsys.readouterr().err
         assert (f"sparsecc hgi: error: hgi_edges.csv at --edge-threshold 0 needs at least "
                 f"{need:,} bytes for 18 nodes, more than the {need - 1:,} bytes free") in err
+        assert "a positive --edge-threshold is not checked" in err
     assert not any(out.iterdir())
     # a positive threshold can keep no row at all, so it is never refused
     free = 0

@@ -243,6 +243,30 @@ def test_abs_weight_row_matches_blocks_bitwise(rng, symmetrize):
 
 
 @pytest.mark.parametrize("symmetrize", [True, False])
+def test_signed_rows_without_reverse(rng, monkeypatch, symmetrize):
+    # a directed row read without reverse is one product, b alone; a
+    # symmetrized one still needs both directions for the average
+    calls = 0
+    product = crosscorr._product_blocks
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return product(x, y)
+
+    ds = random_dataset(rng, 9, 70)
+    rho = cross_correlate(ds, symmetrize=symmetrize).rho
+    stream = AbsWeightBlocks(ds, symmetrize=symmetrize)
+    monkeypatch.setattr(crosscorr, "_product_blocks", counted)
+    for u in range(70):
+        start = min(u, 68)
+        b, c = stream._signed_rows(u, start, reverse=False)
+        assert np.array_equal(b, rho[u, start:])
+        assert c is (b if symmetrize else None)
+    assert calls == 70 * (2 if symmetrize else 1)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
 @pytest.mark.parametrize("block_size, expected", [(7, 100), (64, 4), (1024, 1)])
 def test_kernel_calls_per_matrix(rng, monkeypatch, symmetrize, block_size, expected):
     # nb row blocks cost nb**2 block products in either mode: a diagonal

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,3 +198,27 @@ def test_write_rows_renders_each_row_of_every_block(tmp_path, monkeypatch):
     path = tmp_path / "rows.csv"
     dataset._write_rows(path, "i,id,w", "{},{},{!r}", blocks)
     assert path.read_text() == "i,id,w\n" + "".join("{},{},{!r}\n".format(*r) for r in rows)
+
+
+def test_write_rows_caps_wide_chunks_by_values(tmp_path, monkeypatch):
+    # 10 values a chunk: 2 rows of 5 columns, and one row of 11, wider than the cap
+    monkeypatch.setattr(dataset, "_VALUES_PER_CHUNK", 10)
+    rng = np.random.default_rng(5)
+    for width in (5, 11):
+        values = rng.standard_normal((7, width))
+        path = tmp_path / f"w{width}.csv"
+        dataset.save_csv(values, path)
+        assert path.read_text() == "".join(",".join(map(repr, row)) + "\n"
+                                           for row in values.tolist())
+
+
+def test_save_csv_memory_stays_bounded_for_wide_matrices(tmp_path):
+    # rendered in one chunk, a 20 x 20000 matrix held about 32 MiB of objects and text
+    values = np.random.default_rng(6).standard_normal((20, 20000))
+    tracemalloc.start()
+    try:
+        dataset.save_csv(values, tmp_path / "wide.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
