@@ -36,7 +36,8 @@ _KINDS = {
 
 def _add_common(parser, symmetrize_default=True):
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
-    parser.add_argument("--block-size", type=int, default=1024)
+    parser.add_argument("--block-size", type=int, default=1024,
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--format", choices=("auto", "csv", "binary"), default="auto")
     sym = parser.add_mutually_exclusive_group()
     sym.add_argument("--symmetrize", dest="symmetrize", action="store_true",
@@ -169,7 +170,7 @@ def _cmd_build(args, out: Path) -> None:
                 raise ValueError(f"--lambda {m!r} and {lam!r} share edges_lambda_{lam:g}.csv")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
     _check_dense_fits(ds.n_nodes, "build" if args.symmetrize else "build --no-symmetrize")
-    cc = crosscorr.cross_correlate(ds, block_size=args.block_size, symmetrize=args.symmetrize)
+    cc = crosscorr.cross_correlate(ds, symmetrize=args.symmetrize)
     (curves,) = inference._matrix_curves([cc], 1, ds.n_nodes)
     edges = []
     for lam in args.lambdas:
@@ -187,7 +188,7 @@ def _cmd_filtrate(args, out: Path) -> None:
         raise ValueError("--raw requires exact mode (binned weights live in [0, 1])")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
     # one Prim pass over streamed weight rows in every mode: no p x p matrix
-    stream = crosscorr.AbsWeightBlocks(ds, args.block_size, args.symmetrize)
+    stream = crosscorr.AbsWeightBlocks(ds, symmetrize=args.symmetrize)
     if args.bins is not None:
         count_curve, largest_curve = filtration.filtration_curves_binned(stream, n_bins=args.bins)
     else:
@@ -205,11 +206,10 @@ def _cmd_compare(args, out: Path) -> None:
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
     _check_dense_fits(ds1.n_nodes, "compare", _batches_at_once(args.threads, args.permutations))
     kinds = _KINDS[args.kind]
-    results = inference._compare_kinds(ds1, ds2, kinds, args.symmetrize, args.block_size)
+    results = inference._compare_kinds(ds1, ds2, kinds, args.symmetrize)
     if args.permutations > 0:
         p_perm = inference._permutation_pvalues(
-            ds1, ds2, kinds, args.permutations, args.seed, args.symmetrize,
-            args.block_size, args.threads,
+            ds1, ds2, kinds, args.permutations, args.seed, args.symmetrize, args.threads
         )
         for kind, res in results.items():
             res.p_permutation, res.n_perm, res.seed = p_perm[kind], args.permutations, args.seed
@@ -224,10 +224,8 @@ def _cmd_hgi(args, out: Path) -> None:
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
     heritability._check_twins(mz, dz)
     _check_edges_fit(mz.n_nodes, args.edge_threshold, out / "hgi_edges.csv")
-    results = heritability._streamed_hgi(
-        mz, dz, _KINDS[args.kind], args.symmetrize, args.block_size, args.edge_threshold,
-        out / "hi.csv", out / "hgi_edges.csv",
-    )
+    results = heritability._streamed_hgi(mz, dz, _KINDS[args.kind], args.symmetrize,
+                                         args.edge_threshold, out / "hi.csv", out / "hgi_edges.csv")
     for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 
@@ -259,8 +257,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        # validate thread settings early so a bad value fails before output
+        # validate thread settings and the block size early, so a bad value
+        # fails before any input is read or output written
         resolve_threads(getattr(args, "threads", None))
+        if args.block_size < 1:
+            raise ValueError("--block-size must be >= 1")
         out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, out)
     except (SparseCCError, OSError, ValueError) as exc:

@@ -9,13 +9,12 @@ Every observation product comes from one kernel entry, ``_signed_blocks``,
 over one call, ``_product_blocks``: dense matrices, streamed blocks and
 streamed rows alike. That call is ``np.einsum``'s C loop, which adds each
 entry's terms in observation order as a rank-1 accumulation does, so results
-are bit-identical regardless of block size or thread count (1 x 1 blocks past
-8193 observations excepted; see ``_product_blocks``). The order holds because
-``PairedDataset`` stores ``x`` and ``y`` C-ordered, so no kernel operand is
-contiguous along the observations, the layout in which einsum sums them in
-another order. BLAS gemm is faster but sums by shape-dependent blocking, so it
-is not used. The two directed cross-correlations are averaged in
-``_signed_blocks``.
+are bit-identical regardless of block size or thread count. The order holds
+because ``PairedDataset`` stores ``x`` and ``y`` C-ordered, so no kernel
+operand is contiguous along the observations, the layout in which einsum sums
+them in another order. BLAS gemm is faster but sums by shape-dependent
+blocking, so it is not used. The two directed cross-correlations are averaged
+in ``_signed_blocks``.
 """
 
 from __future__ import annotations
@@ -78,11 +77,13 @@ def _product_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     observation order, the rank-1 accumulation's order, whatever the block
     shape; ``test_product_kernel_is_the_rank1_loop`` pins this bitwise. On
     operands contiguous along the observations einsum reduces them in another
-    order. A 1 x 1 product (block size 1) reduces in chunks of numpy's
-    8192-element iterator buffer, so past 8193 observations its bits leave the
-    rank-1 order. BLAS gemm is faster still but sums by its own blocking, up
-    to 1.4e-14 away, so it is not used.
+    order. So would a 1 x 1 product, which einsum reduces in chunks of its
+    8192-element iterator buffer; it is computed against ``Y`` repeated to
+    two columns instead, and the first kept. BLAS gemm is faster still but
+    sums by its own blocking, up to 1.4e-14 away, so it is not used.
     """
+    if X.shape[1] == Y.shape[1] == 1:
+        return np.einsum("ki,kj->ij", X, np.repeat(Y, 2, axis=1))[:, :1]
     return np.einsum("ki,kj->ij", X, Y)
 
 
@@ -220,9 +221,7 @@ class AbsWeightBlocks:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """``b[v] = x_u . y_w`` and ``c[v] = y_u . x_w`` for the nodes w = start + v
         from ``start`` on, or their average as both. Without ``reverse`` a
-        directed stream skips ``c`` and gives None for it. A row one node wide
-        is a 1 x 1 product, summed in another order past 8193 observations
-        (``_product_blocks``)."""
+        directed stream skips ``c`` and gives None for it."""
         J = slice(start, None)
         b, c = _signed_blocks(self.ds.x, self.ds.y, slice(u, u + 1), J, self.symmetrize, reverse)
         return (b[0],) * 2 if b is c else (b[0], None if c is None else c[0])

@@ -20,8 +20,7 @@ from .errors import DimensionMismatch, MalformedFile, NonFiniteEntry, ZeroVarian
 # relative to the raw column magnitude.
 _ZERO_VAR_RTOL = 1e-12
 
-# Rows that ``_write_rows`` turns into Python objects at a time (a few MiB).
-_ROWS_PER_CHUNK = 1 << 16
+# Values that ``_write_rows`` turns into Python objects at a time (a few MiB).
 _VALUES_PER_CHUNK = 1 << 17
 
 
@@ -177,20 +176,19 @@ def _write_rows(path, header: str | None, row_format: str, blocks) -> None:
     equal-length columns; whole-array writers pass one block, streamed ones
     one block per stretch of rows as they compute it.
 
-    A block is rendered in chunks of at most ``_ROWS_PER_CHUNK`` rows and, for
-    rows of three columns or more, ``_VALUES_PER_CHUNK`` values (one row at
-    least), so a chunk's Python objects and text stay near 10 MiB whatever the
-    width. ``tolist()``
-    turns the columns into Python objects, so ``{!r}`` writes a float64 as
-    ``repr(float(v))``, and one ``str.format`` call renders the whole chunk
-    from ``row_format`` repeated once per row, byte-identical to one call per
-    row as long as its fields are auto-numbered (``{}``, ``{!r}``, ``{:g}``).
+    A block is rendered in chunks of at most ``_VALUES_PER_CHUNK`` values (one
+    row at least), so a chunk's Python objects and text stay near 10 MiB
+    whatever the width. ``tolist()`` turns the columns into Python objects, so
+    ``{!r}`` writes a float64 as ``repr(float(v))``, and one ``str.format``
+    call renders the whole chunk from ``row_format`` repeated once per row,
+    byte-identical to one call per row as long as its fields are auto-numbered
+    (``{}``, ``{!r}``, ``{:g}``).
     """
     line = row_format + "\n"
     with open(path, "w") as fh:
         fh.write("" if header is None else header + "\n")
         for columns in blocks:
-            step = max(1, min(_ROWS_PER_CHUNK, _VALUES_PER_CHUNK // len(columns)))
+            step = max(1, _VALUES_PER_CHUNK // len(columns))
             for k in range(0, len(columns[0]), step):
                 chunk = [np.asarray(c[k : k + step]).tolist() for c in columns]
                 # one flat argument list, row by row; dropped once its rows are written

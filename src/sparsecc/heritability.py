@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import AbsWeightBlocks, CrossCorrMatrix, _kept_pairs, cross_correlate
+from .crosscorr import AbsWeightBlocks, _kept_pairs, cross_correlate
 from .dataset import PairedDataset, _write_rows
 from .errors import NodeSetMismatch
 from .filtration import KIND_COMPONENTS, KINDS, _streamed_curves
@@ -71,30 +71,22 @@ def hgi(
 
     Computed blockwise through the cross-correlation machinery; the diagonal
     equals the node-level index applied to the per-node twin correlations.
+    ``block_size`` has no effect.
     """
-    return _hgi_result(*_twin_matrices(mz, dz, symmetrize, block_size))
+    _check_twins(mz, dz)
+    cc_mz, cc_dz = (cross_correlate(ds, symmetrize=symmetrize) for ds in (mz, dz))
+    rho_mz = np.diag(cc_mz.rho).copy()
+    rho_dz = np.diag(cc_dz.rho).copy()
+    hi, a, c = falconer_hi(rho_mz, rho_dz)
+    return HeritabilityResult(
+        node_ids=mz.node_ids, hi=hi, a_factor=a, c_factor=c, rho_mz=rho_mz, rho_dz=rho_dz,
+        hgi=2.0 * (cc_mz.rho - cc_dz.rho), symmetrized=symmetrize,
+    )
 
 
 def _check_twins(mz: PairedDataset, dz: PairedDataset) -> None:
     if mz.node_ids != dz.node_ids:
         raise NodeSetMismatch("MZ and DZ datasets cover different node sets")
-
-
-def _twin_matrices(mz, dz, symmetrize, block_size) -> list[CrossCorrMatrix]:
-    """Each twin group's cross-correlation matrix, MZ first."""
-    _check_twins(mz, dz)
-    return [cross_correlate(ds, block_size=block_size, symmetrize=symmetrize) for ds in (mz, dz)]
-
-
-def _hgi_result(cc_mz: CrossCorrMatrix, cc_dz: CrossCorrMatrix) -> HeritabilityResult:
-    rho_mz = np.diag(cc_mz.rho).copy()
-    rho_dz = np.diag(cc_dz.rho).copy()
-    hgi_matrix = 2.0 * (cc_mz.rho - cc_dz.rho)
-    hi, a, c = falconer_hi(rho_mz, rho_dz)
-    return HeritabilityResult(
-        node_ids=cc_mz.node_ids, hi=hi, a_factor=a, c_factor=c, rho_mz=rho_mz, rho_dz=rho_dz,
-        hgi=hgi_matrix, symmetrized=cc_mz.symmetrized,
-    )
 
 
 def hgi_significance(
@@ -108,13 +100,12 @@ def hgi_significance(
     Delegates to the two-group curve comparison, which computes each twin
     group's curves once. It always uses symmetrized cross-correlations,
     whatever ``symmetrize`` :func:`hgi` got (CLI ``--symmetrize``).
+    ``block_size`` has no effect.
     """
-    return _compare_kinds(mz, dz, (kind,), symmetrize=True, block_size=block_size)[kind]
+    return _compare_kinds(mz, dz, (kind,), symmetrize=True)[kind]
 
 
-def _streamed_hgi(
-    mz, dz, kinds, symmetrize, block_size, threshold, hi_path, edges_path
-) -> dict[str, KSResult]:
+def _streamed_hgi(mz, dz, kinds, symmetrize, threshold, hi_path, edges_path) -> dict[str, KSResult]:
     """The CLI's ``hgi`` with no p x p matrix, in O(p * n) memory: the files
     :func:`write_hi_csv` and :func:`write_hgi_edges` write for :func:`hgi`,
     bitwise, and :func:`hgi_significance` of every kind in ``kinds``.
@@ -124,24 +115,21 @@ def _streamed_hgi(
     is. One pass over the nodes u in ascending order then reads row u of both
     groups (``AbsWeightBlocks._signed_rows``, bitwise the rows of
     :func:`~sparsecc.crosscorr.cross_correlate`; a directed pass skips the
-    reverse rows it does not use) from column u on, or from
-    column p - 2 for the last node, so that no product is one column wide.
-    Entry u gives the node-level correlations, the rest the pairs u < j in the
-    edge file's order, written as they are computed. The node sets must match
-    (``_check_twins``). Rows ignore ``block_size``; it is only validated.
+    reverse rows it does not use) from column u on. Entry u gives the
+    node-level correlations, the rest the pairs u < j in the edge file's
+    order, written as they are computed. The node sets must match
+    (``_check_twins``).
     """
-    curves = [dict(zip(KINDS, _streamed_curves(AbsWeightBlocks(ds, block_size))[:2]))
-              for ds in (mz, dz)]
-    streams = [AbsWeightBlocks(ds, block_size, symmetrize) for ds in (mz, dz)]
+    curves = [dict(zip(KINDS, _streamed_curves(AbsWeightBlocks(ds))[:2])) for ds in (mz, dz)]
+    streams = [AbsWeightBlocks(ds, symmetrize=symmetrize) for ds in (mz, dz)]
     p = mz.n_nodes
     rho = np.empty((2, p))  # rho_mz and rho_dz, filled as the pass goes
 
     def edge_rows():
         for u in range(p):
-            s = min(u, p - 2)
-            b_mz, b_dz = (stream._signed_rows(u, s, reverse=False)[0] for stream in streams)
-            rho[:, u] = b_mz[u - s], b_dz[u - s]
-            h = 2.0 * (b_mz[u - s + 1 :] - b_dz[u - s + 1 :])
+            b_mz, b_dz = (stream._signed_rows(u, u, reverse=False)[0] for stream in streams)
+            rho[:, u] = b_mz[0], b_dz[0]
+            h = 2.0 * (b_mz[1:] - b_dz[1:])
             (j,) = np.nonzero(np.abs(h) > threshold)
             yield np.full(j.size, u), j + (u + 1), h[j]
 

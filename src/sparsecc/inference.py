@@ -108,16 +108,17 @@ def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1
     cross-correlation and one spanning forest, so each group is computed once.
 
     This is the replicate engine's curves stage at G = 1, so a group's curves
-    are the same whether it is alone or in a batch.
+    are the same whether it is alone or in a batch. ``block_size`` has no
+    effect: no tile shape changes a bit of the result.
     """
-    return _datasets_curves([ds], symmetrize, block_size)[0]
+    return _datasets_curves([ds], symmetrize)[0]
 
 
-def _datasets_curves(datasets, symmetrize: bool, block_size: int) -> list[dict]:
+def _datasets_curves(datasets, symmetrize: bool) -> list[dict]:
     """The batched replicate engine: :func:`group_curves` of G normalized
     groups on one node set at once, in order. Replicate groups come from
     ``dataset._normalize_groups``, which normalizes them as stacks."""
-    ccs = (cross_correlate(ds, block_size, symmetrize) for ds in datasets)
+    ccs = (cross_correlate(ds, symmetrize=symmetrize) for ds in datasets)
     return _matrix_curves(ccs, len(datasets), datasets[0].n_nodes)
 
 
@@ -161,10 +162,9 @@ def _ks_results(curves1: dict, curves2: dict, kinds) -> dict[str, KSResult]:
     return results
 
 
-def _compare_kinds(ds1, ds2, kinds, symmetrize, block_size) -> dict[str, KSResult]:
+def _compare_kinds(ds1, ds2, kinds, symmetrize) -> dict[str, KSResult]:
     _check_pair(ds1, ds2, kinds)
-    c1 = group_curves(ds1, symmetrize, block_size)
-    return _ks_results(c1, group_curves(ds2, symmetrize, block_size), kinds)
+    return _ks_results(group_curves(ds1, symmetrize), group_curves(ds2, symmetrize), kinds)
 
 
 def compare_groups(
@@ -174,11 +174,13 @@ def compare_groups(
     symmetrize: bool = True,
     block_size: int = 1024,
 ) -> KSResult:
-    """Full pipeline: each group's curves once (``group_curves``), sup-compare, p-value."""
-    return _compare_kinds(ds1, ds2, (kind,), symmetrize, block_size)[kind]
+    """Full pipeline: each group's curves once (``group_curves``), sup-compare, p-value.
+
+    ``block_size`` has no effect."""
+    return _compare_kinds(ds1, ds2, (kind,), symmetrize)[kind]
 
 
-def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, block_size, threads) -> dict:
+def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, threads) -> dict:
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
     if ds1.n_obs < 2 or ds2.n_obs < 2:
@@ -192,7 +194,7 @@ def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, block_size, 
         groups = _normalize_groups(
             [(x[i], y[i]) for perm in perms for i in (perm[:n1], perm[n1:])], ds1.node_ids
         )
-        curves = _datasets_curves(groups, symmetrize, block_size)
+        curves = _datasets_curves(groups, symmetrize)
         return [np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
                 for c1, c2 in zip(curves[::2], curves[1::2])]
 
@@ -228,11 +230,9 @@ def permutation_test(
     normalizes its groups as stacks and builds their spanning forests in one
     lockstep pass, and batches are what ``threads`` share out. Every group
     keeps the arithmetic it has alone, so the p-values are identical at any
-    thread count.
+    thread count. ``block_size`` has no effect.
     """
-    return _permutation_pvalues(
-        ds1, ds2, (kind,), n_perm, seed, symmetrize, block_size, threads
-    )[kind]
+    return _permutation_pvalues(ds1, ds2, (kind,), n_perm, seed, symmetrize, threads)[kind]
 
 
 def random_pairing_null(ds: PairedDataset, seed: int = 0) -> PairedDataset:

@@ -126,7 +126,7 @@ def run_validation(
 
     def one_batch(reps: range) -> list[dict]:
         groups = _normalize_groups([g for rep in reps for g in _raw_triple(cfg, rep)], node_ids)
-        curves = _datasets_curves(groups, symmetrize, block_size=1024)
+        curves = _datasets_curves(groups, symmetrize)
         out = []
         for g1, g2, g3 in zip(curves[::3], curves[1::3], curves[2::3]):
             p_values = {}

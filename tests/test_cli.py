@@ -145,6 +145,19 @@ def test_out_of_range_numbers_rejected_before_ingest(tmp_path, group_csvs, capsy
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["build", "filtrate", "compare", "hgi", "simulate"])
+def test_block_size_below_one_rejected_before_ingest(tmp_path, capsys, command):
+    # the input paths do not exist, so only a check made before reading them can pass
+    inputs = {"build": 2, "filtrate": 2, "compare": 4, "hgi": 4, "simulate": 0}[command]
+    flags = ["--lambda", "0.5"] if command == "build" else []
+    out = tmp_path / "out"
+    paths = [str(tmp_path / f"nope{k}.csv") for k in range(inputs)]
+    assert main([command, *paths, *flags, "--block-size", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"sparsecc {command}: error: --block-size must be >= 1" in err
+    assert not out.exists()
+
+
 def tied_zero_inputs(kind):
     """Inputs whose cross-correlations hold exact zeros and tied weights.
 
@@ -245,7 +258,7 @@ def test_edge_files_match_dense_rendering(tmp_path, symmetrize):
         for name, values in (("x", x), ("y", x + rng.standard_normal((10, p)))):
             paths.append(tmp_path / f"{tag}_{name}.bin")
             save_binary(values, paths[-1])
-    assert p * (p - 1) // 2 > dataset._ROWS_PER_CHUNK
+    assert p * (p - 1) // 2 > dataset._VALUES_PER_CHUNK // 3
     sym = [] if symmetrize else ["--no-symmetrize"]
     out = tmp_path / "out"
     lams = (0.0, 0.3)
@@ -348,8 +361,8 @@ def test_hgi_outputs(tmp_path, group_csvs):
 
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_cli_matches_public_reference_paths(tmp_path, group_csvs, symmetrize):
-    # p = 40 at --block-size 16 spans three row blocks; the references run at
-    # the default block size
+    # the CLI at --block-size 16, which has no effect, against the public
+    # references at their defaults
     mz, dz = group_csvs("ref_mz", p=40), group_csvs("ref_dz", p=40)
     sym = [] if symmetrize else ["--no-symmetrize"]
     ds = dataset.normalize_pair(*map(dataset.ingest, mz))
@@ -577,8 +590,9 @@ def test_hgi_edge_file_refused_when_it_cannot_fit(tmp_path, group_csvs, monkeypa
 
 
 def test_hgi_outputs_do_not_depend_on_block_size(tmp_path):
-    # past 8193 observations a 1 x 1 kernel product sums in another order;
-    # hgi's rows are at least two nodes wide whatever --block-size is
+    # every subcommand that reads inputs, at n = 8300: past 8193 observations
+    # einsum sums a plain 1 x 1 product in another order, and --block-size 1
+    # (every product) and 2 (the last diagonal block at p = 3) cut such products
     rng = np.random.default_rng(3)
     paths = []
     for tag in ("mz", "dz"):
@@ -586,20 +600,31 @@ def test_hgi_outputs_do_not_depend_on_block_size(tmp_path):
         for name, values in (("x", x), ("y", x + rng.standard_normal((8300, 3)))):
             paths.append(str(tmp_path / f"{tag}_{name}.bin"))
             save_binary(values, paths[-1])
-    outputs = []
-    for flags in ([], ["--block-size", "1"]):
-        out = tmp_path / f"out{len(flags)}"
-        assert main(["hgi", *paths, "--edge-threshold", "0", *flags, "--out", str(out)]) == 0
-        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
-    assert len(outputs[0]) == 4
-    assert outputs[0] == outputs[1]
+    runs = {
+        "build": ["build", *paths[:2], "--lambda", "0", "--lambda", "0.01"],
+        "build-directed": ["build", *paths[:2], "--lambda", "0", "--no-symmetrize"],
+        "filtrate": ["filtrate", *paths[:2]],
+        "filtrate-bins": ["filtrate", *paths[:2], "--bins", "40"],
+        "compare": ["compare", *paths, "--permutations", "3"],
+        "hgi": ["hgi", *paths, "--edge-threshold", "0"],
+    }
+    files = {}
+    for name, argv in runs.items():
+        outputs = []
+        for flags in ([], ["--block-size", "1"], ["--block-size", "2"]):
+            out = tmp_path / f"{name}{''.join(flags)}"
+            assert main([*argv, *flags, "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert outputs[0] == outputs[1] == outputs[2], name
+        files[name] = outputs[0]
+    assert [len(files[name]) for name in runs] == [3, 2, 3, 2, 2, 4]
     # the dense library path at the default block size, three nodes wide
     groups = [dataset.normalize_pair(*map(dataset.ingest, paths[k : k + 2])) for k in (0, 2)]
     result = heritability.hgi(*groups)
     heritability.write_hi_csv(result, tmp_path / "hi.csv")
     heritability.write_hgi_edges(result, tmp_path / "hgi_edges.csv")
     for name in ("hi.csv", "hgi_edges.csv"):
-        assert outputs[0][name] == (tmp_path / name).read_bytes()
+        assert files["hgi"][name] == (tmp_path / name).read_bytes()
 
 
 def test_permutation_outputs_identical_at_any_thread_count(tmp_path, group_csvs):

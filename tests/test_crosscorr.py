@@ -143,18 +143,34 @@ def rank1_products(X, Y):
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 16, 61, 257, 1000])
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 61, 257, 1000, 8194, 8300, 9000])
 def test_product_kernel_is_the_rank1_loop(n):
     # operands cut from C-ordered arrays as _signed_blocks cuts them: blocks
     # and diagonal blocks of odd widths, a single row against every node, and
-    # the strided single columns of block_size 1
+    # every strided single column of block_size 1, which past 8193
+    # observations plain einsum sums in chunks of its iterator buffer
     x, y = np.random.default_rng(n).standard_normal((2, n, 13))
-    cuts = [slice(0, 13), slice(2, 9), slice(3, 7), slice(0, 1), slice(5, 6), slice(12, 13)]
-    for I in cuts:
-        for J in cuts:
-            for a, b in ((x, y), (y, x)):
-                assert np.array_equal(crosscorr._product_blocks(a[:, I], b[:, J]),
-                                      rank1_products(a[:, I], b[:, J]))
+    cuts = [slice(0, 13), slice(2, 9), slice(3, 7)] + [slice(i, i + 1) for i in range(13)]
+    for a, b in ((x, y), (y, x)):
+        loop = rank1_products(a, b)  # each entry is its own rank-1 loop
+        for I in cuts:
+            for J in cuts:
+                assert np.array_equal(crosscorr._product_blocks(a[:, I], b[:, J]), loop[I, J])
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_one_node_tiles_change_no_bit(symmetrize):
+    # at block size 1 every product is 1 x 1, here past 8193 observations
+    ds = normalize_arrays(*np.random.default_rng(8300).standard_normal((2, 8300, 5)))
+    rho = cross_correlate(ds, symmetrize=symmetrize).rho
+    assert np.array_equal(cross_correlate(ds, 1, symmetrize).rho, rho)
+    stream = AbsWeightBlocks(ds, block_size=1, symmetrize=symmetrize)
+    rows = np.stack([stream.row(u) for u in range(5)])
+    pairs = [(i0, j0, w) for i0, j0, w in stream if i0 < j0]
+    assert len(pairs) == 10
+    for i0, j0, w in pairs:
+        assert np.array_equal(w, rows[[i0], j0 : j0 + 1])
+        assert np.array_equal(w, rows[[j0], i0 : i0 + 1])
 
 
 def test_paired_dataset_layout_gives_c_ordered_bits(rng):
@@ -259,9 +275,8 @@ def test_signed_rows_without_reverse(rng, monkeypatch, symmetrize):
     stream = AbsWeightBlocks(ds, symmetrize=symmetrize)
     monkeypatch.setattr(crosscorr, "_product_blocks", counted)
     for u in range(70):
-        start = min(u, 68)
-        b, c = stream._signed_rows(u, start, reverse=False)
-        assert np.array_equal(b, rho[u, start:])
+        b, c = stream._signed_rows(u, u, reverse=False)
+        assert np.array_equal(b, rho[u, u:])
         assert c is (b if symmetrize else None)
     assert calls == 70 * (2 if symmetrize else 1)
 

@@ -184,8 +184,9 @@ def test_normalize_groups_raises_for_first_constant_group(rng):
 
 
 def test_write_rows_renders_each_row_of_every_block(tmp_path, monkeypatch):
-    # 4-row chunks: the 9-row block straddles two chunk boundaries
-    monkeypatch.setattr(dataset, "_ROWS_PER_CHUNK", 4)
+    # 12 values a chunk, 4 rows of 3 columns: the 9-row block straddles two
+    # chunk boundaries
+    monkeypatch.setattr(dataset, "_VALUES_PER_CHUNK", 12)
     values = [-0.0, 5e-324, 1e-05, 1e16, np.inf, -np.inf, 0.1]
     rows = [(i, f"v{i}", values[i % len(values)]) for i in range(17)]
     cuts = [0, 0, 3, 3, 12, 17]  # empty blocks first and in between

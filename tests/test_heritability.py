@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sparsecc import (
+    cross_correlate,
     falconer_hi,
     generate_twin_group,
     hgi,
@@ -68,11 +69,13 @@ def test_hgi_antisymmetric_under_group_swap(rng):
 def test_hgi_blockwise_equals_dense(rng):
     mz = random_dataset(rng, 9, 61)
     dz = random_dataset(rng, 9, 61)
-    dense = hgi(mz, dz, block_size=61)
-    for bs in (7, 16, 64):
-        blocked = hgi(mz, dz, block_size=bs)
-        assert np.array_equal(blocked.hgi, dense.hgi)
-        assert np.array_equal(blocked.hi, dense.hi)
+    # hgi's block_size has no effect; its matrix is the contrast of the
+    # cross-correlations at every tile size, and its diagonal gives hi
+    result = hgi(mz, dz, block_size=7)
+    for bs in (7, 16, 61, 64):
+        rho_mz, rho_dz = (cross_correlate(ds, bs, symmetrize=True).rho for ds in (mz, dz))
+        assert np.array_equal(result.hgi, 2.0 * (rho_mz - rho_dz))
+    assert np.array_equal(result.hi, np.diag(result.hgi))
 
 
 def test_hgi_node_set_mismatch(rng):
