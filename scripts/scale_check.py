@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
 """Large-node-count smoke run: blocked, binned curves plus the two-group test,
-then the CLI's streamed ``hgi``.
+then the CLI's streamed ``build``, ``compare`` and ``hgi``.
 
 Builds two synthetic groups at the requested node count, computes both
 quantized filtration curves per group from one Prim pass over the row stream
 ``AbsWeightBlocks.row(u)`` (each weight row computed once, the dense pair
 matrix never materialized), compares them, and reports timing and peak
-memory. It then writes both groups to binary files and runs ``sparsecc hgi``
-on them in a child process, the first group as MZ and the second as DZ, and
-reports its time, edge rows written and peak memory.
+memory. It then writes both groups to binary files and runs three CLI
+commands on them, each in a child process: ``sparsecc build`` on the first
+group, ``sparsecc compare`` (no permutations) on both, and ``sparsecc hgi``
+with the first group as MZ and the second as DZ. For each it reports the
+time, the rows written and the peak memory of that child alone.
 """
 
 import argparse
+import json
 import math
 import os
 import resource
@@ -33,13 +36,36 @@ from sparsecc import (
     sup_distance,
 )
 
-# hgi's --edge-threshold: on null groups it keeps the edge file to a few rows
+# build's --lambda: on null groups it keeps the edge file to a few rows
+BUILD_LAMBDA = 0.9
+# hgi's --edge-threshold, for the same reason
 HGI_EDGE_THRESHOLD = 3.0
 
 
-def run_hgi(groups) -> None:
-    """``sparsecc hgi`` on the two groups in a child process, whose peak RSS
-    is its own."""
+def run_cli(argv, out: Path) -> tuple[float, float]:
+    """``sparsecc argv --out out`` in a child process: its wall time in
+    seconds and its own peak RSS in GiB."""
+    src = str(Path(sparsecc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    t0 = time.time()
+    proc = subprocess.Popen([sys.executable, "-m", "sparsecc.cli", *argv, "--out", str(out)],
+                            env=env)
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's usage, not every child's
+    seconds = time.time() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return seconds, usage.ru_maxrss / 1024.0**2
+
+
+def data_rows(path: Path) -> int:
+    with open(path, "rb") as fh:
+        return sum(1 for _ in fh) - 1
+
+
+def run_commands(groups) -> None:
+    """``build``, ``compare`` and ``hgi`` on the groups, each in a child process."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = []
@@ -47,19 +73,26 @@ def run_hgi(groups) -> None:
             for name, values in (("x", ds.x), ("y", ds.y)):
                 paths.append(tmp / f"{name}{g}.bin")
                 save_binary(values, paths[-1], node_ids=ds.node_ids)
-        src = str(Path(sparsecc.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        t0 = time.time()
-        subprocess.run([sys.executable, "-m", "sparsecc.cli", "hgi", *map(str, paths),
-                        "--edge-threshold", repr(HGI_EDGE_THRESHOLD), "--out", str(tmp / "out")],
-                       env=env, check=True)
-        seconds = time.time() - t0
-        with open(tmp / "out" / "hgi_edges.csv", "rb") as fh:
-            rows = sum(1 for _ in fh) - 1
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0**2
-    print(f"hgi (group 1 as MZ, group 2 as DZ): {seconds:.1f}s, {rows} edge rows "
-          f"above {HGI_EDGE_THRESHOLD:g}, peak rss {peak:.2f} GiB")
+        paths = list(map(str, paths))
+
+        out = tmp / "build"
+        seconds, peak = run_cli(["build", *paths[:2], "--lambda", repr(BUILD_LAMBDA)], out)
+        rows = data_rows(out / f"edges_lambda_{BUILD_LAMBDA:g}.csv")
+        print(f"build (group 1): {seconds:.1f}s, {rows} edge rows above {BUILD_LAMBDA:g}, "
+              f"peak rss {peak:.2f} GiB")
+
+        out = tmp / "compare"
+        seconds, peak = run_cli(["compare", *paths], out)
+        results = [json.loads(path.read_text()) for path in sorted(out.glob("result_*.json"))]
+        stats = ", ".join(f"{r['kind']} D={r['d_raw']}" for r in results)
+        print(f"compare: {seconds:.1f}s, {len(results)} result files ({stats}), "
+              f"peak rss {peak:.2f} GiB")
+
+        out = tmp / "hgi"
+        seconds, peak = run_cli(["hgi", *paths, "--edge-threshold", repr(HGI_EDGE_THRESHOLD)], out)
+        rows = data_rows(out / "hgi_edges.csv")
+        print(f"hgi (group 1 as MZ, group 2 as DZ): {seconds:.1f}s, {rows} edge rows "
+              f"above {HGI_EDGE_THRESHOLD:g}, peak rss {peak:.2f} GiB")
 
 
 def main() -> int:
@@ -94,7 +127,7 @@ def main() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0**2
     print(f"curves and comparison: {time.time() - t0:.1f}s, peak rss {peak:.2f} GiB")
 
-    run_hgi(groups)
+    run_commands(groups)
     print(f"total {time.time() - t0:.1f}s")
     return 0
 

@@ -19,13 +19,11 @@ from . import crosscorr, dataset, filtration, heritability, inference, simulatio
 from .errors import SparseCCError
 from ._parallel import resolve_threads
 
-# Dense p x p float64 matrices a command holds at its peak, with headroom;
-# `compare` and `simulate` hold theirs per replicate batch in flight, one per
-# thread. tracemalloc at p = 600 read 4.1-4.5 (build), 7.1 (build
-# --no-symmetrize --lambda 0, every ordered pair an edge), 5.5 (compare; 4.2
-# without --permutations) and 6.3 (simulate). `filtrate` and `hgi` stream
-# their rows and hold none.
-_DENSE_MATRICES = {"build": 5, "build --no-symmetrize": 8, "compare": 6, "simulate": 7}
+# Dense p x p float64 matrices a command holds at its peak per replicate batch
+# in flight, one batch per thread, with headroom: tracemalloc at p = 600 and
+# one thread read 5.9 (compare --permutations) and 6.3 (simulate). Every other
+# pass computes its rows one at a time from the observations and holds none.
+_DENSE_MATRICES = {"compare": 6, "simulate": 7}
 
 _KINDS = {
     "count": (filtration.KIND_COMPONENTS,),
@@ -68,35 +66,38 @@ def _check_dense_fits(p: int, command: str, batches: int = 1) -> None:
         )
 
 
-def _check_edges_fit(p: int, threshold: float, path: Path) -> None:
-    """Refuse, before any row is computed, an ``hgi --edge-threshold 0`` edge
-    file larger than the free space where it goes (plus the file it replaces).
+def _check_edges_fit(p: int, threshold: float, path: Path, header: str, option: str,
+                     directed: bool = False) -> None:
+    """Refuse, before any row is computed, an edge file written at threshold 0
+    (``build --lambda 0``, ``hgi --edge-threshold 0``) larger than the free
+    space where it goes (plus the file it replaces).
 
-    At threshold 0 the file holds every pair i < j whose two groups'
-    correlations differ. The bound counts each pair's index digits (each node
-    is in p - 1 pairs), its two commas and newline and 3 bytes for the value,
-    the shortest ``repr`` of a nonzero float, so it never exceeds such a file.
-    It is a worst case: pairs whose hgi is exactly 0 are not written, so
-    inputs with many of them can be refused although their file would fit,
-    and the message says so. At a positive threshold the file can be empty,
-    and nothing is refused.
+    At threshold 0 the file holds every pair i < j (every ordered pair i != j
+    when ``directed``) whose value is nonzero. The bound counts each pair's
+    index digits (each node is in p - 1 pairs, twice that when directed), its
+    two commas and newline and 3 bytes for the value, the shortest ``repr`` of
+    a nonzero float, so it never exceeds such a file. It is a worst case:
+    pairs whose value is exactly 0 are not written, so inputs with many of
+    them can be refused although their file would fit, and the message says
+    so. At a positive threshold the file can be empty, and nothing is refused.
     """
     if threshold > 0:
         return
     digits = sum(len(str(i)) for i in range(p))
-    need = len("i,j,hgi\n") + (p - 1) * digits + 6 * (p * (p - 1) // 2)
+    need = len(header) + 1 + (1 + directed) * ((p - 1) * digits + 6 * (p * (p - 1) // 2))
     have = shutil.disk_usage(path.parent).free + (path.stat().st_size if path.is_file() else 0)
     if need > have:
         raise SparseCCError(
-            f"{path.name} at --edge-threshold 0 needs at least {need:,} bytes for {p} nodes, "
+            f"{path.name} at {option} 0 needs at least {need:,} bytes for {p} nodes, "
             f"more than the {have:,} bytes free under {path.parent} (a worst-case bound that "
-            f"counts every pair; a positive --edge-threshold is not checked)"
+            f"counts every pair; a positive {option} is not checked)"
         )
 
 
 def _batches_at_once(threads, replicates: int) -> int:
-    """An upper bound on the replicate batches in flight: one per thread."""
-    return max(1, min(resolve_threads(threads), replicates))
+    """An upper bound on the replicate batches in flight: one per thread, and
+    none without replicates."""
+    return min(resolve_threads(threads), replicates)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,16 +170,19 @@ def _cmd_build(args, out: Path) -> None:
             if f"{m:g}" == f"{lam:g}":
                 raise ValueError(f"--lambda {m!r} and {lam!r} share edges_lambda_{lam:g}.csv")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
-    _check_dense_fits(ds.n_nodes, "build" if args.symmetrize else "build --no-symmetrize")
-    cc = crosscorr.cross_correlate(ds, symmetrize=args.symmetrize)
-    (curves,) = inference._matrix_curves([cc], 1, ds.n_nodes)
-    edges = []
-    for lam in args.lambdas:
-        net = crosscorr.sparse_network(cc, lam)
-        crosscorr.write_edge_list(net, out / f"edges_lambda_{lam:g}.csv")
-        edges.append(net.values.size)
+    paths = [out / f"edges_lambda_{lam:g}.csv" for lam in args.lambdas]
+    for lam, path in zip(args.lambdas, paths):
+        _check_edges_fit(ds.n_nodes, lam, path, crosscorr._EDGES_CSV[0], "--lambda",
+                         directed=not args.symmetrize)
+    # one streamed Prim pass for the curves, then one row pass per edge file:
+    # no p x p matrix
+    stream = crosscorr.AbsWeightBlocks(ds, symmetrize=args.symmetrize)
+    curves = filtration._streamed_curves(stream)[:2]
+    edges = [dataset._write_rows(path, *crosscorr._EDGES_CSV,
+                                 crosscorr._streamed_edges(stream, lam))
+             for lam, path in zip(args.lambdas, paths)]
     lams = np.array(args.lambdas)
-    values = (curves[kind].value_at(lams) for kind in filtration.KINDS)
+    values = (curve.value_at(lams) for curve in curves)
     dataset._write_rows(out / "summary.csv", "lambda,edges,components,largest", "{:g},{},{},{}",
                         [(lams, edges, *values)])
 
@@ -223,7 +227,8 @@ def _cmd_hgi(args, out: Path) -> None:
     mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
     heritability._check_twins(mz, dz)
-    _check_edges_fit(mz.n_nodes, args.edge_threshold, out / "hgi_edges.csv")
+    _check_edges_fit(mz.n_nodes, args.edge_threshold, out / "hgi_edges.csv",
+                     heritability._HGI_EDGES_CSV[0], "--edge-threshold")
     results = heritability._streamed_hgi(mz, dz, _KINDS[args.kind], args.symmetrize,
                                          args.edge_threshold, out / "hi.csv", out / "hgi_edges.csv")
     for kind, res in results.items():

@@ -26,6 +26,9 @@ import numpy as np
 from .dataset import PairedDataset, _write_rows
 from .errors import DimensionMismatch
 
+# Header and row format of an edge file
+_EDGES_CSV = ("i,j,weight", "{},{},{!r}")
+
 
 @dataclass(eq=False)
 class CrossCorrMatrix:
@@ -158,6 +161,21 @@ def sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr:
     return SparseCrossCorr(float(lam), cc.n_nodes, rows, cols, values, symmetric=cc.symmetrized)
 
 
+def _streamed_edges(stream: AbsWeightBlocks, lam: float):
+    """:func:`sparse_network` of the stream's dataset, bitwise, with no p x p
+    matrix: one block ``(rows, cols, values)`` per node u, in the edge file's
+    order. Row u is the stream's signed kernel row (bitwise row u of
+    :func:`cross_correlate`), from column u on when symmetrized (pairs u < j)
+    and from column 0 otherwise, without the directed reverse row."""
+    for u in range(stream.n_nodes):
+        start = u if stream.symmetrize else 0
+        b = stream._signed_rows(u, start, reverse=False)[0]
+        keep = np.abs(b) > lam
+        keep[u - start] = False  # no self-loop
+        (j,) = np.nonzero(keep)
+        yield np.full(j.size, u), j + start, soft_threshold(b[j], lam)
+
+
 def symmetric_sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr:
     """Average of the two directed sparse estimates, pairs i < j.
 
@@ -173,7 +191,7 @@ def symmetric_sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr
 
 def write_edge_list(sparse: SparseCrossCorr, path) -> None:
     """Rows "i,j,weight" (0-based indices) in the arrays' row-major order."""
-    _write_rows(path, "i,j,weight", "{},{},{!r}", [(sparse.rows, sparse.cols, sparse.values)])
+    _write_rows(path, *_EDGES_CSV, [(sparse.rows, sparse.cols, sparse.values)])
 
 
 class AbsWeightBlocks:

@@ -170,11 +170,12 @@ def save_csv(values: np.ndarray, path, node_ids=None) -> None:
     _write_rows(path, header, ",".join(["{!r}"] * values.shape[1]), [values.T])
 
 
-def _write_rows(path, header: str | None, row_format: str, blocks) -> None:
+def _write_rows(path, header: str | None, row_format: str, blocks) -> int:
     """Every CSV output: ``header`` (unless None), then ``row_format.format(*row)``
     for each row of each block in ``blocks``, an iterable of tuples of
     equal-length columns; whole-array writers pass one block, streamed ones
-    one block per stretch of rows as they compute it.
+    one block per stretch of rows as they compute it. Returns the number of
+    rows written, the header not counted.
 
     A block is rendered in chunks of at most ``_VALUES_PER_CHUNK`` values (one
     row at least), so a chunk's Python objects and text stay near 10 MiB
@@ -184,7 +185,7 @@ def _write_rows(path, header: str | None, row_format: str, blocks) -> None:
     byte-identical to one call per row as long as its fields are auto-numbered
     (``{}``, ``{!r}``, ``{:g}``).
     """
-    line = row_format + "\n"
+    line, rows = row_format + "\n", 0
     with open(path, "w") as fh:
         fh.write("" if header is None else header + "\n")
         for columns in blocks:
@@ -194,6 +195,8 @@ def _write_rows(path, header: str | None, row_format: str, blocks) -> None:
                 # one flat argument list, row by row; dropped once its rows are written
                 values = list(chain.from_iterable(zip(*chunk, strict=True)))
                 fh.write((line * len(chunk[0])).format(*values))
+            rows += len(columns[0])
+    return rows
 
 
 def save_binary(values: np.ndarray, path, node_ids=None) -> None:

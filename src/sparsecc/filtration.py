@@ -8,11 +8,13 @@ maximum spanning forest, so every filtration builds that forest by one Prim
 pass over weight rows (``_prim_forests``, which runs G graphs in lockstep)
 and gets both curves by replaying its at most p - 1 edges through a
 union-find. The rows come from a dense weight matrix (``filtration_curves``,
-the library's graph path), a stack of them (``_forest_curves``, which every
-dense CLI path reaches through ``inference._matrix_curves``, one group or a
-batch of replicate groups at a time) or are computed one at a time from the
-observations (``_streamed_curves`` and, snapped to a grid,
+the library's graph path), a stack of them (``_forest_curves``, the batched
+replicate engine ``inference._datasets_curves``, behind ``group_curves``,
+permutation replicates and ``simulate``) or are computed one at a time from
+the observations (``_streamed_curves`` and, snapped to a grid,
 ``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
+Every CLI pass over one group is streamed: ``build``, ``filtrate``,
+``compare`` and ``hgi``.
 
 Conventions, fixed throughout:
   - an edge is present at level lam iff its weight strictly exceeds lam;
@@ -339,8 +341,8 @@ def filtration_curves_binned(
 
 def _forest_curves(w: np.ndarray) -> list[tuple[FiltrationCurve, FiltrationCurve, MergeEvents]]:
     """Curves and merge log of each graph in a ``(G, p, p)`` stack of
-    undirected weights (``_pair_weights``), all G forests built at once: every
-    dense CLI path's, through ``inference._matrix_curves``."""
+    undirected weights (``_pair_weights``), all G forests built at once: the
+    batched replicate engine's, ``inference._datasets_curves``."""
     G, p = w.shape[:2]
     return [_merge_log_curves(p, *f) for f in _prim_forests(w.reshape(G * p, p).__getitem__, G, p)]
 

@@ -7,7 +7,9 @@ diagonal reproduces the node-level values.
 
 The public :func:`hgi` returns the dense node-pair matrix. The CLI's ``hgi``
 goes through ``_streamed_hgi`` instead, which writes the same files from rows
-computed one node at a time and holds no p x p matrix.
+computed one node at a time and holds no p x p matrix. Significance, whether
+from :func:`hgi_significance` or the CLI, is the two-group comparison
+(``inference._compare_kinds``) of the twin groups' streamed curves.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 from .crosscorr import AbsWeightBlocks, _kept_pairs, cross_correlate
 from .dataset import PairedDataset, _write_rows
 from .errors import NodeSetMismatch
-from .filtration import KIND_COMPONENTS, KINDS, _streamed_curves
-from .inference import KSResult, _compare_kinds, _ks_results
+from .filtration import KIND_COMPONENTS
+from .inference import KSResult, _compare_kinds
 
 # Header and row format of each output file
 _HI_CSV = ("node_id,hi,a,c", "{},{!r},{!r},{!r}")
@@ -110,17 +112,17 @@ def _streamed_hgi(mz, dz, kinds, symmetrize, threshold, hi_path, edges_path) -> 
     :func:`write_hi_csv` and :func:`write_hgi_edges` write for :func:`hgi`,
     bitwise, and :func:`hgi_significance` of every kind in ``kinds``.
 
-    Each twin group's curves come from its streamed spanning forest
-    (``filtration._streamed_curves``), symmetrized whatever ``symmetrize``
-    is. One pass over the nodes u in ascending order then reads row u of both
-    groups (``AbsWeightBlocks._signed_rows``, bitwise the rows of
+    The test results come from ``inference._compare_kinds``, symmetrized
+    whatever ``symmetrize`` is, so from each twin group's streamed spanning
+    forest. One pass over the nodes u in ascending order then reads row u of
+    both groups (``AbsWeightBlocks._signed_rows``, bitwise the rows of
     :func:`~sparsecc.crosscorr.cross_correlate`; a directed pass skips the
     reverse rows it does not use) from column u on. Entry u gives the
     node-level correlations, the rest the pairs u < j in the edge file's
     order, written as they are computed. The node sets must match
     (``_check_twins``).
     """
-    curves = [dict(zip(KINDS, _streamed_curves(AbsWeightBlocks(ds))[:2])) for ds in (mz, dz)]
+    results = _compare_kinds(mz, dz, kinds, symmetrize=True)
     streams = [AbsWeightBlocks(ds, symmetrize=symmetrize) for ds in (mz, dz)]
     p = mz.n_nodes
     rho = np.empty((2, p))  # rho_mz and rho_dz, filled as the pass goes
@@ -135,7 +137,7 @@ def _streamed_hgi(mz, dz, kinds, symmetrize, threshold, hi_path, edges_path) -> 
 
     _write_rows(edges_path, *_HGI_EDGES_CSV, edge_rows())
     _write_rows(hi_path, *_HI_CSV, [(mz.node_ids, *falconer_hi(*rho))])
-    return _ks_results(*curves, kinds)
+    return results
 
 
 def write_hi_csv(result: HeritabilityResult, path) -> None:

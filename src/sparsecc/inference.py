@@ -21,10 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import cross_correlate
+from .crosscorr import AbsWeightBlocks, cross_correlate
 from .dataset import PairedDataset, _normalize_groups
 from .errors import CurveMismatch, NodeSetMismatch
-from .filtration import KIND_COMPONENTS, KINDS, FiltrationCurve, _forest_curves, _pair_weights
+from .filtration import (
+    KIND_COMPONENTS,
+    KINDS,
+    FiltrationCurve,
+    _forest_curves,
+    _pair_weights,
+    _streamed_curves,
+)
 from ._parallel import ordered_map
 
 # The weights one replicate batch holds at most: 8 groups at p = 100, one
@@ -117,24 +124,17 @@ def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1
 def _datasets_curves(datasets, symmetrize: bool) -> list[dict]:
     """The batched replicate engine: :func:`group_curves` of G normalized
     groups on one node set at once, in order. Replicate groups come from
-    ``dataset._normalize_groups``, which normalizes them as stacks."""
-    ccs = (cross_correlate(ds, symmetrize=symmetrize) for ds in datasets)
-    return _matrix_curves(ccs, len(datasets), datasets[0].n_nodes)
+    ``dataset._normalize_groups``, which normalizes them as stacks.
 
-
-def _matrix_curves(ccs, G: int, p: int) -> list[dict]:
-    """The one curves stage of the dense paths: {kind: FiltrationCurve} of each
-    of G cross-correlation matrices on p nodes, in order.
-
-    Each matrix's weights (``_pair_weights``) go straight into one
-    ``(G, p, p)`` buffer, and one lockstep Prim pass builds all G forests
-    (``_forest_curves``). Every graph keeps the arithmetic it has alone.
+    Each group's cross-correlation weights (``_pair_weights``) go straight
+    into one ``(G, p, p)`` buffer, and one lockstep Prim pass builds all G
+    forests (``_forest_curves``). Every graph keeps the arithmetic it has alone.
     """
-    w, ccs = np.empty((G, p, p)), iter(ccs)
-    for wg in w:
-        cc = next(ccs)
-        _pair_weights(cc.rho, "absolute", None if cc.symmetrized else cc.rho.T, out=wg)
-        del cc  # released before the next matrix is computed
+    w = np.empty((len(datasets), datasets[0].n_nodes, datasets[0].n_nodes))
+    for ds, wg in zip(datasets, w):
+        rho = cross_correlate(ds, symmetrize=symmetrize).rho
+        _pair_weights(rho, "absolute", None if symmetrize else rho.T, out=wg)
+        del rho  # released before the next matrix is computed
     return [dict(zip(KINDS, curves[:2])) for curves in _forest_curves(w)]
 
 
@@ -163,8 +163,13 @@ def _ks_results(curves1: dict, curves2: dict, kinds) -> dict[str, KSResult]:
 
 
 def _compare_kinds(ds1, ds2, kinds, symmetrize) -> dict[str, KSResult]:
+    """:func:`compare_groups` of every kind in ``kinds``, with no p x p matrix:
+    each group's curves come from its streamed spanning forest
+    (``filtration._streamed_curves``), bitwise those of :func:`group_curves`."""
     _check_pair(ds1, ds2, kinds)
-    return _ks_results(group_curves(ds1, symmetrize), group_curves(ds2, symmetrize), kinds)
+    streams = (AbsWeightBlocks(ds, symmetrize=symmetrize) for ds in (ds1, ds2))
+    curves = [dict(zip(KINDS, _streamed_curves(stream)[:2])) for stream in streams]
+    return _ks_results(*curves, kinds)
 
 
 def compare_groups(
@@ -174,7 +179,8 @@ def compare_groups(
     symmetrize: bool = True,
     block_size: int = 1024,
 ) -> KSResult:
-    """Full pipeline: each group's curves once (``group_curves``), sup-compare, p-value.
+    """Full pipeline: each group's curves once, from its streamed spanning forest
+    (bitwise those of ``group_curves``), sup-compare, p-value.
 
     ``block_size`` has no effect."""
     return _compare_kinds(ds1, ds2, (kind,), symmetrize)[kind]

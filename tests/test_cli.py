@@ -286,23 +286,37 @@ def test_edge_files_match_dense_rendering(tmp_path, symmetrize):
 
 
 def test_build_memory_below_six_dense_matrices(tmp_path):
-    # at lambda = 0 every one of the ~500k pairs is an edge
+    # build and compare without permutations stream their rows: below one
+    # p x p matrix, even at lambda = 0, where every one of the ~500k pairs
+    # (~1M ordered pairs when directed) is an edge
     p = 1000
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((10, p))
-    xp, yp = tmp_path / "x.bin", tmp_path / "y.bin"
-    save_binary(x, xp)
-    save_binary(x + 0.3 * rng.standard_normal((10, p)), yp)
-    tracemalloc.start()
-    try:
-        rc = main(["build", str(xp), str(yp), "--lambda", "0", "--out", str(tmp_path / "o")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rc == 0
-    assert len(read_lines(tmp_path / "o" / "edges_lambda_0.csv")) == 1 + p * (p - 1) // 2
-    # one dense p x p float64 matrix is 8 * p**2 bytes = 7.6 MiB
-    assert peak < 6 * 8 * p**2
+    paths = []
+    for tag in ("a", "b"):
+        x = rng.standard_normal((10, p))
+        for name, values in (("x", x), ("y", x + 0.3 * rng.standard_normal((10, p)))):
+            paths.append(tmp_path / f"{tag}_{name}.bin")
+            save_binary(values, paths[-1])
+    paths = list(map(str, paths))
+    runs = {
+        "build": (["build", *paths[:2], "--lambda", "0"], p * (p - 1) // 2),
+        "build-no-symmetrize": (["build", *paths[:2], "--lambda", "0", "--no-symmetrize"],
+                                p * (p - 1)),
+        "compare": (["compare", *paths], None),
+    }
+    for tag, (argv, pairs) in runs.items():
+        out = tmp_path / tag
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        if pairs is not None:
+            assert len(read_lines(out / "edges_lambda_0.csv")) == 1 + pairs
+        # one dense p x p float64 matrix is 8 * p**2 bytes = 7.6 MiB
+        assert peak < 8 * p**2, tag
 
 
 def test_compare_same_group_twice(tmp_path, group_csvs):
@@ -444,9 +458,9 @@ def test_net_threads_env(tmp_path, group_csvs, monkeypatch):
 
 @pytest.fixture()
 def pipeline_calls(monkeypatch):
-    """Counts of the cross-correlations the inference and heritability layers
-    run, and of the spanning forests built, one per graph at the entry of the
-    forest core, which takes G graphs per call."""
+    """Counts of the cross-correlations the CLI, inference and heritability
+    layers run, and of the spanning forests built, one per graph at the entry
+    of the forest core, which takes G graphs per call."""
     calls = {"cross_correlate": 0, "forests": 0}
     lock = threading.Lock()  # replicates run on worker threads
 
@@ -460,6 +474,7 @@ def pipeline_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(crosscorr, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(inference, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(heritability, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(filtration, "_prim_forests", "forests", lambda rows, G, p: G)
@@ -472,9 +487,23 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     rc = main(["compare", x1, y1, x2, y2, "--kind", "both", "--permutations", "9",
                "--threads", "2", "--out", str(tmp_path / "cmp")])
     assert rc == 0
-    # the two groups once, then both permuted groups of the observed split
-    # and of each of the 9 replicates, once for both kinds
-    assert pipeline_calls == {"cross_correlate": 22, "forests": 22}
+    # one streamed forest per group, then both permuted groups of the
+    # observed split and of each of the 9 replicates as dense matrices, once
+    # for both kinds
+    assert pipeline_calls == {"cross_correlate": 20, "forests": 22}
+
+    pipeline_calls.update(cross_correlate=0, forests=0)
+    rc = main(["compare", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "cmp0")])
+    assert rc == 0
+    # without permutations: one streamed forest per group, and no dense matrix
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2}
+
+    pipeline_calls.update(cross_correlate=0, forests=0)
+    rc = main(["build", x1, y1, "--lambda", "0", "--lambda", "0.5",
+               "--out", str(tmp_path / "build")])
+    assert rc == 0
+    # one streamed forest for both lambdas; the edge files are streamed rows
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 1}
 
     pipeline_calls.update(cross_correlate=0, forests=0)
     cfg = SimConfig(n_obs=8, n_nodes=12, n_reps=3, seed=4)
@@ -500,10 +529,6 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
 
 
 @pytest.mark.parametrize("command, flags, batches", [
-    pytest.param("build", ["--lambda", "0.5"], 1, id="build"),
-    pytest.param("build --no-symmetrize", ["--lambda", "0.5", "--no-symmetrize"], 1,
-                 id="build-no-symmetrize"),
-    pytest.param("compare", [], 1, id="compare"),
     # one replicate batch in flight per thread, at most one per replicate
     pytest.param("compare", ["--permutations", "3", "--threads", "2"], 2,
                  id="compare-two-threads"),
@@ -514,8 +539,7 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
 ])
 def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsys, monkeypatch,
                                                      command, flags, batches):
-    name = command.split()[0]
-    n_paths = {"build": 2, "compare": 4, "simulate": 0}[name]
+    n_paths = {"compare": 4, "simulate": 0}[command]
     paths = [*group_csvs("a"), *group_csvs("b")][:n_paths]  # p = 18
     need = cli._DENSE_MATRICES[command] * batches * 8 * 18 * 18
     monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
@@ -531,17 +555,18 @@ def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsy
             m.setattr(module, "cross_correlate", no_dense)
         m.setattr(simulation, "_raw_group", no_data)
         out = tmp_path / "refused"
-        rc = main([name, *paths, *flags, "--out", str(out)])
+        rc = main([command, *paths, *flags, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"sparsecc {name}: error: 18 nodes need about" in err
+    assert f"sparsecc {command}: error: 18 nodes need about" in err
     assert "more than the 0.0 GiB of physical memory" in err
     assert not any(out.iterdir())
     monkeypatch.setattr(cli, "_physical_memory", lambda: need)
-    assert main([name, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
+    assert main([command, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
 
 
 def test_hgi_runs_where_one_dense_matrix_would_not_fit(tmp_path, group_csvs, monkeypatch):
+    # hgi, build and compare without permutations stream their rows
     paths = [*group_csvs("a"), *group_csvs("b")]  # p = 18
     monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 18 * 18 - 1)
 
@@ -555,6 +580,17 @@ def test_hgi_runs_where_one_dense_matrix_would_not_fit(tmp_path, group_csvs, mon
         assert main(["hgi", *paths, "--edge-threshold", "0", *sym, "--out", str(out)]) == 0
         assert len(read_lines(out / "hgi_edges.csv")) == 1 + 18 * 17 // 2
         assert len(read_lines(out / "hi.csv")) == 1 + 18
+
+        assert main(["build", *paths[:2], "--lambda", "0", "--lambda", "0.5", *sym,
+                     "--out", str(out / "build")]) == 0
+        pairs = 18 * 17 // (1 if sym else 2)
+        assert len(read_lines(out / "build" / "edges_lambda_0.csv")) == 1 + pairs
+        summary = read_lines(out / "build" / "summary.csv")
+        assert summary[1].startswith(f"0,{pairs},")
+        assert len(summary) == 3
+
+        assert main(["compare", *paths, *sym, "--out", str(out / "compare")]) == 0
+        assert len(list((out / "compare").glob("result_*.json"))) == 2
 
 
 def test_hgi_edge_file_refused_when_it_cannot_fit(tmp_path, group_csvs, monkeypatch, capsys):
@@ -587,6 +623,40 @@ def test_hgi_edge_file_refused_when_it_cannot_fit(tmp_path, group_csvs, monkeypa
     # the file a rerun replaces counts as free
     free = 0
     assert main(["hgi", *paths, "--edge-threshold", "0", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_build_edge_file_refused_when_it_cannot_fit(tmp_path, group_csvs, monkeypatch, capsys,
+                                                    symmetrize):
+    paths = group_csvs("a")  # p = 18
+    sym = [] if symmetrize else ["--no-symmetrize"]
+    # every pair's row holds its indices, two commas, a newline and 3 value bytes
+    # or more; a directed file holds every ordered pair
+    need = len("i,j,weight\n") + sum(len(f"{i},{j},\n") + 3 for i in range(18)
+                                      for j in range(18) if (i < j if symmetrize else i != j))
+    free = need - 1
+    monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: SimpleNamespace(free=free))
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    out = tmp_path / "refused"
+    with monkeypatch.context() as m:
+        m.setattr(crosscorr, "_product_blocks", no_rows)
+        assert main(["build", *paths, "--lambda", "0.5", "--lambda", "0", *sym,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"sparsecc build: error: edges_lambda_0.csv at --lambda 0 needs at least "
+                f"{need:,} bytes for 18 nodes, more than the {need - 1:,} bytes free") in err
+        assert "a positive --lambda is not checked" in err
+    assert not any(out.iterdir())
+    # a positive lambda can keep no edge at all, so it is never refused
+    free = 0
+    assert main(["build", *paths, "--lambda", "0.5", *sym, "--out", str(tmp_path / "kept")]) == 0
+
+    free = need
+    assert main(["build", *paths, "--lambda", "0", *sym, "--out", str(out)]) == 0
+    assert (out / "edges_lambda_0.csv").stat().st_size >= need
 
 
 def test_hgi_outputs_do_not_depend_on_block_size(tmp_path):
