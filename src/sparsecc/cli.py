@@ -8,7 +8,6 @@ byte-identical files regardless of the thread count.
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import sys
 from pathlib import Path
@@ -18,12 +17,6 @@ import numpy as np
 from . import crosscorr, dataset, filtration, heritability, inference, simulation
 from .errors import SparseCCError
 from ._parallel import resolve_threads
-
-# Dense p x p float64 matrices a command holds at its peak per replicate batch
-# in flight, one batch per thread, with headroom: tracemalloc at p = 600 and
-# one thread read 5.9 (compare --permutations) and 6.3 (simulate). Every other
-# pass computes its rows one at a time from the observations and holds none.
-_DENSE_MATRICES = {"compare": 6, "simulate": 7}
 
 _KINDS = {
     "count": (filtration.KIND_COMPONENTS,),
@@ -48,22 +41,6 @@ def _load_pair(x_path, y_path, fmt, policy="error"):
     x = dataset.ingest(x_path, format=fmt)
     y = dataset.ingest(y_path, format=fmt)
     return dataset.normalize_pair(x, y, zero_variance_policy=policy)
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_dense_fits(p: int, command: str, batches: int = 1) -> None:
-    """Refuse, before the first p x p allocation, a dense working set larger
-    than physical memory, rather than fail partway through the run.
-    ``batches`` is how many replicate batches run at once."""
-    need, have = _DENSE_MATRICES[command] * batches * 8 * p * p, _physical_memory()
-    if need > have:
-        raise SparseCCError(
-            f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p matrices, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
 
 
 def _check_edges_fit(p: int, threshold: float, path: Path, header: str, option: str,
@@ -92,12 +69,6 @@ def _check_edges_fit(p: int, threshold: float, path: Path, header: str, option: 
             f"more than the {have:,} bytes free under {path.parent} (a worst-case bound that "
             f"counts every pair; a positive {option} is not checked)"
         )
-
-
-def _batches_at_once(threads, replicates: int) -> int:
-    """An upper bound on the replicate batches in flight: one per thread, and
-    none without replicates."""
-    return min(resolve_threads(threads), replicates)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,6 +138,8 @@ def _cmd_build(args, out: Path) -> None:
         raise ValueError("--lambda must be >= 0")
     for k, lam in enumerate(args.lambdas):
         for m in args.lambdas[:k]:
+            if m == lam:  # also -0 and 0, which name two files
+                raise ValueError(f"--lambda {m!r} and {lam!r} are one level")
             if f"{m:g}" == f"{lam:g}":
                 raise ValueError(f"--lambda {m!r} and {lam!r} share edges_lambda_{lam:g}.csv")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
@@ -206,18 +179,18 @@ def _cmd_filtrate(args, out: Path) -> None:
 def _cmd_compare(args, out: Path) -> None:
     if args.permutations < 0:
         raise ValueError("--permutations must be >= 0")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
-    _check_dense_fits(ds1.n_nodes, "compare", _batches_at_once(args.threads, args.permutations))
     kinds = _KINDS[args.kind]
-    results = inference._compare_kinds(ds1, ds2, kinds, args.symmetrize)
-    if args.permutations > 0:
-        p_perm = inference._permutation_pvalues(
-            ds1, ds2, kinds, args.permutations, args.seed, args.symmetrize, args.threads
-        )
-        for kind, res in results.items():
+    # the permutations first, so that their size refusal precedes the streamed pass
+    p_perm = inference._permutation_pvalues(
+        ds1, ds2, kinds, args.permutations, args.seed, args.symmetrize, args.threads
+    ) if args.permutations else None
+    for kind, res in inference._compare_kinds(ds1, ds2, kinds, args.symmetrize).items():
+        if p_perm:
             res.p_permutation, res.n_perm, res.seed = p_perm[kind], args.permutations, args.seed
-    for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 
 
@@ -236,6 +209,8 @@ def _cmd_hgi(args, out: Path) -> None:
 
 
 def _cmd_simulate(args, out: Path) -> None:
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     cfg = simulation.SimConfig(
         n_obs=args.n_obs,
         n_nodes=args.n_nodes,
@@ -244,7 +219,6 @@ def _cmd_simulate(args, out: Path) -> None:
         n_reps=args.reps,
         seed=args.seed,
     )
-    _check_dense_fits(cfg.n_nodes, "simulate", _batches_at_once(args.threads, cfg.n_reps))
     rows = simulation.run_validation(cfg, symmetrize=args.symmetrize, threads=args.threads)
     simulation.write_summary_csv(rows, out / "summary.csv")
 

@@ -368,10 +368,9 @@ def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np
     run only where there is a tie. Requests each graph's rows once, in the
     order its nodes join, and keeps O(G p) state.
 
-    Permutation and study replicates call it on batches of up to 768 KiB of
-    weights (8 or 9 graphs at p = 100, see ``inference._BATCH_BYTES``). Each
-    graph's forest is the one it gets alone, so results depend neither on G
-    nor on the thread count.
+    Replicate batches (``inference._replicate_stats``) call it on up to
+    768 KiB of weights, 8 or 9 graphs at p = 100. Each graph's forest is the
+    one it gets alone, so results depend neither on G nor on thread count.
     """
     best = np.full(G * p, -np.inf)  # heaviest weight from each outside node to the forest
     src = np.zeros(G * p, dtype=np.intp)  # the step whose node is that edge's forest end

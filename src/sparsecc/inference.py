@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .crosscorr import AbsWeightBlocks, cross_correlate
 from .dataset import PairedDataset, _normalize_groups
-from .errors import CurveMismatch, NodeSetMismatch
+from .errors import CurveMismatch, NodeSetMismatch, SparseCCError
 from .filtration import (
     KIND_COMPONENTS,
     KINDS,
@@ -32,7 +34,7 @@ from .filtration import (
     _pair_weights,
     _streamed_curves,
 )
-from ._parallel import ordered_map
+from ._parallel import ordered_map, resolve_threads
 
 # The weights one replicate batch holds at most: 8 groups at p = 100, one
 # replicate from p = 157 on. Each thread holds one batch, so peak memory grows
@@ -123,8 +125,7 @@ def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1
 
 def _datasets_curves(datasets, symmetrize: bool) -> list[dict]:
     """The batched replicate engine: :func:`group_curves` of G normalized
-    groups on one node set at once, in order. Replicate groups come from
-    ``dataset._normalize_groups``, which normalizes them as stacks.
+    groups on one node set at once, in order.
 
     Each group's cross-correlation weights (``_pair_weights``) go straight
     into one ``(G, p, p)`` buffer, and one lockstep Prim pass builds all G
@@ -143,6 +144,38 @@ def _batches(n_reps: int, groups_per_rep: int, p: int):
     ``_BATCH_BYTES`` of p x p weights, and at least one."""
     size = max(1, _BATCH_BYTES // (groups_per_rep * 8 * p * p))
     return (range(a, min(a + size, n_reps)) for a in range(0, n_reps, size))
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _replicate_stats(raw_groups, statistic, n_reps, groups_per_rep, node_ids, symmetrize,
+                     threads):
+    """The replicate driver: ``statistic(*curves)`` of replicates 0 .. n_reps - 1
+    in order, ``curves`` being the curve dicts of replicate r's raw ``(x, y)``
+    groups ``raw_groups(r)``, computed in batches (:func:`_batches`) that the
+    ``threads`` workers share out. Before any batch runs, it raises
+    :class:`SparseCCError` if the batches in flight, the first ``threads``, do
+    not fit in physical memory: each holds its groups' p x p weights plus four
+    matrices of kernel temporaries (tracemalloc at p = 600 read 5.9 for one
+    permutation, 6.3 for one study repetition).
+    """
+    p = len(node_ids)
+    in_flight = islice(_batches(n_reps, groups_per_rep, p), resolve_threads(threads))
+    need = sum(len(reps) * groups_per_rep + 4 for reps in in_flight) * 8 * p * p
+    if need > (have := _physical_memory()):
+        raise SparseCCError(f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p "
+                            f"matrices, more than the {have / 2**30:.1f} GiB of physical memory")
+
+    def one_batch(reps: range) -> list:
+        groups = _normalize_groups([g for r in reps for g in raw_groups(r)], node_ids)
+        curves = _datasets_curves(groups, symmetrize)
+        return [statistic(*curves[k : k + groups_per_rep])
+                for k in range(0, len(curves), groups_per_rep)]
+
+    batches = ordered_map(one_batch, _batches(n_reps, groups_per_rep, p), threads)
+    return (stat for batch in batches for stat in batch)
 
 
 def _check_pair(ds1: PairedDataset, ds2: PairedDataset, kinds) -> None:
@@ -189,28 +222,27 @@ def compare_groups(
 def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, threads) -> dict:
     if n_perm < 1:
         raise ValueError("n_perm must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if ds1.n_obs < 2 or ds2.n_obs < 2:
         raise ValueError("each group needs at least 2 paired observations")
     _check_pair(ds1, ds2, kinds)
     x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
     n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
 
-    def sups(perms) -> list[np.ndarray]:
-        """Per permutation, the sup distance of every kind between its two groups."""
-        groups = _normalize_groups(
-            [(x[i], y[i]) for perm in perms for i in (perm[:n1], perm[n1:])], ds1.node_ids
-        )
-        curves = _datasets_curves(groups, symmetrize)
-        return [np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
-                for c1, c2 in zip(curves[::2], curves[1::2])]
+    def split(r: int) -> list:
+        """Replicate 0 is the observed split, r the permutation of stream (seed, r - 1)."""
+        perm = (np.random.default_rng(np.random.SeedSequence([seed, r - 1])).permutation(n_total)
+                if r else np.arange(n_total))
+        return [(x[i], y[i]) for i in (perm[:n1], perm[n1:])]
 
-    def one_batch(reps: range) -> list[np.ndarray]:
-        return sups([np.random.default_rng(np.random.SeedSequence([seed, rep])).permutation(n_total)
-                     for rep in reps])
+    def sups(c1, c2) -> np.ndarray:
+        """The sup distance of every kind between a replicate's two groups."""
+        return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
 
-    (d_obs,) = sups([np.arange(n_total)])
-    batches = ordered_map(one_batch, _batches(n_perm, 2, ds1.n_nodes), threads)
-    exceed = sum(d >= d_obs for batch in batches for d in batch)
+    d = _replicate_stats(split, sups, 1 + n_perm, 2, ds1.node_ids, symmetrize, threads)
+    d_obs = next(d)
+    exceed = sum(d_perm >= d_obs for d_perm in d)
     return {kind: (1 + int(e)) / (1 + n_perm) for kind, e in zip(kinds, exceed)}
 
 
@@ -231,12 +263,13 @@ def permutation_test(
     computed once. Replicate r draws from a stream seeded by (seed, r), so
     results depend neither on scheduling nor on the kinds asked.
 
-    Replicates run in batches of whole replicates, as many as hold at most
-    768 KiB of p x p weights (4 at p = 100, one from p = 157 on); a batch
-    normalizes its groups as stacks and builds their spanning forests in one
-    lockstep pass, and batches are what ``threads`` share out. Every group
-    keeps the arithmetic it has alone, so the p-values are identical at any
-    thread count. ``block_size`` has no effect.
+    The observed split and the replicates run in batches of whole splits (4 at
+    p = 100, one from p = 157 on) that normalize their groups as stacks and
+    build their forests in one lockstep pass; ``threads`` share out batches,
+    and every group keeps the arithmetic it has alone, so the p-values are
+    identical at any thread count. A node count whose batches in flight do not
+    fit in physical memory raises :class:`SparseCCError` before any runs.
+    ``block_size`` has no effect.
     """
     return _permutation_pvalues(ds1, ds2, (kind,), n_perm, seed, symmetrize, threads)[kind]
 

@@ -14,14 +14,12 @@ import numpy as np
 
 from .dataset import (
     PairedDataset,
-    _normalize_groups,
     _write_rows,
     default_node_ids,
     normalize_arrays,
 )
 from .filtration import KINDS
-from .inference import _batches, _datasets_curves, _ks_results
-from ._parallel import ordered_map
+from .inference import _ks_results, _replicate_stats
 
 
 @dataclass
@@ -40,6 +38,8 @@ class SimConfig:
             raise ValueError("n_dependent must lie in [0, n_nodes]")
         if not self.noise_sd > 0:
             raise ValueError("noise_sd must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -112,32 +112,25 @@ def run_validation(
     Emits one row per (comparison, kind) with the mean and standard deviation
     of the asymptotic p-values across repetitions. Each repetition computes
     the curves of its three groups once and compares every requested kind on
-    them. Repetitions run in batches through the replicate engine of
+    them. Repetitions run in batches through the replicate driver of
     :func:`~sparsecc.inference.permutation_test` (at most 768 KiB of p x p
     weights, 3 repetitions at p = 100), and batches are what ``threads``
     share out; every group keeps the arithmetic it has alone, so the rows are
-    identical at any thread count.
+    identical at any thread count. Batches in flight that do not fit in
+    physical memory raise ``SparseCCError`` before any data is drawn.
     """
     kinds = tuple(kinds)
     for k in kinds:
         if k not in KINDS:
             raise ValueError(f"unknown curve kind {k!r}")
-    node_ids = default_node_ids(cfg.n_nodes)
 
-    def one_batch(reps: range) -> list[dict]:
-        groups = _normalize_groups([g for rep in reps for g in _raw_triple(cfg, rep)], node_ids)
-        curves = _datasets_curves(groups, symmetrize)
-        out = []
-        for g1, g2, g3 in zip(curves[::3], curves[1::3], curves[2::3]):
-            p_values = {}
-            for comparison, other in (("null_vs_null", g2), ("null_vs_dependent", g3)):
-                for kind, res in _ks_results(g1, other, kinds).items():
-                    p_values[(comparison, kind)] = res.p_asymptotic
-            out.append(p_values)
-        return out
+    def p_values(g1, g2, g3) -> dict:
+        return {(comparison, kind): res.p_asymptotic
+                for comparison, other in (("null_vs_null", g2), ("null_vs_dependent", g3))
+                for kind, res in _ks_results(g1, other, kinds).items()}
 
-    batches = ordered_map(one_batch, _batches(cfg.n_reps, 3, cfg.n_nodes), threads)
-    reps = [r for batch in batches for r in batch]
+    reps = list(_replicate_stats(lambda rep: _raw_triple(cfg, rep), p_values, cfg.n_reps, 3,
+                                 default_node_ids(cfg.n_nodes), symmetrize, threads))
     rows = []
     for comparison in ("null_vs_null", "null_vs_dependent"):
         for kind in kinds:

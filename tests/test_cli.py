@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 import tracemalloc
@@ -133,11 +134,25 @@ def test_filtrate_raw_bins_rejected_before_ingest(tmp_path, capsys):
         pytest.param("build", ["--lambda", "0.1234561", "--lambda", "0.1234562"],
                      "--lambda 0.1234561 and 0.1234562 share edges_lambda_0.123456.csv",
                      id="build-same-edge-file"),
+        # -0 == 0, although the two levels would name two edge files
+        pytest.param("build", ["--lambda", "0", "--lambda", "-0"],
+                     "--lambda 0.0 and -0.0 are one level", id="build-zero-and-minus-zero"),
+        pytest.param("compare", ["--permutations", "5", "--seed", "-1"],
+                     "sparsecc compare: error: --seed must be >= 0", id="compare-negative-seed"),
+        pytest.param("simulate", ["--seed", "-2"], "sparsecc simulate: error: --seed must be >= 0",
+                     id="simulate-negative-seed"),
     ],
 )
-def test_out_of_range_numbers_rejected_before_ingest(tmp_path, group_csvs, capsys, command,
-                                                     flags, message):
-    paths = [*group_csvs("a"), *group_csvs("b")][: 2 if command == "build" else 4]
+def test_out_of_range_numbers_rejected_before_ingest(tmp_path, group_csvs, capsys, monkeypatch,
+                                                     command, flags, message):
+    n_paths = {"build": 2, "simulate": 0}.get(command, 4)
+    paths = [*group_csvs("a"), *group_csvs("b")][:n_paths]
+
+    def no_input(*args, **kwargs):
+        raise AssertionError("input was read")
+
+    monkeypatch.setattr(dataset, "ingest", no_input)
+    monkeypatch.setattr(simulation, "_raw_group", no_input)
     out = tmp_path / "out"
     rc = main([command, *paths, *flags, "--out", str(out)])
     assert rc == 1
@@ -528,21 +543,26 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
         assert directed == (tmp_path / "hgi" / name).read_bytes()
 
 
-@pytest.mark.parametrize("command, flags, batches", [
-    # one replicate batch in flight per thread, at most one per replicate
-    pytest.param("compare", ["--permutations", "3", "--threads", "2"], 2,
+@pytest.mark.parametrize("command, flags, replicates", [
+    # at p = 18 every replicate of a run is in one batch; compare's replicates
+    # are the observed split and its permutations
+    pytest.param("compare", ["--permutations", "3", "--threads", "2"], 4,
                  id="compare-two-threads"),
-    pytest.param("simulate", ["--n-nodes", "18", "--reps", "3", "--threads", "2"], 2,
+    pytest.param("simulate", ["--n-nodes", "18", "--reps", "3", "--threads", "2"], 3,
                  id="simulate-two-threads"),
     pytest.param("simulate", ["--n-nodes", "18", "--reps", "1", "--threads", "2"], 1,
                  id="simulate-one-rep"),
 ])
 def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsys, monkeypatch,
-                                                     command, flags, batches):
+                                                     command, flags, replicates):
     n_paths = {"compare": 4, "simulate": 0}[command]
     paths = [*group_csvs("a"), *group_csvs("b")][:n_paths]  # p = 18
-    need = cli._DENSE_MATRICES[command] * batches * 8 * 18 * 18
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    # each replicate batch in flight, one per thread, holds its groups' weights
+    # and four matrices of kernel temporaries
+    groups = {"compare": 2, "simulate": 3}[command]
+    in_flight = itertools.islice(inference._batches(replicates, groups, 18), 2)
+    need = sum(len(batch) * groups + 4 for batch in in_flight) * 8 * 18 * 18
+    monkeypatch.setattr(inference, "_physical_memory", lambda: need - 1)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("a p x p matrix was computed")
@@ -553,6 +573,7 @@ def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsy
     with monkeypatch.context() as m:
         for module in (crosscorr, heritability, inference):
             m.setattr(module, "cross_correlate", no_dense)
+        m.setattr(crosscorr, "_product_blocks", no_dense)  # nor the streamed pass
         m.setattr(simulation, "_raw_group", no_data)
         out = tmp_path / "refused"
         rc = main([command, *paths, *flags, "--out", str(out)])
@@ -561,14 +582,14 @@ def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsy
     assert f"sparsecc {command}: error: 18 nodes need about" in err
     assert "more than the 0.0 GiB of physical memory" in err
     assert not any(out.iterdir())
-    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    monkeypatch.setattr(inference, "_physical_memory", lambda: need)
     assert main([command, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
 
 
 def test_hgi_runs_where_one_dense_matrix_would_not_fit(tmp_path, group_csvs, monkeypatch):
     # hgi, build and compare without permutations stream their rows
     paths = [*group_csvs("a"), *group_csvs("b")]  # p = 18
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 * 18 * 18 - 1)
+    monkeypatch.setattr(inference, "_physical_memory", lambda: 8 * 18 * 18 - 1)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("a p x p matrix was computed")

@@ -21,7 +21,7 @@ from sparsecc import (
     random_pairing_null,
     sup_distance,
 )
-from sparsecc.errors import CurveMismatch
+from sparsecc.errors import CurveMismatch, SparseCCError
 
 from conftest import random_dataset
 
@@ -186,6 +186,8 @@ def test_permutation_validation(rng):
         permutation_test(ds, ds, n_perm=0)
     with pytest.raises(ValueError):
         permutation_test(ds, ds, kind="bogus", n_perm=1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        permutation_test(ds, ds, n_perm=1, seed=-1)
     small1 = random_dataset(rng, 3, 8)
     small2 = random_dataset(rng, 3, 8)
     assert 0 < permutation_test(small1, small2, n_perm=5, seed=1) <= 1
@@ -227,6 +229,29 @@ def test_permutation_batches_equal_one_replicate_at_a_time(rng):
     for kind, e in zip(kinds, exceed):
         expected = (1 + int(e)) / (1 + n_perm)
         assert permutation_test(ds1, ds2, kind, n_perm=n_perm, seed=3, threads=2) == expected
+
+
+@pytest.mark.parametrize("p, threads, in_flight", [
+    (18, 2, [4]),  # the observed split and 3 permutations are one batch
+    (160, 1, [1]),  # one split per batch from p = 157 on, one batch per thread
+    (160, 2, [1, 1]),
+])
+def test_permutation_refused_before_any_matrix(rng, monkeypatch, p, threads, in_flight):
+    # each batch in flight holds its groups' p x p weights and four matrices
+    # of kernel temporaries
+    ds1, ds2 = random_dataset(rng, 6, p), random_dataset(rng, 5, p)
+    need = sum(2 * splits + 4 for splits in in_flight) * 8 * p * p
+    monkeypatch.setattr(inference, "_physical_memory", lambda: need - 1)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a p x p matrix was computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(inference, "cross_correlate", no_dense)
+        with pytest.raises(SparseCCError, match=f"^{p} nodes need about .* of physical memory$"):
+            permutation_test(ds1, ds2, n_perm=3, threads=threads)
+    monkeypatch.setattr(inference, "_physical_memory", lambda: need)
+    assert 0 < permutation_test(ds1, ds2, n_perm=3, threads=threads) <= 1
 
 
 def test_permutation_detects_strong_difference():

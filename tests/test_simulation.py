@@ -13,7 +13,8 @@ from sparsecc import (
     run_validation,
     write_summary_csv,
 )
-from sparsecc import inference
+from sparsecc import inference, simulation
+from sparsecc.errors import SparseCCError
 from sparsecc.filtration import WeightedGraph
 
 
@@ -30,6 +31,8 @@ def test_config_validation():
         SimConfig(noise_sd=0.0)
     with pytest.raises(ValueError):
         SimConfig(n_dependent=101, n_nodes=100)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimConfig(seed=-2)
 
 
 def test_null_group_pairing_is_tight():
@@ -104,6 +107,29 @@ def test_run_validation_rows_unchanged_by_batching():
         for threads in (1, 2, 3):
             rows = run_validation(cfg, symmetrize=symmetrize, threads=threads)
             assert [v for r in rows for v in (r["mean_p"], r["sd_p"])] == expected[symmetrize]
+
+
+@pytest.mark.parametrize("n_nodes, threads, in_flight", [
+    (25, 2, [3]),  # 3 repetitions are one batch
+    (130, 1, [1]),  # one repetition per batch from p = 129 on, one batch per thread
+    (130, 2, [1, 1]),
+])
+def test_run_validation_refused_before_any_data(monkeypatch, n_nodes, threads, in_flight):
+    # each batch in flight holds its groups' p x p weights and four matrices
+    # of kernel temporaries
+    cfg = small_cfg(n_nodes=n_nodes, n_reps=3)
+    need = sum(3 * reps + 4 for reps in in_flight) * 8 * n_nodes * n_nodes
+    monkeypatch.setattr(inference, "_physical_memory", lambda: need - 1)
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("study data was drawn")
+
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "_raw_group", no_data)
+        with pytest.raises(SparseCCError, match=f"^{n_nodes} nodes need about .* physical memory$"):
+            run_validation(cfg, threads=threads)
+    monkeypatch.setattr(inference, "_physical_memory", lambda: need)
+    assert len(run_validation(cfg, threads=threads)) == 4
 
 
 def test_run_validation_single_rep_has_no_sd(tmp_path):
