@@ -3,9 +3,10 @@
 then the CLI's streamed ``build``, ``compare`` and ``hgi``.
 
 Builds two synthetic groups at the requested node count, computes both
-quantized filtration curves per group from one Prim pass over the row stream
-``AbsWeightBlocks.row(u)`` (each weight row computed once, the dense pair
-matrix never materialized), compares them, and reports timing and peak
+quantized filtration curves per group from one Prim pass over the rows of an
+``AbsWeightBlocks`` stream (each joining node's row computed against the nodes
+still outside the tree only, so every pair once, and the dense pair matrix
+never materialized), compares them, and reports timing and peak
 memory. It then writes both groups to binary files and runs three CLI
 commands on them, each in a child process: ``sparsecc build`` on the first
 group, ``sparsecc compare`` (no permutations) on both, and ``sparsecc hgi``

@@ -107,6 +107,14 @@ def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool, reverse: bool = T
     return b, c
 
 
+def _signed_row(x, y, u: int, J: slice, symmetrize: bool, reverse: bool = True):
+    """Row u of :func:`_signed_blocks` against the columns ``J`` as 1-D arrays
+    ``(b, c)``: one averaged row as both (``b is c``) when symmetrized, and
+    ``c = None`` for a directed row without ``reverse``."""
+    b, c = _signed_blocks(x, y, slice(u, u + 1), J, symmetrize, reverse)
+    return (b[0],) * 2 if b is c else (b[0], None if c is None else c[0])
+
+
 def _block_pairs(p: int, bs: int) -> list[tuple[int, int]]:
     """Starts (i0, j0) of the upper-triangle blocks, cut every bs nodes."""
     return [(i0, j0) for i0 in range(0, p, bs) for j0 in range(i0, p, bs)]
@@ -210,6 +218,11 @@ class AbsWeightBlocks:
     and column u of ``cross_correlate(ds, symmetrize=...).rho``, from which the
     exact filtration also takes its raw and directed weights. Under
     ``symmetrize`` both are the one averaged row (``b is c``), read once.
+
+    A streamed Prim pass (``filtration._streamed_curves``, and
+    ``filtration_curves_binned`` given this stream) does not read full rows:
+    :class:`_OutsideRows` computes each joining node's row against the nodes
+    still outside the forest only, with the same entries bitwise.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):
@@ -240,9 +253,7 @@ class AbsWeightBlocks:
         """``b[v] = x_u . y_w`` and ``c[v] = y_u . x_w`` for the nodes w = start + v
         from ``start`` on, or their average as both. Without ``reverse`` a
         directed stream skips ``c`` and gives None for it."""
-        J = slice(start, None)
-        b, c = _signed_blocks(self.ds.x, self.ds.y, slice(u, u + 1), J, self.symmetrize, reverse)
-        return (b[0],) * 2 if b is c else (b[0], None if c is None else c[0])
+        return _signed_row(self.ds.x, self.ds.y, u, slice(start, None), self.symmetrize, reverse)
 
     def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.abs(b) if b is c else np.maximum(np.abs(b), np.abs(c))
@@ -250,3 +261,46 @@ class AbsWeightBlocks:
     def __iter__(self):
         for pair in self.block_pairs():
             yield self.compute_block(pair)
+
+
+class _OutsideRows:
+    """The weight rows of one Prim pass over a stream, each computed against the
+    nodes still outside the forest only, so every pair is computed once.
+
+    Called once per node u, in the order the nodes join, it returns one p-long
+    buffer that every call reuses. The entries of the nodes not yet called
+    hold ``combine(b, c)`` of u's signed kernel rows to them, bitwise those of
+    ``stream._signed_rows(u)``. The other entries, u's own and those of the
+    nodes called before, are stale; ``filtration._prim_forests`` never reads
+    them.
+
+    The outside nodes' x and y columns are kept compacted in slots [0, m) of
+    one copy of the observations, stacked as ``(n, 2, p)`` so that a column
+    moves in one step. A joining node's columns swap, in O(n), with those of
+    the last outside slot, which then drops out, and its row is one kernel
+    call against the m slots left. ``node`` maps each slot to its node,
+    through which the m weights are written into the buffer. Memory is two
+    n x p copies and O(p).
+    """
+
+    def __init__(self, stream: AbsWeightBlocks, combine):
+        self.xy = np.stack((stream.ds.x, stream.ds.y), axis=1)
+        # (n, p) views, not contiguous along the observations, as the kernel needs
+        self.x, self.y = self.xy[:, 0], self.xy[:, 1]
+        self.symmetrize, self.combine = stream.symmetrize, combine
+        self.node = np.arange(stream.n_nodes)  # slot -> node
+        self.slot = np.arange(stream.n_nodes)  # node -> slot
+        self.m = stream.n_nodes  # slots [0, m) are outside
+        self.out = np.full(stream.n_nodes, -np.inf)
+
+    def __call__(self, u: int) -> np.ndarray:
+        self.m -= 1
+        m, s, xy, node = self.m, self.slot[u], self.xy, self.node
+        v = node[m]  # u swaps with v, whose slot m then leaves the outside slots
+        t = xy[..., s].copy()
+        xy[..., s] = xy[..., m]
+        xy[..., m] = t
+        node[s], node[m], self.slot[v], self.slot[u] = v, u, s, m
+        b, c = _signed_row(self.x, self.y, m, slice(0, m), self.symmetrize)
+        self.out[node[:m]] = self.combine(b, c)
+        return self.out

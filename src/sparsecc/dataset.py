@@ -222,6 +222,18 @@ def _normalize_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return centered, degenerate
 
 
+def _constant_when_permuted(values: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the columns of ``values`` that some k of its rows or more could
+    hold constant, by :func:`_normalize_columns`' rule: those in which some k
+    consecutive sorted values span at most sqrt(2) * ``_ZERO_VAR_RTOL`` *
+    max(max |column|, 1). A group's centered norm is at least its spread over
+    sqrt(2), so every column that such a group can make constant is flagged.
+    """
+    s = np.sort(values, axis=0)
+    span = (s[k - 1 :] - s[: len(s) - k + 1]).min(axis=0)
+    return span <= np.sqrt(2.0) * _ZERO_VAR_RTOL * np.maximum(np.abs(values).max(axis=0), 1.0)
+
+
 def _constant_signal(node_ids, bad: np.ndarray) -> ZeroVarianceNode:
     names = ", ".join(node_ids[i] for i in np.flatnonzero(bad))
     return ZeroVarianceNode(f"constant signal at nodes: {names}")

@@ -13,8 +13,10 @@ replicate engine ``inference._datasets_curves``, behind ``group_curves``,
 permutation replicates and ``simulate``) or are computed one at a time from
 the observations (``_streamed_curves`` and, snapped to a grid,
 ``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
-Every CLI pass over one group is streamed: ``build``, ``filtrate``,
-``compare`` and ``hgi``.
+A streamed row is computed only against the nodes still outside the forest
+(``crosscorr._OutsideRows``), the only entries Prim reads, so a streamed pass
+computes every pair once. Every CLI pass over one group is streamed:
+``build``, ``filtrate``, ``compare`` and ``hgi``.
 
 Conventions, fixed throughout:
   - an edge is present at level lam iff its weight strictly exceeds lam;
@@ -33,7 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import CrossCorrMatrix, SparseCrossCorr, _kept_pairs, sparse_network
+from .crosscorr import (
+    AbsWeightBlocks,
+    CrossCorrMatrix,
+    SparseCrossCorr,
+    _kept_pairs,
+    _OutsideRows,
+    sparse_network,
+)
 from .dataset import _write_rows
 from .errors import CurveMismatch, NodeSetMismatch
 
@@ -238,20 +247,19 @@ def _streamed_curves(
     stream, weight_transform: str = "absolute"
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
     """:func:`filtration_curves` of a stream's cross-correlation graph, with no
-    p x p matrix: the weight rows come from the stream's two signed kernel
-    rows, one node at a time, so memory is O(p) on top of the observations.
+    p x p matrix: each joining node's weight row comes from its two signed
+    kernel rows against the nodes still outside the forest
+    (``crosscorr._OutsideRows``), so every pair is computed once and memory is
+    O(p) on top of two copies of the observations.
 
-    ``stream`` is an :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Its rows are
-    bitwise those of :func:`~sparsecc.crosscorr.cross_correlate`, so curves
-    and merge events equal those of the dense graph
+    ``stream`` is an :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Its row
+    entries are bitwise those of :func:`~sparsecc.crosscorr.cross_correlate`,
+    so curves and merge events equal those of the dense graph
     ``WeightedGraph.from_crosscorr(cross_correlate(...))``.
     """
 
-    def row(u: int) -> np.ndarray:
-        b, c = stream._signed_rows(u)
-        return _pair_weights(b, weight_transform, c)
-
-    return _merge_log_curves(stream.n_nodes, *_prim_forests(row, 1, stream.n_nodes)[0])
+    rows = _OutsideRows(stream, lambda b, c: _pair_weights(b, weight_transform, c))
+    return _merge_log_curves(stream.n_nodes, *_prim_forests(rows, 1, stream.n_nodes)[0])
 
 
 def _merge_log_curves(
@@ -320,18 +328,23 @@ def filtration_curves_binned(
     Both curves are set by a maximum spanning forest alone, and snapping up is
     monotone, so a maximum spanning tree of the raw weights is one of the
     snapped graph too. The tree comes from the same Prim pass over streamed
-    rows that the exact curves run (each row computed once, as its node joins
-    the tree); its p - 1 edges are snapped, the zero-weight ones (absent pairs)
-    dropped, and the rest replayed through the same merge log. Memory is O(p)
-    on top of the n x p observations the stream holds, so O(p * n) in all; the
-    p x p weights are never stored.
+    rows that the exact curves run, each row computed once, as its node joins
+    the tree. An ``AbsWeightBlocks`` row is computed against the nodes still
+    outside the tree only (``crosscorr._OutsideRows``), so every pair is
+    computed once; any other stream's ``row(u)`` is read in full. The tree's
+    p - 1 edges are snapped, the zero-weight ones (absent pairs) dropped, and
+    the rest replayed through the same merge log. Memory is O(p) on top of the
+    n x p observations the stream holds and a copy of them, so O(p * n) in
+    all; the p x p weights are never stored.
 
     ``max_chunk_edges`` and ``threads`` are accepted for compatibility and
     unused: the Prim pass is sequential and holds no edge chunks.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    ii, jj, w = _prim_forests(cc_stream.row, 1, cc_stream.n_nodes)[0]
+    rows = (_OutsideRows(cc_stream, cc_stream._combine)
+            if isinstance(cc_stream, AbsWeightBlocks) else cc_stream.row)
+    ii, jj, w = _prim_forests(rows, 1, cc_stream.n_nodes)[0]
     q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins).astype(np.int64) - 1
     keep = q >= 0
     return _merge_log_curves(
@@ -354,8 +367,11 @@ def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np
     flat position g * p + v. ``rows(at)`` returns the weights from the nodes at
     positions ``at`` to the nodes of their graphs: for G = 1 ``at`` is an int
     (the node) and the result one row, otherwise ``at`` holds G positions and
-    the result is ``(G, p)``. -inf marks an absent pair and a node's own entry
-    is ignored. Each graph's edges come back as (i, j, w) with i < j.
+    the result is ``(G, p)``. -inf marks an absent pair. Only the entries of
+    nodes still outside the forest are read: those of the nodes that have
+    joined, the requested node's own included, are never read, so a row
+    source may leave them stale (``crosscorr._OutsideRows`` does). Each
+    graph's edges come back as (i, j, w) with i < j.
 
     Edges are ranked by the strict total order of a sorted Kruskal pass:
     higher weight first, then the smaller (i, j) pair. It decides both whether

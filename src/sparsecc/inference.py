@@ -24,8 +24,8 @@ from itertools import islice
 import numpy as np
 
 from .crosscorr import AbsWeightBlocks, cross_correlate
-from .dataset import PairedDataset, _normalize_groups
-from .errors import CurveMismatch, NodeSetMismatch, SparseCCError
+from .dataset import PairedDataset, _constant_when_permuted, _normalize_groups
+from .errors import CurveMismatch, NodeSetMismatch, SparseCCError, ZeroVarianceNode
 from .filtration import (
     KIND_COMPONENTS,
     KINDS,
@@ -229,6 +229,12 @@ def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, threads) -> 
     _check_pair(ds1, ds2, kinds)
     x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
     n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
+    # refused up front, not when some replicate happens to draw such a group
+    k = min(n1, ds2.n_obs)
+    if (risky := _constant_when_permuted(x, k) | _constant_when_permuted(y, k)).any():
+        names = ", ".join(ds1.node_ids[i] for i in np.flatnonzero(risky))
+        raise ZeroVarianceNode(f"a permuted group of {k} observations could have a constant "
+                               f"signal at nodes: {names}")
 
     def split(r: int) -> list:
         """Replicate 0 is the observed split, r the permutation of stream (seed, r - 1)."""
@@ -268,8 +274,10 @@ def permutation_test(
     build their forests in one lockstep pass; ``threads`` share out batches,
     and every group keeps the arithmetic it has alone, so the p-values are
     identical at any thread count. A node count whose batches in flight do not
-    fit in physical memory raises :class:`SparseCCError` before any runs.
-    ``block_size`` has no effect.
+    fit in physical memory raises :class:`SparseCCError` before any runs, and
+    so does a column that a permuted group could hold constant
+    (:class:`ZeroVarianceNode`, naming its nodes): one in which min(n1, n2)
+    pooled values are equal, or nearly so. ``block_size`` has no effect.
     """
     return _permutation_pvalues(ds1, ds2, (kind,), n_perm, seed, symmetrize, threads)[kind]
 

@@ -359,6 +359,27 @@ def test_compare_with_permutations(tmp_path, group_csvs):
     assert not (out / "result_largest_component_size.json").exists()
 
 
+def test_compare_permutations_refuse_a_column_a_permuted_group_could_hold_constant(
+        tmp_path, capsys):
+    # nine equal raw values per group in column v3: no input column is constant,
+    # but a permuted group of 10 could draw ten equal values
+    rng = np.random.default_rng(5)
+    paths = []
+    for tag in ("a", "b"):
+        x, y = rng.standard_normal((10, 6)), rng.standard_normal((10, 6))
+        x[:9, 2] = 1.5
+        paths += [tmp_path / f"{tag}_x.csv", tmp_path / f"{tag}_y.csv"]
+        dataset.save_csv(x, paths[-2])
+        dataset.save_csv(y, paths[-1])
+    paths = [str(path) for path in paths]
+    out = tmp_path / "refused"
+    assert main(["compare", *paths, "--permutations", "50", "--out", str(out)]) == 1
+    assert ("sparsecc compare: error: a permuted group of 10 observations could have a "
+            "constant signal at nodes: v3") in capsys.readouterr().err
+    assert not list(out.glob("result_*.json"))
+    assert main(["compare", *paths, "--out", str(tmp_path / "observed")]) == 0
+
+
 def test_compare_binary_inputs(tmp_path):
     rng = np.random.default_rng(5)
     paths = []

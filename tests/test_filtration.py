@@ -331,6 +331,22 @@ def test_forest_matches_all_pairs_kruskal_on_ties(rng):
             forests = filtration._prim_forests(stack.reshape(G * p, p).__getitem__, G, p)
             for (w, d, t), curves, forest in zip(graphs, filtration._forest_curves(stack), forests):
                 assert_curves_match_kruskal(w, d, t, curves, forest)
+    # the core never reads a row's entries of nodes that have joined (the row's
+    # own node included), which the streamed row source leaves stale
+    for _ in range(100):
+        p = int(rng.integers(2, 13))
+        w, d, t = tied_graph(rng, p)
+        pw, joined = filtration._pair_weights(w, t, w.T if d else None), []
+
+        def rows(at):
+            joined.append(at)
+            r = pw[at].copy()
+            r[joined] = np.inf
+            return r
+
+        forest = filtration._prim_forests(rows, 1, p)[0]
+        assert len(set(joined)) == len(joined) == p - 1  # each row requested once
+        assert_curves_match_kruskal(w, d, t, filtration._merge_log_curves(p, *forest), forest)
 
 
 def test_forest_choice_among_equal_weights_sets_merged_sizes():
@@ -510,19 +526,25 @@ def test_binned_equals_exact_curves_of_snapped_weights(rng, symmetrize):
 
 
 def test_binned_computes_each_weight_row_once(rng, monkeypatch):
-    calls = 0
+    calls = entries = 0
     product = crosscorr._product_blocks
 
     def counted(x, y):
-        nonlocal calls
+        nonlocal calls, entries
         calls += 1
+        entries += x.shape[1] * y.shape[1]
         return product(x, y)
 
     monkeypatch.setattr(crosscorr, "_product_blocks", counted)
     p = 200
     ds = random_dataset(rng, 8, p)
+    # each joining node's two directed products run against the nodes still
+    # outside the forest only, so every pair is computed once in each direction
     filtration_curves_binned(AbsWeightBlocks(ds, block_size=8), n_bins=1000)
-    assert 0 < calls <= 2 * p
+    assert (calls, entries) == (2 * (p - 1), p * (p - 1))
+    calls = entries = 0
+    filtration._streamed_curves(AbsWeightBlocks(ds, symmetrize=False))
+    assert (calls, entries) == (2 * (p - 1), p * (p - 1))
 
 
 def test_binned_memory_stays_linear_in_nodes(rng):

@@ -21,7 +21,7 @@ from sparsecc import (
     random_pairing_null,
     sup_distance,
 )
-from sparsecc.errors import CurveMismatch, SparseCCError
+from sparsecc.errors import CurveMismatch, SparseCCError, ZeroVarianceNode
 
 from conftest import random_dataset
 
@@ -252,6 +252,29 @@ def test_permutation_refused_before_any_matrix(rng, monkeypatch, p, threads, in_
             permutation_test(ds1, ds2, n_perm=3, threads=threads)
     monkeypatch.setattr(inference, "_physical_memory", lambda: need)
     assert 0 < permutation_test(ds1, ds2, n_perm=3, threads=threads) <= 1
+
+
+def test_permutation_refuses_a_column_a_permuted_group_could_hold_constant(rng, monkeypatch):
+    # no group's column v3 is constant, but nine equal raw values in each make
+    # 18 equal pooled values, of which a permuted group of 10 can draw only them
+    groups = []
+    for _ in range(2):
+        x, y = rng.standard_normal((10, 6)), rng.standard_normal((10, 6))
+        x[:9, 2] = 1.5
+        groups.append(normalize_arrays(x, y))
+
+    def no_curves(*args, **kwargs):
+        raise AssertionError("a replicate's curves were computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(inference, "_datasets_curves", no_curves)
+        with pytest.raises(ZeroVarianceNode, match="^a permuted group of 10 observations "
+                                                   "could have a constant signal at nodes: v3$"):
+            permutation_test(*groups, n_perm=50, seed=0)
+    # one equal value fewer in a group, and no group of 10 can draw only equal values
+    x, y = rng.standard_normal((10, 6)), rng.standard_normal((10, 6))
+    x[:8, 2] = 1.5
+    assert 0 < permutation_test(groups[0], normalize_arrays(x, y), n_perm=50, seed=0) <= 1
 
 
 def test_permutation_detects_strong_difference():
