@@ -183,14 +183,9 @@ def _cmd_compare(args, out: Path) -> None:
         raise ValueError("--seed must be >= 0")
     ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
-    kinds = _KINDS[args.kind]
-    # the permutations first, so that their size refusal precedes the streamed pass
-    p_perm = inference._permutation_pvalues(
-        ds1, ds2, kinds, args.permutations, args.seed, args.symmetrize, args.threads
-    ) if args.permutations else None
-    for kind, res in inference._compare_kinds(ds1, ds2, kinds, args.symmetrize).items():
-        if p_perm:
-            res.p_permutation, res.n_perm, res.seed = p_perm[kind], args.permutations, args.seed
+    results = inference._compare_kinds(ds1, ds2, _KINDS[args.kind], args.symmetrize,
+                                       args.permutations, args.seed, args.threads)
+    for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 
 

@@ -195,14 +195,41 @@ def _ks_results(curves1: dict, curves2: dict, kinds) -> dict[str, KSResult]:
     return results
 
 
-def _compare_kinds(ds1, ds2, kinds, symmetrize) -> dict[str, KSResult]:
-    """:func:`compare_groups` of every kind in ``kinds``, with no p x p matrix:
-    each group's curves come from its streamed spanning forest
-    (``filtration._streamed_curves``), bitwise those of :func:`group_curves`."""
+def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
+                   threads=None) -> dict[str, KSResult]:
+    """The two-group comparison: :func:`compare_groups` of every kind in ``kinds``,
+    each group's curves once, from its streamed spanning forest (bitwise those of
+    :func:`group_curves`), and with ``n_perm`` > 0 the :func:`permutation_test`
+    p-value of each reported ``d_raw``, refused before the streamed pass."""
     _check_pair(ds1, ds2, kinds)
+    if n_perm:
+        x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
+        n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
+        # refused up front, not when some permutation happens to draw such a group
+        k = min(n1, ds2.n_obs)
+        if (risky := _constant_when_permuted(x, k) | _constant_when_permuted(y, k)).any():
+            names = ", ".join(ds1.node_ids[i] for i in np.flatnonzero(risky))
+            raise ZeroVarianceNode(f"a permuted group of {k} observations could have a "
+                                   f"constant signal at nodes: {names}")
+
+        def split(r: int) -> list:
+            perm = np.random.default_rng(np.random.SeedSequence([seed, r])).permutation(n_total)
+            return [(x[i], y[i]) for i in (perm[:n1], perm[n1:])]
+
+        def sups(c1, c2) -> np.ndarray:
+            return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
+
+        # refuses now; its batches start only when read, after the streamed pass
+        d_perm = _replicate_stats(split, sups, n_perm, 2, ds1.node_ids, symmetrize, threads)
     streams = (AbsWeightBlocks(ds, symmetrize=symmetrize) for ds in (ds1, ds2))
     curves = [dict(zip(KINDS, _streamed_curves(stream)[:2])) for stream in streams]
-    return _ks_results(*curves, kinds)
+    results = _ks_results(*curves, kinds)
+    if n_perm:
+        d_obs = np.array([res.d_raw for res in results.values()])
+        exceed = sum(d >= d_obs for d in d_perm)
+        for res, e in zip(results.values(), exceed):
+            res.p_permutation, res.n_perm, res.seed = (1 + int(e)) / (1 + n_perm), n_perm, seed
+    return results
 
 
 def compare_groups(
@@ -219,39 +246,6 @@ def compare_groups(
     return _compare_kinds(ds1, ds2, (kind,), symmetrize)[kind]
 
 
-def _permutation_pvalues(ds1, ds2, kinds, n_perm, seed, symmetrize, threads) -> dict:
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    if ds1.n_obs < 2 or ds2.n_obs < 2:
-        raise ValueError("each group needs at least 2 paired observations")
-    _check_pair(ds1, ds2, kinds)
-    x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
-    n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
-    # refused up front, not when some replicate happens to draw such a group
-    k = min(n1, ds2.n_obs)
-    if (risky := _constant_when_permuted(x, k) | _constant_when_permuted(y, k)).any():
-        names = ", ".join(ds1.node_ids[i] for i in np.flatnonzero(risky))
-        raise ZeroVarianceNode(f"a permuted group of {k} observations could have a constant "
-                               f"signal at nodes: {names}")
-
-    def split(r: int) -> list:
-        """Replicate 0 is the observed split, r the permutation of stream (seed, r - 1)."""
-        perm = (np.random.default_rng(np.random.SeedSequence([seed, r - 1])).permutation(n_total)
-                if r else np.arange(n_total))
-        return [(x[i], y[i]) for i in (perm[:n1], perm[n1:])]
-
-    def sups(c1, c2) -> np.ndarray:
-        """The sup distance of every kind between a replicate's two groups."""
-        return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
-
-    d = _replicate_stats(split, sups, 1 + n_perm, 2, ds1.node_ids, symmetrize, threads)
-    d_obs = next(d)
-    exceed = sum(d_perm >= d_obs for d_perm in d)
-    return {kind: (1 + int(e)) / (1 + n_perm) for kind, e in zip(kinds, exceed)}
-
-
 def permutation_test(
     ds1: PairedDataset,
     ds2: PairedDataset,
@@ -262,24 +256,30 @@ def permutation_test(
     block_size: int = 1024,
     threads: int | None = None,
 ) -> float:
-    """Group-label permutation p-value for the sup distance.
+    """Group-label permutation p-value for the sup distance ``d_raw`` that
+    :func:`compare_groups` reports: (1 + b) / (1 + n_perm), b the permutations
+    whose sup distance is at least ``d_raw``.
 
     Paired observations (rows) are pooled and reassigned to two groups of the
     original sizes; each permuted group is re-normalized and its curves are
-    computed once. Replicate r draws from a stream seeded by (seed, r), so
+    computed once. Permutation r draws from a stream seeded by (seed, r), so
     results depend neither on scheduling nor on the kinds asked.
 
-    The observed split and the replicates run in batches of whole splits (4 at
-    p = 100, one from p = 157 on) that normalize their groups as stacks and
-    build their forests in one lockstep pass; ``threads`` share out batches,
-    and every group keeps the arithmetic it has alone, so the p-values are
-    identical at any thread count. A node count whose batches in flight do not
-    fit in physical memory raises :class:`SparseCCError` before any runs, and
-    so does a column that a permuted group could hold constant
-    (:class:`ZeroVarianceNode`, naming its nodes): one in which min(n1, n2)
-    pooled values are equal, or nearly so. ``block_size`` has no effect.
+    The permutations run in batches of whole splits (4 at p = 100, one from
+    p = 157 on) that normalize their groups as stacks and build their forests
+    in one lockstep pass; ``threads`` share out batches, and every group keeps
+    the arithmetic it has alone, so the p-values are identical at any thread
+    count. A node count whose batches in flight do not fit in physical memory
+    raises :class:`SparseCCError` before any runs, and so does a column that a
+    permuted group could hold constant (:class:`ZeroVarianceNode`, naming its
+    nodes): one in which min(n1, n2) pooled values are equal, or nearly so.
+    ``block_size`` has no effect.
     """
-    return _permutation_pvalues(ds1, ds2, (kind,), n_perm, seed, symmetrize, threads)[kind]
+    if n_perm < 1:
+        raise ValueError("n_perm must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return _compare_kinds(ds1, ds2, (kind,), symmetrize, n_perm, seed, threads)[kind].p_permutation
 
 
 def random_pairing_null(ds: PairedDataset, seed: int = 0) -> PairedDataset:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsecc import normalize_arrays
+from sparsecc import KINDS, compare_groups, group_curves, normalize_arrays, sup_distance
 
 import worked_example
 
@@ -26,3 +26,29 @@ def random_dataset(rng, n_obs=12, n_nodes=10):
     x = rng.standard_normal((n_obs, n_nodes))
     y = rng.standard_normal((n_obs, n_nodes))
     return normalize_arrays(x, y)
+
+
+def tied_raw_groups():
+    """Two groups of 6 paired integer observations on 12 nodes, as raw
+    ``(x, y)`` pairs. Their ties make re-normalizing a group's pooled rows
+    change bits: the two observed groups rebuilt that way read sup distances
+    2 and 4 unsymmetrized, where their own curves read 3 and 5."""
+    v = np.random.default_rng(582).integers(-3, 4, size=(2, 2, 6, 12)).astype(float)
+    return [(v[g, 0], v[g, 1]) for g in range(2)]
+
+
+def permutation_oracle(ds1, ds2, n_perm, seed, symmetrize):
+    """{kind: (d_raw, p)} with d_raw from ``compare_groups`` and p = (1 + #{r :
+    d_r >= d_raw}) / (1 + n_perm), d_r computed one permutation at a time from
+    stream (seed, r) of the pooled rows."""
+    x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
+    n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
+    d_raw = {kind: compare_groups(ds1, ds2, kind, symmetrize).d_raw for kind in KINDS}
+    exceed = dict.fromkeys(KINDS, 0)
+    for r in range(n_perm):
+        perm = np.random.default_rng(np.random.SeedSequence([seed, r])).permutation(n_total)
+        c1, c2 = (group_curves(normalize_arrays(x[i], y[i]), symmetrize)
+                  for i in (perm[:n1], perm[n1:]))
+        for kind in KINDS:
+            exceed[kind] += sup_distance(c1[kind], c2[kind]) >= d_raw[kind]
+    return {kind: (d_raw[kind], (1 + exceed[kind]) / (1 + n_perm)) for kind in KINDS}

@@ -27,6 +27,7 @@ from sparsecc import (
 from sparsecc.cli import main
 
 import worked_example
+from conftest import permutation_oracle, tied_raw_groups
 
 
 @pytest.fixture()
@@ -359,6 +360,27 @@ def test_compare_with_permutations(tmp_path, group_csvs):
     assert not (out / "result_largest_component_size.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_compare_permutation_p_value_ranks_the_reported_d_raw(tmp_path, threads):
+    # integer inputs whose observed groups, rebuilt from their pooled rows,
+    # read another sup distance than the one reported
+    groups = tied_raw_groups()
+    paths = []
+    for g, (x, y) in enumerate(groups):
+        for tag, values in (("x", x), ("y", y)):
+            paths.append(str(tmp_path / f"{tag}{g}.csv"))
+            np.savetxt(paths[-1], values, fmt="%d", delimiter=",")
+    out = tmp_path / "cmp"
+    assert main(["compare", *paths, "--no-symmetrize", "--permutations", "199", "--seed", "0",
+                 "--threads", threads, "--out", str(out)]) == 0
+    ds1, ds2 = (dataset.normalize_arrays(x, y) for x, y in groups)
+    oracle = permutation_oracle(ds1, ds2, n_perm=199, seed=0, symmetrize=False)
+    for kind, (d_raw, p_value) in oracle.items():
+        blob = json.loads((out / f"result_{kind}.json").read_text())
+        assert (blob["d_raw"], blob["p_permutation"]) == (d_raw, p_value)
+        assert (blob["n_perm"], blob["seed"]) == (199, 0)
+
+
 def test_compare_permutations_refuse_a_column_a_permuted_group_could_hold_constant(
         tmp_path, capsys):
     # nine equal raw values per group in column v3: no input column is constant,
@@ -523,10 +545,9 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     rc = main(["compare", x1, y1, x2, y2, "--kind", "both", "--permutations", "9",
                "--threads", "2", "--out", str(tmp_path / "cmp")])
     assert rc == 0
-    # one streamed forest per group, then both permuted groups of the
-    # observed split and of each of the 9 replicates as dense matrices, once
-    # for both kinds
-    assert pipeline_calls == {"cross_correlate": 20, "forests": 22}
+    # one streamed forest per group, then both permuted groups of each of the
+    # 9 permutations as dense matrices, once for both kinds
+    assert pipeline_calls == {"cross_correlate": 18, "forests": 20}
 
     pipeline_calls.update(cross_correlate=0, forests=0)
     rc = main(["compare", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "cmp0")])
@@ -566,8 +587,8 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
 
 @pytest.mark.parametrize("command, flags, replicates", [
     # at p = 18 every replicate of a run is in one batch; compare's replicates
-    # are the observed split and its permutations
-    pytest.param("compare", ["--permutations", "3", "--threads", "2"], 4,
+    # are its permutations
+    pytest.param("compare", ["--permutations", "3", "--threads", "2"], 3,
                  id="compare-two-threads"),
     pytest.param("simulate", ["--n-nodes", "18", "--reps", "3", "--threads", "2"], 3,
                  id="simulate-two-threads"),

@@ -12,6 +12,7 @@ from sparsecc import (
     KIND_COMPONENTS,
     KIND_LARGEST,
     compare_groups,
+    crosscorr,
     exact_sup_tail,
     group_curves,
     inference,
@@ -23,7 +24,7 @@ from sparsecc import (
 )
 from sparsecc.errors import CurveMismatch, SparseCCError, ZeroVarianceNode
 
-from conftest import random_dataset
+from conftest import permutation_oracle, random_dataset, tied_raw_groups
 
 
 def curve(breakpoints, values, kind=KIND_COMPONENTS, n=None):
@@ -216,13 +217,15 @@ def test_permutation_batches_equal_one_replicate_at_a_time(rng):
 
     kinds = (KIND_COMPONENTS, KIND_LARGEST)
 
-    def sups(idx1, idx2):
-        c1, c2 = (group_curves(normalize_arrays(x[i], y[i])) for i in (idx1, idx2))
+    def sups(c1, c2):
         return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
 
-    d_obs = sups(np.arange(9), np.arange(9, 16))
+    def perm_sups(idx1, idx2):
+        return sups(*(group_curves(normalize_arrays(x[i], y[i])) for i in (idx1, idx2)))
+
+    d_obs = sups(group_curves(ds1), group_curves(ds2))
     exceed = sum(
-        sups(perm[:9], perm[9:]) >= d_obs
+        perm_sups(perm[:9], perm[9:]) >= d_obs
         for perm in (np.random.default_rng(np.random.SeedSequence([3, r])).permutation(16)
                      for r in range(n_perm))
     )
@@ -231,8 +234,18 @@ def test_permutation_batches_equal_one_replicate_at_a_time(rng):
         assert permutation_test(ds1, ds2, kind, n_perm=n_perm, seed=3, threads=2) == expected
 
 
+def test_permutation_ranks_the_reported_d_raw():
+    # tied data, where the observed groups rebuilt from their pooled rows read
+    # another sup distance than compare_groups reports
+    ds1, ds2 = (normalize_arrays(x, y) for x, y in tied_raw_groups())
+    expected = permutation_oracle(ds1, ds2, n_perm=199, seed=0, symmetrize=False)
+    assert expected == {KIND_COMPONENTS: (3, 0.86), KIND_LARGEST: (5, 0.55)}
+    for kind, (_, p_value) in expected.items():
+        assert permutation_test(ds1, ds2, kind, n_perm=199, seed=0, symmetrize=False) == p_value
+
+
 @pytest.mark.parametrize("p, threads, in_flight", [
-    (18, 2, [4]),  # the observed split and 3 permutations are one batch
+    (18, 2, [3]),  # the 3 permutations are one batch
     (160, 1, [1]),  # one split per batch from p = 157 on, one batch per thread
     (160, 2, [1, 1]),
 ])
@@ -248,6 +261,7 @@ def test_permutation_refused_before_any_matrix(rng, monkeypatch, p, threads, in_
 
     with monkeypatch.context() as m:
         m.setattr(inference, "cross_correlate", no_dense)
+        m.setattr(crosscorr, "_product_blocks", no_dense)  # nor the streamed pass
         with pytest.raises(SparseCCError, match=f"^{p} nodes need about .* of physical memory$"):
             permutation_test(ds1, ds2, n_perm=3, threads=threads)
     monkeypatch.setattr(inference, "_physical_memory", lambda: need)
