@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain, islice
 
 
@@ -43,6 +42,8 @@ def ordered_map(fn, items, threads: int | None = None):
         for item in chain(window, it):
             yield fn(item)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only runs that start a pool pay for it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque(pool.submit(fn, item) for item in window)
         for item in it:

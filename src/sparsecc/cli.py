@@ -3,13 +3,27 @@
 Subcommands wire the library into batch pipelines with machine-readable
 outputs only; reruns with identical inputs, seeds, and flags produce
 byte-identical files regardless of the thread count.
+
+The process starts no BLAS thread pool: before numpy loads, this module sets
+OPENBLAS_NUM_THREADS=1 unless the environment already sets it. No code path
+calls BLAS (see the crosscorr module), so the pool would only cost start-up
+time and a spinning worker's CPU. ``import sparsecc`` loads no numpy, so both
+``python -m sparsecc.cli`` and the ``sparsecc`` script get here first.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
+# This process makes no BLAS call (the product kernel is numpy's einsum loop),
+# so OpenBLAS's thread pool would only add start-up time and a spinning worker.
+# A value set by the user wins, and once numpy is loaded the pool exists.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import shutil
-import sys
 from pathlib import Path
 
 import numpy as np

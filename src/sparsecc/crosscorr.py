@@ -14,7 +14,8 @@ because ``PairedDataset`` stores ``x`` and ``y`` C-ordered, so no kernel
 operand is contiguous along the observations, the layout in which einsum sums
 them in another order. BLAS gemm is faster but sums by shape-dependent
 blocking, so it is not used. The two directed cross-correlations are averaged
-in ``_signed_blocks``.
+in ``_signed_blocks``. Since no code path calls BLAS, the CLI starts no BLAS
+thread pool (see ``cli``).
 """
 
 from __future__ import annotations

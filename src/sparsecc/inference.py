@@ -75,19 +75,21 @@ class KSResult:
 def sup_distance(c1: FiltrationCurve, c2: FiltrationCurve) -> int:
     """Max absolute difference between two step curves over all thresholds.
 
-    Both one-sided limits are evaluated at every breakpoint of either curve;
-    step functions cannot differ anywhere else.
+    Both curves are constant below their first breakpoint and between
+    consecutive breakpoints of either curve, so the difference takes every
+    value it has below all breakpoints or at one of them; a left limit equals
+    the value at the previous breakpoint. At each breakpoint of one curve its
+    own value is the next entry of ``values``.
     """
     if c1.kind != c2.kind:
         raise CurveMismatch(f"curve kinds differ: {c1.kind} vs {c2.kind}")
     if c1.n_nodes != c2.n_nodes:
         raise CurveMismatch(f"node counts differ: {c1.n_nodes} vs {c2.n_nodes}")
-    grid = np.union1d(c1.breakpoints, c2.breakpoints)
-    if grid.size == 0:
-        return int(abs(int(c1.values[0]) - int(c2.values[0])))
-    d_right = np.abs(c1.value_at(grid) - c2.value_at(grid)).max()
-    d_left = np.abs(c1.left_limit(grid) - c2.left_limit(grid)).max()
-    return int(max(d_right, d_left))
+    d = abs(int(c1.values[0]) - int(c2.values[0]))
+    for a, b in ((c1, c2), (c2, c1)):
+        if a.breakpoints.size:
+            d = max(d, int(np.abs(a.values[1:] - b.value_at(a.breakpoints)).max()))
+    return d
 
 
 def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:

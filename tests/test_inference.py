@@ -85,6 +85,25 @@ def test_sup_pseudometric_properties(rng):
         assert sup_distance(a, a) == 0
 
 
+def test_sup_matches_brute_force_evaluation(rng):
+    # breakpoints drawn from a coarse grid, so curves often share some and
+    # sometimes have none; each value is counted straight from the definition
+    def random_curve(kind):
+        bps = np.sort(rng.choice(np.linspace(0, 1, 8), int(rng.integers(0, 6)), replace=False))
+        vals = np.sort(rng.integers(1, 11, bps.size + 1))
+        return curve(bps, vals if kind == KIND_COMPONENTS else vals[::-1], kind, n=10)
+
+    def at(c, lam):
+        return int(c.values[int(np.sum(c.breakpoints <= lam))])
+
+    for _ in range(300):
+        kind = (KIND_COMPONENTS, KIND_LARGEST)[int(rng.integers(2))]
+        a, b = random_curve(kind), random_curve(kind)
+        grid = np.union1d(a.breakpoints, b.breakpoints)
+        probes = [-np.inf, np.inf, *grid, *(grid[1:] + grid[:-1]) / 2]
+        assert sup_distance(a, b) == max(abs(at(a, lam) - at(b, lam)) for lam in probes)
+
+
 # ---------------------------------------------------------------- ks_pvalue
 
 
