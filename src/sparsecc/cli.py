@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crosscorr, dataset, filtration, heritability, inference, simulation
+from . import crosscorr, dataset, filtration  # the other modules load in the commands using them
 from .errors import SparseCCError
 from ._parallel import resolve_threads
 
@@ -123,7 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kind", choices=("count", "largest", "both"), default="both")
     c.add_argument("--permutations", type=int, default=0)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--threads", type=int, default=None)
+    c.add_argument("--threads", type=int, default=None,
+                   help="workers sharing out permutations from 257 nodes on; smaller "
+                        "permutations run in larger batches on one thread")
     _add_common(c)
 
     h = sub.add_parser("hgi", help="heritability indices from MZ and DZ pairs")
@@ -142,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-dependent", type=int, default=10)
     s.add_argument("--reps", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=None)
+    s.add_argument("--threads", type=int, default=None,
+                   help="workers sharing out repetitions from 210 nodes on; smaller "
+                        "repetitions run in larger batches on one thread")
     _add_common(s)
     return ap
 
@@ -195,6 +199,8 @@ def _cmd_compare(args, out: Path) -> None:
         raise ValueError("--permutations must be >= 0")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    from . import inference
+
     ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
     results = inference._compare_kinds(ds1, ds2, _KINDS[args.kind], args.symmetrize,
@@ -206,6 +212,8 @@ def _cmd_compare(args, out: Path) -> None:
 def _cmd_hgi(args, out: Path) -> None:
     if not args.edge_threshold >= 0:
         raise ValueError("--edge-threshold must be >= 0")
+    from . import heritability
+
     mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
     dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
     heritability._check_twins(mz, dz)
@@ -220,6 +228,8 @@ def _cmd_hgi(args, out: Path) -> None:
 def _cmd_simulate(args, out: Path) -> None:
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
+    from . import simulation
+
     cfg = simulation.SimConfig(
         n_obs=args.n_obs,
         n_nodes=args.n_nodes,

@@ -385,7 +385,7 @@ def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np
     order its nodes join, and keeps O(G p) state.
 
     Replicate batches (``inference._replicate_stats``) call it on up to
-    768 KiB of weights, 8 or 9 graphs at p = 100. Each graph's forest is the
+    2 MiB of weights, 26 or 24 graphs at p = 100. Each graph's forest is the
     one it gets alone, so results depend neither on G nor on thread count.
     """
     best = np.full(G * p, -np.inf)  # heaviest weight from each outside node to the forest

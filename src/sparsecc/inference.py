@@ -36,12 +36,15 @@ from .filtration import (
 )
 from ._parallel import ordered_map, resolve_threads
 
-# The weights one replicate batch holds at most: 8 groups at p = 100, one
-# replicate from p = 157 on. Each thread holds one batch, so peak memory grows
-# with it: on `compare --permutations 200 --threads 2` at p = 100 this budget
-# read 4-5 % above one group at a time, 1 MiB 8-9.5 % (next to the benchmark's
-# 10 % bound) and 2 MiB 19 %, for 6 and 13 % less CPU.
-_BATCH_BYTES = 3 << 18
+# The p x p weights one replicate batch holds at most, spent on batch size
+# before threads: 13 permutations (26 groups) or 8 study repetitions (24 groups)
+# at p = 100, and such batches run one at a time, since their many small numpy
+# calls hold the interpreter lock and threads cannot overlap them. From p = 257
+# (permutations) or p = 210 (repetitions) on one replicate outgrows it, so each
+# batch is one replicate and the threads share them out. On
+# `compare --permutations 200` at p = 100, 3 and 8 MiB read the same CPU as
+# 2 MiB at 6.5 and 35 % more peak memory.
+_BATCH_BYTES = 1 << 21
 
 
 @dataclass(eq=False)
@@ -141,10 +144,14 @@ def _datasets_curves(datasets, symmetrize: bool) -> list[dict]:
     return [dict(zip(KINDS, curves[:2])) for curves in _forest_curves(w)]
 
 
+def _batch_size(groups_per_rep: int, p: int) -> int:
+    """Whole replicates that fit ``_BATCH_BYTES`` of p x p weights, and at least one."""
+    return max(1, _BATCH_BYTES // (groups_per_rep * 8 * p * p))
+
+
 def _batches(n_reps: int, groups_per_rep: int, p: int):
-    """Replicate ranges in order, each as many whole replicates as fit
-    ``_BATCH_BYTES`` of p x p weights, and at least one."""
-    size = max(1, _BATCH_BYTES // (groups_per_rep * 8 * p * p))
+    """Replicate ranges in order, each :func:`_batch_size` replicates but the last."""
+    size = _batch_size(groups_per_rep, p)
     return (range(a, min(a + size, n_reps)) for a in range(0, n_reps, size))
 
 
@@ -156,15 +163,22 @@ def _replicate_stats(raw_groups, statistic, n_reps, groups_per_rep, node_ids, sy
                      threads):
     """The replicate driver: ``statistic(*curves)`` of replicates 0 .. n_reps - 1
     in order, ``curves`` being the curve dicts of replicate r's raw ``(x, y)``
-    groups ``raw_groups(r)``, computed in batches (:func:`_batches`) that the
-    ``threads`` workers share out. Before any batch runs, it raises
-    :class:`SparseCCError` if the batches in flight, the first ``threads``, do
-    not fit in physical memory: each holds its groups' p x p weights plus four
-    matrices of kernel temporaries (tracemalloc at p = 600 read 5.9 for one
-    permutation, 6.3 for one study repetition).
+    groups ``raw_groups(r)``, computed in batches (:func:`_batches`).
+
+    Batches of several replicates (p <= 256 for two groups per replicate,
+    p <= 209 for three) run one at a time on the calling thread, whatever
+    ``threads`` says: their time is interpreter overhead, which threads cannot
+    overlap. Batches of one replicate are shared out among the ``threads``
+    workers. Before any batch runs, it raises :class:`SparseCCError` if the
+    batches in flight do not fit in physical memory: each holds its groups'
+    p x p weights plus four matrices of kernel temporaries (tracemalloc at
+    p = 600 read 5.9 for one permutation, 6.3 for one study repetition).
     """
     p = len(node_ids)
-    in_flight = islice(_batches(n_reps, groups_per_rep, p), resolve_threads(threads))
+    workers = resolve_threads(threads)  # checked also where it goes unused
+    if _batch_size(groups_per_rep, p) > 1:
+        workers = 1
+    in_flight = islice(_batches(n_reps, groups_per_rep, p), workers)
     need = sum(len(reps) * groups_per_rep + 4 for reps in in_flight) * 8 * p * p
     if need > (have := _physical_memory()):
         raise SparseCCError(f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p "
@@ -176,7 +190,7 @@ def _replicate_stats(raw_groups, statistic, n_reps, groups_per_rep, node_ids, sy
         return [statistic(*curves[k : k + groups_per_rep])
                 for k in range(0, len(curves), groups_per_rep)]
 
-    batches = ordered_map(one_batch, _batches(n_reps, groups_per_rep, p), threads)
+    batches = ordered_map(one_batch, _batches(n_reps, groups_per_rep, p), workers)
     return (stat for batch in batches for stat in batch)
 
 
@@ -267,14 +281,16 @@ def permutation_test(
     computed once. Permutation r draws from a stream seeded by (seed, r), so
     results depend neither on scheduling nor on the kinds asked.
 
-    The permutations run in batches of whole splits (4 at p = 100, one from
-    p = 157 on) that normalize their groups as stacks and build their forests
-    in one lockstep pass; ``threads`` share out batches, and every group keeps
-    the arithmetic it has alone, so the p-values are identical at any thread
-    count. A node count whose batches in flight do not fit in physical memory
-    raises :class:`SparseCCError` before any runs, and so does a column that a
-    permuted group could hold constant (:class:`ZeroVarianceNode`, naming its
-    nodes): one in which min(n1, n2) pooled values are equal, or nearly so.
+    The permutations run in batches of whole splits that normalize their
+    groups as stacks and build their forests in one lockstep pass: up to 2 MiB
+    of weights, 13 splits at p = 100, run one batch at a time. From p = 257 on
+    a batch is one split, and ``threads`` share out the batches. Every group
+    keeps the arithmetic it has alone, so the p-values are identical at any
+    thread count. A node count whose batches in flight do not fit in physical
+    memory raises :class:`SparseCCError` before any runs, and so does a column
+    that a permuted group could hold constant (:class:`ZeroVarianceNode`,
+    naming its nodes): one in which min(n1, n2) pooled values are equal, or
+    nearly so.
     ``block_size`` has no effect.
     """
     if n_perm < 1:

@@ -113,10 +113,11 @@ def run_validation(
     of the asymptotic p-values across repetitions. Each repetition computes
     the curves of its three groups once and compares every requested kind on
     them. Repetitions run in batches through the replicate driver of
-    :func:`~sparsecc.inference.permutation_test` (at most 768 KiB of p x p
-    weights, 3 repetitions at p = 100), and batches are what ``threads``
-    share out; every group keeps the arithmetic it has alone, so the rows are
-    identical at any thread count. Batches in flight that do not fit in
+    :func:`~sparsecc.inference.permutation_test`: up to 2 MiB of p x p
+    weights, 8 repetitions at p = 100, run one batch at a time. From p = 210
+    on a batch is one repetition, and ``threads`` share out the batches.
+    Every group keeps the arithmetic it has alone, so the rows are identical
+    at any thread count. Batches in flight that do not fit in
     physical memory raise ``SparseCCError`` before any data is drawn.
     """
     kinds = tuple(kinds)

@@ -18,6 +18,23 @@ def worked_ds(worked_raw):
 
 
 @pytest.fixture()
+def map_threads(monkeypatch):
+    """The ``threads`` argument of each ``ordered_map`` call the replicate
+    driver makes, in call order."""
+    from sparsecc import inference
+
+    seen = []
+    original = inference.ordered_map
+
+    def recording(fn, items, threads=None):
+        seen.append(threads)
+        return original(fn, items, threads)
+
+    monkeypatch.setattr(inference, "ordered_map", recording)
+    return seen
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
 

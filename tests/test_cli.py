@@ -585,6 +585,17 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
         assert directed == (tmp_path / "hgi" / name).read_bytes()
 
 
+def test_small_permutations_run_on_one_thread(tmp_path, group_csvs, map_threads):
+    # at p = 18 the 9 permutations are one batch, which runs on the calling
+    # thread although --threads asks for two
+    x1, y1 = group_csvs("one1")
+    x2, y2 = group_csvs("one2")
+    rc = main(["compare", x1, y1, x2, y2, "--permutations", "9", "--threads", "2",
+               "--out", str(tmp_path / "cmp")])
+    assert rc == 0
+    assert map_threads == [1]
+
+
 @pytest.mark.parametrize("command, flags, replicates", [
     # at p = 18 every replicate of a run is in one batch; compare's replicates
     # are its permutations

@@ -265,8 +265,8 @@ def test_permutation_ranks_the_reported_d_raw():
 
 @pytest.mark.parametrize("p, threads, in_flight", [
     (18, 2, [3]),  # the 3 permutations are one batch
-    (160, 1, [1]),  # one split per batch from p = 157 on, one batch per thread
-    (160, 2, [1, 1]),
+    (260, 1, [1]),  # one split per batch from p = 257 on, one batch per thread
+    (260, 2, [1, 1]),
 ])
 def test_permutation_refused_before_any_matrix(rng, monkeypatch, p, threads, in_flight):
     # each batch in flight holds its groups' p x p weights and four matrices
@@ -285,6 +285,19 @@ def test_permutation_refused_before_any_matrix(rng, monkeypatch, p, threads, in_
             permutation_test(ds1, ds2, n_perm=3, threads=threads)
     monkeypatch.setattr(inference, "_physical_memory", lambda: need)
     assert 0 < permutation_test(ds1, ds2, n_perm=3, threads=threads) <= 1
+
+
+def test_permutation_threads_share_out_batches_of_one_split(rng, map_threads):
+    # from p = 257 on a batch is one split, so the threads share the batches
+    # out; this keeps the pool path covered, and the p-values do not move
+    p = 260
+    assert len(next(inference._batches(10**6, 2, p))) == 1
+    assert len(next(inference._batches(10**6, 2, p - 4))) == 2
+    ds1, ds2 = random_dataset(rng, 7, p), random_dataset(rng, 6, p)
+    values = {t: [permutation_test(ds1, ds2, kind, n_perm=5, seed=2, threads=t)
+                  for kind in (KIND_COMPONENTS, KIND_LARGEST)] for t in (1, 2, 3)}
+    assert values[1] == values[2] == values[3]
+    assert map_threads == [1, 1, 2, 2, 3, 3]
 
 
 def test_permutation_refuses_a_column_a_permuted_group_could_hold_constant(rng, monkeypatch):

@@ -91,8 +91,8 @@ def test_run_validation_thread_invariance():
 
 
 def test_run_validation_rows_unchanged_by_batching():
-    # ten repetitions at p = 100 run as batches of 3, 3, 3 and 1; the values
-    # are those the study gave when every group was computed alone
+    # ten repetitions at p = 100 run as batches of 8 and 2; the values are
+    # those the study gave when every group was computed alone
     expected = {
         True: [0.34398971122701816, 0.2437502049020409, 0.01398229022915766,
                0.022913231766101123, 0.25032120820925857, 0.24996433211630295,
@@ -101,7 +101,7 @@ def test_run_validation_rows_unchanged_by_batching():
                 0.04804144657018474, 0.44049006583617006, 0.2717641136262137,
                 0.008046074545627054, 0.023833280849422447],
     }
-    assert [len(b) for b in inference._batches(10, 3, 100)] == [3, 3, 3, 1]
+    assert [len(b) for b in inference._batches(10, 3, 100)] == [8, 2]
     for symmetrize, n_dependent in ((True, 10), (False, 3)):
         cfg = SimConfig(n_obs=10, n_nodes=100, n_reps=10, seed=11, n_dependent=n_dependent)
         for threads in (1, 2, 3):
@@ -111,8 +111,8 @@ def test_run_validation_rows_unchanged_by_batching():
 
 @pytest.mark.parametrize("n_nodes, threads, in_flight", [
     (25, 2, [3]),  # 3 repetitions are one batch
-    (130, 1, [1]),  # one repetition per batch from p = 129 on, one batch per thread
-    (130, 2, [1, 1]),
+    (210, 1, [1]),  # one repetition per batch from p = 210 on, one batch per thread
+    (210, 2, [1, 1]),
 ])
 def test_run_validation_refused_before_any_data(monkeypatch, n_nodes, threads, in_flight):
     # each batch in flight holds its groups' p x p weights and four matrices

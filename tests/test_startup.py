@@ -1,4 +1,5 @@
-"""Process start: ``import sparsecc`` is lazy, and the CLI starts no BLAS pool.
+"""Process start: ``import sparsecc`` is lazy, the CLI starts no BLAS pool, and
+a command loads only the sparsecc modules it uses.
 
 Each case runs in a fresh interpreter, since numpy reads the BLAS thread
 variable once, when it is first imported.
@@ -99,3 +100,17 @@ def test_cli_keeps_a_value_the_user_set():
 
 def test_cli_sets_nothing_once_numpy_is_loaded():
     assert child("import numpy\nimport sparsecc.cli")["var"] is None
+
+
+def test_filtrate_loads_no_replicate_or_twin_modules(tmp_path):
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    argv = ["filtrate", str(inputs / "mz_x.csv"), str(inputs / "mz_y.csv"), "--out", str(tmp_path)]
+    code = f"""
+import sys
+import sparsecc.cli
+assert sparsecc.cli.main({argv!r}) == 0
+loaded = [m for m in ("inference", "heritability", "simulation") if "sparsecc." + m in sys.modules]
+assert not loaded, loaded
+"""
+    assert child(code)["numpy"]
+    assert (tmp_path / "merge_events.csv").is_file()
