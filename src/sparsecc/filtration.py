@@ -5,14 +5,18 @@ of binary graphs. Two integer step functions summarize it: the number of
 connected components (non-decreasing in the threshold) and the size of the
 largest component (non-increasing). Both change only at the weights of a
 maximum spanning forest, so every filtration builds that forest by one Prim
-pass over weight rows (``_prim_forests``, which runs G graphs in lockstep)
-and gets both curves by replaying its at most p - 1 edges through a
-union-find. The rows come from a dense weight matrix (``filtration_curves``,
-the library's graph path), a stack of them (``_forest_curves``, the batched
-replicate engine ``inference._datasets_curves``, behind ``group_curves``,
-permutation replicates and ``simulate``) or are computed one at a time from
-the observations (``_streamed_curves`` and, snapped to a grid,
-``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
+pass over weight rows (``_prim_steps``, which runs G graphs in lockstep).
+A group's curves come from replaying the forest's at most p - 1 edges
+through a union-find (``_merge_log_curves``), which also lists the merge
+events. The rows come from a dense weight matrix (``filtration_curves``, the
+library's graph path), a stack of them (``_forest_curves``, behind
+``group_curves``) or are computed one at a time from the observations
+(``_streamed_curves`` and, snapped to a grid, ``filtration_curves_binned``),
+so the streamed paths hold no p x p matrix. Replicates (permutations and
+``simulate``'s repetitions, through ``inference._replicate_stats``) need
+only the sup distances between two graphs' curves: ``_forest_sups`` reads
+them for a stack of graphs straight from the Prim step weights, with no
+curve, merge log or union-find.
 A streamed row is computed only against the nodes still outside the forest
 (``crosscorr._OutsideRows``), the only entries Prim reads, so a streamed pass
 computes every pair once. Every CLI pass over one group is streamed:
@@ -354,13 +358,83 @@ def filtration_curves_binned(
 
 def _forest_curves(w: np.ndarray) -> list[tuple[FiltrationCurve, FiltrationCurve, MergeEvents]]:
     """Curves and merge log of each graph in a ``(G, p, p)`` stack of
-    undirected weights (``_pair_weights``), all G forests built at once: the
-    batched replicate engine's, ``inference._datasets_curves``."""
+    undirected weights (``_pair_weights``), all G forests built at once."""
     G, p = w.shape[:2]
     return [_merge_log_curves(p, *f) for f in _prim_forests(w.reshape(G * p, p).__getitem__, G, p)]
 
 
+def _forest_sups(w: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """``inference.sup_distance`` between the curves of graphs ``first[k]`` and
+    ``second[k]`` of a ``(G, p, p)`` stack of undirected weights
+    (``_pair_weights``), as a ``(len(first), 2)`` integer array in ``KINDS``
+    order. All G forests are built at once, and no curve is: both sups come
+    from the forests' Prim step weights in one vectorised pass.
+
+    Below level lam the component count is p minus the steps heavier than lam.
+    Prim finishes each single-linkage component before it leaves it (Gower &
+    Ross, 1969), so at every level each component is a run of consecutive
+    steps: at a step's own weight v, its component is the run of steps of
+    weight >= v around it, one node more than the run is long. Each run is
+    found by doubling over a sparse table of minima, and the largest
+    component below lam is the largest run of a step heavier than lam. Each
+    pair's steps are merged in descending weight order, and both differences
+    are read after each distinct weight: every value either curve takes.
+    """
+    G, p = w.shape[:2]
+    n = p - 1
+    ww = _prim_steps(w.reshape(G * p, p).__getitem__, G, p)[2].T  # (G, n); -inf starts a tree
+    # table[k][g, 1 + s]: the least weight of graph g's steps s .. s + 2**k - 1,
+    # NaN where that runs past the last step and on either side of the steps,
+    # so that every run ends there
+    width = n + 2
+    table = [np.full((G, width), np.nan)]
+    table[0][:, 1:-1] = ww
+    while 1 << len(table) <= n:
+        half = 1 << (len(table) - 1)
+        t = np.full((G, width), np.nan)
+        np.minimum(table[-1][:, 1 : -1 - half], table[-1][:, 1 + half : -1],
+                   out=t[:, 1 : -1 - half])
+        table.append(t)
+    first_step = np.arange(G)[:, None] * width + 1
+    lo = hi = first_step + np.arange(n)  # each step's run, steps lo .. hi, as flat table positions
+    for k in reversed(range(len(table))):
+        t, span = table[k].ravel(), 1 << k
+        start = np.maximum(lo - span, first_step - 1)
+        lo = np.where(t.take(start) >= ww, start, lo)
+        hi = np.where(t.take(hi + 1) >= ww, hi + span, hi)
+
+    # a pair's 2n steps in descending weight order; a step that starts a tree
+    # counts as an edge of weight -inf: those sort last, where both graphs read
+    # as one tree and both differences as 0
+    wt = np.concatenate((ww[first], ww[second]), axis=1)
+    order = np.argsort(-wt, axis=1)
+    flat = order + np.arange(len(first))[:, None] * (2 * n)
+    wt = wt.take(flat)
+    size = hi - lo + 2
+    size = np.concatenate((size[first], size[second]), axis=1).take(flat)
+    of_first = order < n
+    last = np.ones(wt.shape, dtype=bool)  # the last step of each distinct weight
+    np.not_equal(wt[:, 1:], wt[:, :-1], out=last[:, :-1])
+    count = np.cumsum(np.where(of_first, 1, -1), axis=1)
+    largest = [np.maximum.accumulate(np.where(of_first == side, size, 1), axis=1)
+               for side in (True, False)]
+    diffs = (np.abs(count), np.abs(largest[0] - largest[1]))
+    return np.stack([np.where(last, d, 0).max(axis=1, initial=0) for d in diffs], axis=1)
+
+
 def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Maximum spanning forests of G graphs on p nodes: each graph's edges as
+    (i, j, w) with i < j, from the steps of :func:`_prim_steps`."""
+    joined, ends, ww = _prim_steps(rows, G, p)
+    forests = []
+    for g in range(G):
+        edge = ww[:, g] != -np.inf
+        i, j = joined[edge, g], ends[edge, g]
+        forests.append((np.minimum(i, j), np.maximum(i, j), ww[edge, g]))
+    return forests
+
+
+def _prim_steps(rows, G: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum spanning forests (Prim, 1957) of G graphs on p nodes, built in
     lockstep. This is the one spanning-forest core: every filtration calls it,
     the streamed and single-graph ones with G = 1. Node v of graph g sits at
@@ -370,8 +444,11 @@ def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np
     the result is ``(G, p)``. -inf marks an absent pair. Only the entries of
     nodes still outside the forest are read: those of the nodes that have
     joined, the requested node's own included, are never read, so a row
-    source may leave them stale (``crosscorr._OutsideRows`` does). Each
-    graph's edges come back as (i, j, w) with i < j.
+    source may leave them stale (``crosscorr._OutsideRows`` does).
+
+    Returns three ``(p - 1, G)`` arrays: the node that step s adds to graph g,
+    the forest node it joins, and the weight of that edge, -inf where the step
+    starts a new tree.
 
     Edges are ranked by the strict total order of a sorted Kruskal pass:
     higher weight first, then the smaller (i, j) pair. It decides both whether
@@ -438,10 +515,4 @@ def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np
         ww.append(w)
     joins[p - 1] = at
     ends = joins[src[joins[1:]], np.arange(G)] - offsets  # fixed once a node has joined
-    ww = np.array(ww).reshape(p - 1, G)
-    forests = []
-    for g in range(G):
-        edge = ww[:, g] != -np.inf
-        i, j = joins[1:][edge, g] - offsets[g], ends[edge, g]
-        forests.append((np.minimum(i, j), np.maximum(i, j), ww[edge, g]))
-    return forests
+    return joins[1:] - offsets, ends, np.array(ww).reshape(p - 1, G)

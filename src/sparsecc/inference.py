@@ -19,7 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .filtration import (
     KINDS,
     FiltrationCurve,
     _forest_curves,
+    _forest_sups,
     _pair_weights,
     _streamed_curves,
 )
@@ -43,7 +44,9 @@ from ._parallel import ordered_map, resolve_threads
 # (permutations) or p = 210 (repetitions) on one replicate outgrows it, so each
 # batch is one replicate and the threads share them out. On
 # `compare --permutations 200` at p = 100, 3 and 8 MiB read the same CPU as
-# 2 MiB at 6.5 and 35 % more peak memory.
+# 2 MiB at 6.5 and 35 % more peak memory. Since the sups are read from Prim's
+# step weights, 4 MiB saves some CPU there but raises the CLI's peak RSS by 11 %
+# (40.5 to 45.1 MiB).
 _BATCH_BYTES = 1 << 21
 
 
@@ -121,27 +124,26 @@ def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1
     """Every filtration curve of one group as {kind: FiltrationCurve}, all from one
     cross-correlation and one spanning forest, so each group is computed once.
 
-    This is the replicate engine's curves stage at G = 1, so a group's curves
-    are the same whether it is alone or in a batch. ``block_size`` has no
-    effect: no tile shape changes a bit of the result.
+    Its weights are those of a replicate's group (:func:`_datasets_weights`),
+    so a group's forest is the same whether it is alone or in a batch.
+    ``block_size`` has no effect: no tile shape changes a bit of the result.
     """
-    return _datasets_curves([ds], symmetrize)[0]
+    return dict(zip(KINDS, _forest_curves(_datasets_weights([ds], symmetrize))[0][:2]))
 
 
-def _datasets_curves(datasets, symmetrize: bool) -> list[dict]:
-    """The batched replicate engine: :func:`group_curves` of G normalized
-    groups on one node set at once, in order.
+def _datasets_weights(datasets, symmetrize: bool) -> np.ndarray:
+    """The ``(G, p, p)`` stack of the absolute cross-correlation weights
+    (``_pair_weights``) of G normalized groups on one node set, in order.
 
-    Each group's cross-correlation weights (``_pair_weights``) go straight
-    into one ``(G, p, p)`` buffer, and one lockstep Prim pass builds all G
-    forests (``_forest_curves``). Every graph keeps the arithmetic it has alone.
+    Each group's weights go straight into the stack, one matrix at a time, and
+    every graph keeps the arithmetic it has alone.
     """
     w = np.empty((len(datasets), datasets[0].n_nodes, datasets[0].n_nodes))
     for ds, wg in zip(datasets, w):
         rho = cross_correlate(ds, symmetrize=symmetrize).rho
         _pair_weights(rho, "absolute", None if symmetrize else rho.T, out=wg)
         del rho  # released before the next matrix is computed
-    return [dict(zip(KINDS, curves[:2])) for curves in _forest_curves(w)]
+    return w
 
 
 def _batch_size(groups_per_rep: int, p: int) -> int:
@@ -159,11 +161,16 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _replicate_stats(raw_groups, statistic, n_reps, groups_per_rep, node_ids, symmetrize,
+def _replicate_stats(raw_groups, pairs, n_reps, groups_per_rep, node_ids, symmetrize,
                      threads):
-    """The replicate driver: ``statistic(*curves)`` of replicates 0 .. n_reps - 1
-    in order, ``curves`` being the curve dicts of replicate r's raw ``(x, y)``
-    groups ``raw_groups(r)``, computed in batches (:func:`_batches`).
+    """The replicate driver: for replicates 0 .. n_reps - 1 in order, a
+    ``(len(pairs), 2)`` integer array, the sup distances (``KINDS`` order)
+    between the curves of groups a and b of each pair (a, b) in ``pairs``
+    among replicate r's raw ``(x, y)`` groups ``raw_groups(r)``. They are
+    computed in batches (:func:`_batches`): all of a batch's groups are
+    normalized, their weights stacked (:func:`_datasets_weights`) and every
+    pair's sups read from the lockstep Prim steps
+    (``filtration._forest_sups``), so no curve is built.
 
     Batches of several replicates (p <= 256 for two groups per replicate,
     p <= 209 for three) run one at a time on the calling thread, whatever
@@ -184,11 +191,12 @@ def _replicate_stats(raw_groups, statistic, n_reps, groups_per_rep, node_ids, sy
         raise SparseCCError(f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p "
                             f"matrices, more than the {have / 2**30:.1f} GiB of physical memory")
 
-    def one_batch(reps: range) -> list:
+    def one_batch(reps: range) -> np.ndarray:
         groups = _normalize_groups([g for r in reps for g in raw_groups(r)], node_ids)
-        curves = _datasets_curves(groups, symmetrize)
-        return [statistic(*curves[k : k + groups_per_rep])
-                for k in range(0, len(curves), groups_per_rep)]
+        first, second = (np.add.outer(np.arange(len(reps)) * groups_per_rep, ends).ravel()
+                         for ends in zip(*pairs))
+        sups = _forest_sups(_datasets_weights(groups, symmetrize), first, second)
+        return sups.reshape(len(reps), len(pairs), 2)
 
     batches = ordered_map(one_batch, _batches(n_reps, groups_per_rep, p), workers)
     return (stat for batch in batches for stat in batch)
@@ -201,14 +209,17 @@ def _check_pair(ds1: PairedDataset, ds2: PairedDataset, kinds) -> None:
         raise NodeSetMismatch("datasets cover different node sets")
 
 
+def _ks_result(kind: str, d_raw: int, p: int) -> KSResult:
+    """The sup distance ``d_raw`` between two curves on p nodes, its
+    normalization and its asymptotic p-value."""
+    d_norm = d_raw / math.sqrt(2.0 * (p - 1))
+    return KSResult(kind, d_raw, d_norm, ks_pvalue(d_norm), p)
+
+
 def _ks_results(curves1: dict, curves2: dict, kinds) -> dict[str, KSResult]:
-    """Sup distance, its normalization and the asymptotic p-value, per kind."""
-    results = {}
-    for kind in kinds:
-        d_raw = sup_distance(curves1[kind], curves2[kind])
-        d_norm = d_raw / math.sqrt(2.0 * (curves1[kind].n_nodes - 1))
-        results[kind] = KSResult(kind, d_raw, d_norm, ks_pvalue(d_norm), curves1[kind].n_nodes)
-    return results
+    """:func:`_ks_result` of each kind's two curves."""
+    return {kind: _ks_result(kind, sup_distance(curves1[kind], curves2[kind]),
+                             curves1[kind].n_nodes) for kind in kinds}
 
 
 def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
@@ -232,17 +243,15 @@ def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
             perm = np.random.default_rng(np.random.SeedSequence([seed, r])).permutation(n_total)
             return [(x[i], y[i]) for i in (perm[:n1], perm[n1:])]
 
-        def sups(c1, c2) -> np.ndarray:
-            return np.array([sup_distance(c1[kind], c2[kind]) for kind in kinds])
-
         # refuses now; its batches start only when read, after the streamed pass
-        d_perm = _replicate_stats(split, sups, n_perm, 2, ds1.node_ids, symmetrize, threads)
+        d_perm = _replicate_stats(split, ((0, 1),), n_perm, 2, ds1.node_ids, symmetrize, threads)
     streams = (AbsWeightBlocks(ds, symmetrize=symmetrize) for ds in (ds1, ds2))
     curves = [dict(zip(KINDS, _streamed_curves(stream)[:2])) for stream in streams]
     results = _ks_results(*curves, kinds)
     if n_perm:
         d_obs = np.array([res.d_raw for res in results.values()])
-        exceed = sum(d >= d_obs for d in d_perm)
+        kind_of = [KINDS.index(kind) for kind in results]
+        exceed = sum(d[0, kind_of] >= d_obs for d in d_perm)
         for res, e in zip(results.values(), exceed):
             res.p_permutation, res.n_perm, res.seed = (1 + int(e)) / (1 + n_perm), n_perm, seed
     return results
@@ -277,9 +286,12 @@ def permutation_test(
     whose sup distance is at least ``d_raw``.
 
     Paired observations (rows) are pooled and reassigned to two groups of the
-    original sizes; each permuted group is re-normalized and its curves are
-    computed once. Permutation r draws from a stream seeded by (seed, r), so
-    results depend neither on scheduling nor on the kinds asked.
+    original sizes; each permuted group is re-normalized and its spanning
+    forest built once, and the sup distances of both kinds are read from the
+    two forests' Prim step weights, with no curve built: they equal
+    :func:`sup_distance` of the groups' :func:`group_curves`. Permutation r
+    draws from a stream seeded by (seed, r), so results depend neither on
+    scheduling nor on the kinds asked.
 
     The permutations run in batches of whole splits that normalize their
     groups as stacks and build their forests in one lockstep pass: up to 2 MiB
@@ -319,9 +331,9 @@ def exact_sup_tail(p: int, c: int) -> float:
     """Exact P(sup |difference| >= c) for two aligned merge ladders of p-1 steps.
 
     Counts monotone lattice paths from (0,0) to (p-1,p-1) whose coordinate gap
-    stays below c, via the two-term recursion on the grid. Exact but it holds
-    O(p²) Python integers of up to ~2p bits; intended as a small-p cross-check
-    of the asymptotic series, not a production path.
+    stays below c, via the two-term recursion on the grid, one row at a time
+    and only inside the band |i - j| < c. It holds 2c - 1 Python integers of
+    up to ~2p bits and takes O(p c) additions.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -330,15 +342,11 @@ def exact_sup_tail(p: int, c: int) -> float:
     if c == 0:
         return 1.0
     m = p - 1
-    # A[i][j] = number of monotone paths (0,0)->(i,j) with |i-j| < c throughout
-    A = [[0] * (m + 1) for _ in range(m + 1)]
-    A[0][0] = 1
-    for i in range(m + 1):
-        for j in range(m + 1):
-            if i == 0 and j == 0:
-                continue
-            if abs(i - j) >= c:
-                A[i][j] = 0
-                continue
-            A[i][j] = (A[i - 1][j] if i > 0 else 0) + (A[i][j - 1] if j > 0 else 0)
-    return 1.0 - A[m][m] / math.comb(2 * m, m)
+    if c > m:  # no path's gap reaches c
+        return 0.0
+    # row[d] = number of monotone paths (0,0)->(i, i + d - c + 1) with |i-j| < c
+    # throughout; row i is the running sum of row i - 1 shifted by one column
+    row = [0] * (c - 1) + [1] * c
+    for _ in range(m):
+        row = list(accumulate(row[1:] + [0]))
+    return 1.0 - row[c - 1] / math.comb(2 * m, m)

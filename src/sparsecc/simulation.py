@@ -19,7 +19,7 @@ from .dataset import (
     normalize_arrays,
 )
 from .filtration import KINDS
-from .inference import _ks_results, _replicate_stats
+from .inference import _ks_result, _replicate_stats
 
 
 @dataclass
@@ -110,14 +110,16 @@ def run_validation(
     """Monte-Carlo study over fresh group triples per repetition.
 
     Emits one row per (comparison, kind) with the mean and standard deviation
-    of the asymptotic p-values across repetitions. Each repetition computes
-    the curves of its three groups once and compares every requested kind on
-    them. Repetitions run in batches through the replicate driver of
-    :func:`~sparsecc.inference.permutation_test`: up to 2 MiB of p x p
-    weights, 8 repetitions at p = 100, run one batch at a time. From p = 210
-    on a batch is one repetition, and ``threads`` share out the batches.
-    Every group keeps the arithmetic it has alone, so the rows are identical
-    at any thread count. Batches in flight that do not fit in
+    of the asymptotic p-values across repetitions. Each repetition builds the
+    spanning forests of its three groups once and reads the sup distances of
+    both comparisons, every kind, from their Prim step weights, with no curve
+    built; each p-value comes from its ``d_raw`` as in
+    :func:`~sparsecc.inference.compare_groups`. Repetitions run in batches
+    through the replicate driver of :func:`~sparsecc.inference.permutation_test`:
+    up to 2 MiB of p x p weights, 8 repetitions at p = 100, run one batch at a
+    time. From p = 210 on a batch is one repetition, and ``threads`` share out
+    the batches. Every group keeps the arithmetic it has alone, so the rows are
+    identical at any thread count. Batches in flight that do not fit in
     physical memory raise ``SparseCCError`` before any data is drawn.
     """
     kinds = tuple(kinds)
@@ -125,17 +127,15 @@ def run_validation(
         if k not in KINDS:
             raise ValueError(f"unknown curve kind {k!r}")
 
-    def p_values(g1, g2, g3) -> dict:
-        return {(comparison, kind): res.p_asymptotic
-                for comparison, other in (("null_vs_null", g2), ("null_vs_dependent", g3))
-                for kind, res in _ks_results(g1, other, kinds).items()}
-
-    reps = list(_replicate_stats(lambda rep: _raw_triple(cfg, rep), p_values, cfg.n_reps, 3,
-                                 default_node_ids(cfg.n_nodes), symmetrize, threads))
+    # per repetition, the sups of null 1 against null 2 and against the dependent group
+    d_raw = np.array(list(_replicate_stats(lambda rep: _raw_triple(cfg, rep), ((0, 1), (0, 2)),
+                                           cfg.n_reps, 3, default_node_ids(cfg.n_nodes),
+                                           symmetrize, threads)))
     rows = []
-    for comparison in ("null_vs_null", "null_vs_dependent"):
+    for c, comparison in enumerate(("null_vs_null", "null_vs_dependent")):
         for kind in kinds:
-            ps = np.array([r[(comparison, kind)] for r in reps])
+            ps = np.array([_ks_result(kind, d, cfg.n_nodes).p_asymptotic
+                           for d in d_raw[:, c, KINDS.index(kind)].tolist()])
             rows.append(
                 {
                     "comparison": comparison,

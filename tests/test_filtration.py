@@ -18,6 +18,7 @@ from sparsecc import (
     normalize_arrays,
     soft_threshold_equivalence_check,
     sparse_network,
+    sup_distance,
     support_graph,
 )
 from sparsecc import crosscorr, filtration
@@ -360,6 +361,69 @@ def test_forest_choice_among_equal_weights_sets_merged_sizes():
     assert events.thresholds.tolist() == [0.9, 0.9, 0.5, 0.5]
     assert events.merged_sizes.tolist() == [2, 3, 3, 5]
     assert_matches_kruskal(g.weights, False, "absolute")
+
+
+def replicate_graph(rng, p):
+    """Undirected pair weights of a tied graph (``tied_graph``), a continuous
+    one of random density, or one split into two halves with no edge between
+    them, so the forest restarts."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        w, d, t = tied_graph(rng, p)
+        return filtration._pair_weights(w, t, w.T if d else None)
+    w = rng.standard_normal((p, p)) * (rng.random((p, p)) < rng.uniform(0.05, 1.0))
+    if kind == 2:
+        half = int(rng.integers(p + 1))
+        w[:half, half:] = w[half:, :half] = 0.0
+    return filtration._pair_weights(w, "absolute", w.T)
+
+
+def test_step_sups_match_merge_log_curves(rng):
+    # the replicate driver's sups, read from Prim's step weights, against
+    # sup_distance of the merge-log curves of the same forests, in the pair
+    # layouts of permutations (0, 1) and of study repetitions (0, 1), (0, 2)
+    for G in range(2, 27):
+        for _ in range(6):
+            p = int(rng.integers(2, 17))
+            stack = np.stack([replicate_graph(rng, p) for _ in range(G)])
+            curves = [c[:2] for c in filtration._forest_curves(stack)]
+            for gap in (1, 2):
+                first = np.arange(max(G - gap, 0))
+                sups = filtration._forest_sups(stack, first, first + gap)
+                assert sups.shape == (first.size, 2)
+                for a, got in zip(first, sups):
+                    want = [sup_distance(c1, c2) for c1, c2 in zip(curves[a], curves[a + gap])]
+                    assert got.tolist() == want
+            every = np.arange(G)
+            assert not filtration._forest_sups(stack, every, every).any()
+
+
+def test_prim_components_are_runs_of_join_order(rng):
+    # at every distinct forest weight v, each component of the graph's edges of
+    # weight >= v holds consecutive nodes of Prim's join order, so the step
+    # weights alone give the largest-component curve
+    for _ in range(150):
+        G, p = int(rng.integers(1, 5)), int(rng.integers(2, 14))
+        stack = np.stack([replicate_graph(rng, p) for _ in range(G)])
+        joined, _, ww = filtration._prim_steps(stack.reshape(G * p, p).__getitem__, G, p)
+        for g, pw in enumerate(stack):
+            position = np.empty(p, dtype=int)
+            position[np.r_[0, joined[:, g]]] = np.arange(p)  # node 0 starts every graph
+            for v in np.unique(ww[:, g][ww[:, g] != -np.inf]):
+                parent = list(range(p))
+
+                def root(a):
+                    while parent[a] != a:
+                        a = parent[a]
+                    return a
+
+                for i, j in zip(*np.nonzero(np.triu(pw >= v, 1))):
+                    parent[root(i)] = root(j)
+                members = {}
+                for node in range(p):
+                    members.setdefault(root(node), []).append(position[node])
+                for at in members.values():
+                    assert max(at) - min(at) + 1 == len(at)
 
 
 def test_exact_memory_stays_below_three_dense_matrices(rng):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sparsecc import (
     compare_groups,
     crosscorr,
     exact_sup_tail,
+    filtration,
     group_curves,
     inference,
     ks_pvalue,
@@ -309,11 +311,13 @@ def test_permutation_refuses_a_column_a_permuted_group_could_hold_constant(rng, 
         x[:9, 2] = 1.5
         groups.append(normalize_arrays(x, y))
 
-    def no_curves(*args, **kwargs):
-        raise AssertionError("a replicate's curves were computed")
+    def no_work(*args, **kwargs):
+        raise AssertionError("a weight matrix or a spanning forest was computed")
 
     with monkeypatch.context() as m:
-        m.setattr(inference, "_datasets_curves", no_curves)
+        # the replicates' dense weights and every forest, the streamed ones included
+        m.setattr(inference, "cross_correlate", no_work)
+        m.setattr(filtration, "_prim_steps", no_work)
         with pytest.raises(ZeroVarianceNode, match="^a permuted group of 10 observations "
                                                    "could have a constant signal at nodes: v3$"):
             permutation_test(*groups, n_perm=50, seed=0)
@@ -391,6 +395,41 @@ def test_exact_recursion_matches_enumeration():
     for p in (2, 3, 4, 5, 6):
         for c in range(0, p + 1):
             assert abs(exact_sup_tail(p, c) - brute_force_sup_tail(p, c)) < 1e-12
+
+
+def full_table_sup_tail(p, c):
+    """The recursion over the whole (p - 1) x (p - 1) grid."""
+    m = p - 1
+    a = [[0] * (m + 1) for _ in range(m + 1)]
+    for i in range(m + 1):
+        for j in range(m + 1):
+            if (i, j) == (0, 0):
+                a[i][j] = 1
+            elif abs(i - j) < c:
+                a[i][j] = (a[i - 1][j] if i else 0) + (a[i][j - 1] if j else 0)
+    return 1.0 - a[m][m] / math.comb(2 * m, m) if c else 1.0
+
+
+def test_exact_band_matches_full_grid():
+    for p in range(2, 24):
+        for c in range(0, p + 2):
+            assert exact_sup_tail(p, c) == full_table_sup_tail(p, c)
+    # the full grid's values at larger p
+    for (p, c), tail in {(101, 14): 0.2819416298082478, (300, 20): 0.5160925431059655,
+                         (1000, 45): 0.2629418591959132, (2000, 60): 0.32887584059550823,
+                         (2000, 120): 0.0014840467952704772}.items():
+        assert exact_sup_tail(p, c) == tail
+
+
+def test_exact_tail_holds_one_band_row():
+    # the full grid would hold (p - 1)^2 = 4 M list slots, 32 MB of pointers
+    tracemalloc.start()
+    try:
+        exact_sup_tail(2000, 120)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_exact_recursion_approaches_asymptotic():
