@@ -220,7 +220,7 @@ class AbsWeightBlocks:
     exact filtration also takes its raw and directed weights. Under
     ``symmetrize`` both are the one averaged row (``b is c``), read once.
 
-    A streamed Prim pass (``filtration._streamed_curves``, and
+    A streamed Prim pass (``filtration._streamed_steps``, and
     ``filtration_curves_binned`` given this stream) does not read full rows:
     :class:`_OutsideRows` computes each joining node's row against the nodes
     still outside the forest only, with the same entries bitwise.
@@ -272,7 +272,7 @@ class _OutsideRows:
     buffer that every call reuses. The entries of the nodes not yet called
     hold ``combine(b, c)`` of u's signed kernel rows to them, bitwise those of
     ``stream._signed_rows(u)``. The other entries, u's own and those of the
-    nodes called before, are stale; ``filtration._prim_forests`` never reads
+    nodes called before, are stale; ``filtration._prim_steps`` never reads
     them.
 
     The outside nodes' x and y columns are kept compacted in slots [0, m) of

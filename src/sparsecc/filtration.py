@@ -6,17 +6,16 @@ connected components (non-decreasing in the threshold) and the size of the
 largest component (non-increasing). Both change only at the weights of a
 maximum spanning forest, so every filtration builds that forest by one Prim
 pass over weight rows (``_prim_steps``, which runs G graphs in lockstep).
-A group's curves come from replaying the forest's at most p - 1 edges
-through a union-find (``_merge_log_curves``), which also lists the merge
-events. The rows come from a dense weight matrix (``filtration_curves``, the
-library's graph path), a stack of them (``_forest_curves``, behind
-``group_curves``) or are computed one at a time from the observations
-(``_streamed_curves`` and, snapped to a grid, ``filtration_curves_binned``),
-so the streamed paths hold no p x p matrix. Replicates (permutations and
-``simulate``'s repetitions, through ``inference._replicate_stats``) need
-only the sup distances between two graphs' curves: ``_forest_sups`` reads
-them for a stack of graphs straight from the Prim step weights, with no
-curve, merge log or union-find.
+The rows come from a dense weight matrix (``filtration_curves``), a stack
+of them (replicate batches) or are computed one at a time from the
+observations (``_streamed_steps`` and, snapped to a grid,
+``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
+Two groups' sup distances, for the observed pair of ``compare`` and ``hgi``
+and every replicate alike, come straight from the Prim step weights
+(``_step_sups``), with no curve or merge log. Those are built only where
+they are written out or returned (``filtrate``, ``build`` and the public
+curve functions): a union-find replays the forest's at most p - 1 edges
+(``_merge_log_curves``) and also lists the merge events.
 A streamed row is computed only against the nodes still outside the forest
 (``crosscorr._OutsideRows``), the only entries Prim reads, so a streamed pass
 computes every pair once. Every CLI pass over one group is streamed:
@@ -48,7 +47,7 @@ from .crosscorr import (
     sparse_network,
 )
 from .dataset import _write_rows
-from .errors import CurveMismatch, NodeSetMismatch
+from .errors import NodeSetMismatch
 
 KIND_COMPONENTS = "component_count"
 KIND_LARGEST = "largest_component_size"
@@ -238,32 +237,38 @@ def filtration_curves(
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
     """Component-count and largest-size curves over all thresholds at once.
 
-    One Prim pass (``_prim_forests`` at G = 1) over the rows of the undirected
+    One Prim pass (``_prim_steps`` at G = 1) over the rows of the undirected
     weight matrix builds the maximum spanning forest, and its at most p - 1
     edges are replayed through the union-find merge log. Diagonal entries are
     ignored. Memory is the weight matrix plus O(p).
     """
     w = _pair_weights(g.weights, weight_transform, g.weights.T if g.directed else None)
-    return _forest_curves(w[None])[0]
+    return _merge_log_curves(len(w), *_prim_forests(*_prim_steps(w.__getitem__, 1, len(w)))[0])
 
 
 def _streamed_curves(
     stream, weight_transform: str = "absolute"
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
     """:func:`filtration_curves` of a stream's cross-correlation graph, with no
-    p x p matrix: each joining node's weight row comes from its two signed
-    kernel rows against the nodes still outside the forest
-    (``crosscorr._OutsideRows``), so every pair is computed once and memory is
-    O(p) on top of two copies of the observations.
+    p x p matrix: the merge log of the forest of :func:`_streamed_steps`."""
+    return _merge_log_curves(stream.n_nodes,
+                             *_prim_forests(*_streamed_steps(stream, weight_transform))[0])
+
+
+def _streamed_steps(stream, weight_transform: str = "absolute"):
+    """:func:`_prim_steps` (G = 1) of a stream's cross-correlation graph, from the
+    one row source of the exact streamed weights: each joining node's weight row
+    comes from its two signed kernel rows against the nodes still outside the
+    forest (``crosscorr._OutsideRows``), so every pair is computed once and
+    memory is O(p) on top of two copies of the observations.
 
     ``stream`` is an :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Its row
     entries are bitwise those of :func:`~sparsecc.crosscorr.cross_correlate`,
-    so curves and merge events equal those of the dense graph
+    so the steps equal those of the dense graph
     ``WeightedGraph.from_crosscorr(cross_correlate(...))``.
     """
-
     rows = _OutsideRows(stream, lambda b, c: _pair_weights(b, weight_transform, c))
-    return _merge_log_curves(stream.n_nodes, *_prim_forests(rows, 1, stream.n_nodes)[0])
+    return _prim_steps(rows, 1, stream.n_nodes)
 
 
 def _merge_log_curves(
@@ -348,7 +353,7 @@ def filtration_curves_binned(
         raise ValueError("n_bins must be >= 2")
     rows = (_OutsideRows(cc_stream, cc_stream._combine)
             if isinstance(cc_stream, AbsWeightBlocks) else cc_stream.row)
-    ii, jj, w = _prim_forests(rows, 1, cc_stream.n_nodes)[0]
+    ii, jj, w = _prim_forests(*_prim_steps(rows, 1, cc_stream.n_nodes))[0]
     q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins).astype(np.int64) - 1
     keep = q >= 0
     return _merge_log_curves(
@@ -356,19 +361,19 @@ def filtration_curves_binned(
     )[:2]
 
 
-def _forest_curves(w: np.ndarray) -> list[tuple[FiltrationCurve, FiltrationCurve, MergeEvents]]:
-    """Curves and merge log of each graph in a ``(G, p, p)`` stack of
-    undirected weights (``_pair_weights``), all G forests built at once."""
-    G, p = w.shape[:2]
-    return [_merge_log_curves(p, *f) for f in _prim_forests(w.reshape(G * p, p).__getitem__, G, p)]
-
-
 def _forest_sups(w: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """:func:`_step_sups` of a ``(G, p, p)`` stack of undirected weights
+    (``_pair_weights``), all G forests built in one lockstep Prim pass."""
+    G, p = w.shape[:2]
+    return _step_sups(_prim_steps(w.reshape(G * p, p).__getitem__, G, p)[2].T, first, second)
+
+
+def _step_sups(ww: np.ndarray, first, second) -> np.ndarray:
     """``inference.sup_distance`` between the curves of graphs ``first[k]`` and
-    ``second[k]`` of a ``(G, p, p)`` stack of undirected weights
-    (``_pair_weights``), as a ``(len(first), 2)`` integer array in ``KINDS``
-    order. All G forests are built at once, and no curve is: both sups come
-    from the forests' Prim step weights in one vectorised pass.
+    ``second[k]`` of G graphs, as a ``(len(first), 2)`` integer array in
+    ``KINDS`` order, read in one vectorised pass from their ``(G, p - 1)`` Prim
+    step weights ``ww`` (:func:`_prim_steps`, transposed; -inf starts a tree),
+    with no curve or merge log. Every two-group sup, observed or replicate, is this one.
 
     Below level lam the component count is p minus the steps heavier than lam.
     Prim finishes each single-linkage component before it leaves it (Gower &
@@ -380,9 +385,7 @@ def _forest_sups(w: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.nda
     pair's steps are merged in descending weight order, and both differences
     are read after each distinct weight: every value either curve takes.
     """
-    G, p = w.shape[:2]
-    n = p - 1
-    ww = _prim_steps(w.reshape(G * p, p).__getitem__, G, p)[2].T  # (G, n); -inf starts a tree
+    G, n = ww.shape
     # table[k][g, 1 + s]: the least weight of graph g's steps s .. s + 2**k - 1,
     # NaN where that runs past the last step and on either side of the steps,
     # so that every run ends there
@@ -422,12 +425,11 @@ def _forest_sups(w: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.nda
     return np.stack([np.where(last, d, 0).max(axis=1, initial=0) for d in diffs], axis=1)
 
 
-def _prim_forests(rows, G: int, p: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Maximum spanning forests of G graphs on p nodes: each graph's edges as
-    (i, j, w) with i < j, from the steps of :func:`_prim_steps`."""
-    joined, ends, ww = _prim_steps(rows, G, p)
+def _prim_forests(joined, ends, ww) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The maximum spanning forests of the G graphs whose steps
+    :func:`_prim_steps` returned: each graph's edges as (i, j, w) with i < j."""
     forests = []
-    for g in range(G):
+    for g in range(ww.shape[1]):
         edge = ww[:, g] != -np.inf
         i, j = joined[edge, g], ends[edge, g]
         forests.append((np.minimum(i, j), np.maximum(i, j), ww[edge, g]))

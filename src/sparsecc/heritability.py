@@ -9,7 +9,7 @@ The public :func:`hgi` returns the dense node-pair matrix. The CLI's ``hgi``
 goes through ``_streamed_hgi`` instead, which writes the same files from rows
 computed one node at a time and holds no p x p matrix. Significance, whether
 from :func:`hgi_significance` or the CLI, is the two-group comparison
-(``inference._compare_kinds``) of the twin groups' streamed curves.
+(``inference._compare_kinds``) of the twin groups' streamed spanning forests.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def hgi_significance(
 ) -> KSResult:
     """Statistical significance of the MZ/DZ network contrast.
 
-    Delegates to the two-group curve comparison, which computes each twin
-    group's curves once. It always uses symmetrized cross-correlations,
+    Delegates to the two-group curve comparison, which builds each twin
+    group's spanning forest once. It always uses symmetrized cross-correlations,
     whatever ``symmetrize`` :func:`hgi` got (CLI ``--symmetrize``).
     ``block_size`` has no effect.
     """

@@ -30,10 +30,11 @@ from .filtration import (
     KIND_COMPONENTS,
     KINDS,
     FiltrationCurve,
-    _forest_curves,
     _forest_sups,
     _pair_weights,
+    _step_sups,
     _streamed_curves,
+    _streamed_steps,
 )
 from ._parallel import ordered_map, resolve_threads
 
@@ -101,8 +102,8 @@ def sup_distance(c1: FiltrationCurve, c2: FiltrationCurve) -> int:
 def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
     """Asymptotic two-sided survival probability at normalized distance d.
 
-    Truncates the alternating series when the next term drops below ``tol``;
-    the result is clipped into [0, 1].
+    Truncates the alternating series after the first term once the next term
+    drops below ``tol`` (a far tail is 2 exp(-2 d^2), not 0); clipped into [0, 1].
     """
     if d_normalized < 0:
         raise ValueError("d_normalized must be >= 0")
@@ -114,7 +115,7 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
     total = 0.0
     for i in range(1, 100_000):
         term = math.exp(e * i * i)
-        if term < tol:
+        if term < tol and i > 1:
             break
         total += term if i % 2 == 1 else -term
     return min(1.0, max(0.0, 2.0 * total))
@@ -122,13 +123,11 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
 
 def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1024) -> dict:
     """Every filtration curve of one group as {kind: FiltrationCurve}, all from one
-    cross-correlation and one spanning forest, so each group is computed once.
-
-    Its weights are those of a replicate's group (:func:`_datasets_weights`),
-    so a group's forest is the same whether it is alone or in a batch.
+    streamed spanning forest, bitwise that of the group's dense weights in a
+    replicate batch (:func:`_datasets_weights`), and no p x p matrix.
     ``block_size`` has no effect: no tile shape changes a bit of the result.
     """
-    return dict(zip(KINDS, _forest_curves(_datasets_weights([ds], symmetrize))[0][:2]))
+    return dict(zip(KINDS, _streamed_curves(AbsWeightBlocks(ds, symmetrize=symmetrize))[:2]))
 
 
 def _datasets_weights(datasets, symmetrize: bool) -> np.ndarray:
@@ -216,18 +215,12 @@ def _ks_result(kind: str, d_raw: int, p: int) -> KSResult:
     return KSResult(kind, d_raw, d_norm, ks_pvalue(d_norm), p)
 
 
-def _ks_results(curves1: dict, curves2: dict, kinds) -> dict[str, KSResult]:
-    """:func:`_ks_result` of each kind's two curves."""
-    return {kind: _ks_result(kind, sup_distance(curves1[kind], curves2[kind]),
-                             curves1[kind].n_nodes) for kind in kinds}
-
-
 def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
                    threads=None) -> dict[str, KSResult]:
     """The two-group comparison: :func:`compare_groups` of every kind in ``kinds``,
-    each group's curves once, from its streamed spanning forest (bitwise those of
-    :func:`group_curves`), and with ``n_perm`` > 0 the :func:`permutation_test`
-    p-value of each reported ``d_raw``, refused before the streamed pass."""
+    both sups read from the two groups' streamed Prim steps (``_step_sups``, as
+    every permutation reads its own), and with ``n_perm`` > 0 the
+    :func:`permutation_test` p-value of each, refused before the streamed pass."""
     _check_pair(ds1, ds2, kinds)
     if n_perm:
         x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
@@ -245,15 +238,16 @@ def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
 
         # refuses now; its batches start only when read, after the streamed pass
         d_perm = _replicate_stats(split, ((0, 1),), n_perm, 2, ds1.node_ids, symmetrize, threads)
-    streams = (AbsWeightBlocks(ds, symmetrize=symmetrize) for ds in (ds1, ds2))
-    curves = [dict(zip(KINDS, _streamed_curves(stream)[:2])) for stream in streams]
-    results = _ks_results(*curves, kinds)
+    ww = np.stack([_streamed_steps(AbsWeightBlocks(ds, symmetrize=symmetrize))[2][:, 0]
+                   for ds in (ds1, ds2)])
+    d_obs = _step_sups(ww, [0], [1])[0]
+    results = {kind: _ks_result(kind, int(d_obs[KINDS.index(kind)]), ds1.n_nodes)
+               for kind in kinds}
     if n_perm:
-        d_obs = np.array([res.d_raw for res in results.values()])
-        kind_of = [KINDS.index(kind) for kind in results]
-        exceed = sum(d[0, kind_of] >= d_obs for d in d_perm)
-        for res, e in zip(results.values(), exceed):
-            res.p_permutation, res.n_perm, res.seed = (1 + int(e)) / (1 + n_perm), n_perm, seed
+        exceed = sum(d[0] >= d_obs for d in d_perm)
+        for kind, res in results.items():
+            res.p_permutation = (1 + int(exceed[KINDS.index(kind)])) / (1 + n_perm)
+            res.n_perm, res.seed = n_perm, seed
     return results
 
 
@@ -264,8 +258,8 @@ def compare_groups(
     symmetrize: bool = True,
     block_size: int = 1024,
 ) -> KSResult:
-    """Full pipeline: each group's curves once, from its streamed spanning forest
-    (bitwise those of ``group_curves``), sup-compare, p-value.
+    """Full pipeline: each group's streamed spanning forest once, the sup distance
+    of their :func:`group_curves` read from its Prim steps, p-value.
 
     ``block_size`` has no effect."""
     return _compare_kinds(ds1, ds2, (kind,), symmetrize)[kind]
@@ -333,7 +327,8 @@ def exact_sup_tail(p: int, c: int) -> float:
     Counts monotone lattice paths from (0,0) to (p-1,p-1) whose coordinate gap
     stays below c, via the two-term recursion on the grid, one row at a time
     and only inside the band |i - j| < c. It holds 2c - 1 Python integers of
-    up to ~2p bits and takes O(p c) additions.
+    up to ~2p bits and takes O(p c) additions. One exact-integer division
+    gives the tail, so a small one does not cancel against 1.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
@@ -349,4 +344,5 @@ def exact_sup_tail(p: int, c: int) -> float:
     row = [0] * (c - 1) + [1] * c
     for _ in range(m):
         row = list(accumulate(row[1:] + [0]))
-    return 1.0 - row[c - 1] / math.comb(2 * m, m)
+    paths = math.comb(2 * m, m)
+    return (paths - row[c - 1]) / paths

@@ -549,16 +549,16 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
                "--threads", "2", "--out", str(tmp_path / "cmp")])
     assert rc == 0
     # one streamed forest per group, then both permuted groups of each of the
-    # 9 permutations as dense matrices, once for both kinds; only the observed
-    # groups replay a merge log and build curves, the permutations' sups come
-    # from their forests' step weights
-    assert pipeline_calls == {"cross_correlate": 18, "forests": 20, "merge_logs": 2, "curves": 4}
+    # 9 permutations as dense matrices, once for both kinds; no merge log is
+    # replayed and no curve built: every sup, observed or permuted, comes from
+    # the forests' step weights
+    assert pipeline_calls == {"cross_correlate": 18, "forests": 20, "merge_logs": 0, "curves": 0}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["compare", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "cmp0")])
     assert rc == 0
     # without permutations: one streamed forest per group, and no dense matrix
-    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 2, "curves": 4}
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 0, "curves": 0}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["build", x1, y1, "--lambda", "0", "--lambda", "0.5",
@@ -576,15 +576,15 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "hgi")])
     assert rc == 0
-    # one streamed forest per twin group, and no node-pair matrix
-    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 2, "curves": 4}
+    # one streamed forest per twin group, no node-pair matrix and no curve
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 0, "curves": 0}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--no-symmetrize",
                "--out", str(tmp_path / "hgi_directed")])
     assert rc == 0
     # the test always filtrates the symmetrized rows
-    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 2, "curves": 4}
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 0, "curves": 0}
     for kind in ("component_count", "largest_component_size"):
         name = f"result_{kind}.json"
         directed = (tmp_path / "hgi_directed" / name).read_bytes()

@@ -329,8 +329,9 @@ def test_forest_matches_all_pairs_kruskal_on_ties(rng):
             graphs = [tied_graph(rng, p) for _ in range(G)]
             stack = np.stack([filtration._pair_weights(w, t, w.T if d else None)
                               for w, d, t in graphs])
-            forests = filtration._prim_forests(stack.reshape(G * p, p).__getitem__, G, p)
-            for (w, d, t), curves, forest in zip(graphs, filtration._forest_curves(stack), forests):
+            steps = filtration._prim_steps(stack.reshape(G * p, p).__getitem__, G, p)
+            for (w, d, t), forest in zip(graphs, filtration._prim_forests(*steps)):
+                curves = filtration._merge_log_curves(p, *forest)
                 assert_curves_match_kruskal(w, d, t, curves, forest)
     # the core never reads a row's entries of nodes that have joined (the row's
     # own node included), which the streamed row source leaves stale
@@ -345,7 +346,7 @@ def test_forest_matches_all_pairs_kruskal_on_ties(rng):
             r[joined] = np.inf
             return r
 
-        forest = filtration._prim_forests(rows, 1, p)[0]
+        forest = filtration._prim_forests(*filtration._prim_steps(rows, 1, p))[0]
         assert len(set(joined)) == len(joined) == p - 1  # each row requested once
         assert_curves_match_kruskal(w, d, t, filtration._merge_log_curves(p, *forest), forest)
 
@@ -386,16 +387,18 @@ def test_step_sups_match_merge_log_curves(rng):
         for _ in range(6):
             p = int(rng.integers(2, 17))
             stack = np.stack([replicate_graph(rng, p) for _ in range(G)])
-            curves = [c[:2] for c in filtration._forest_curves(stack)]
+            steps = filtration._prim_steps(stack.reshape(G * p, p).__getitem__, G, p)
+            curves = [filtration._merge_log_curves(p, *f)[:2]
+                      for f in filtration._prim_forests(*steps)]
             for gap in (1, 2):
                 first = np.arange(max(G - gap, 0))
-                sups = filtration._forest_sups(stack, first, first + gap)
+                sups = filtration._step_sups(steps[2].T, first, first + gap)
                 assert sups.shape == (first.size, 2)
                 for a, got in zip(first, sups):
                     want = [sup_distance(c1, c2) for c1, c2 in zip(curves[a], curves[a + gap])]
                     assert got.tolist() == want
             every = np.arange(G)
-            assert not filtration._forest_sups(stack, every, every).any()
+            assert not filtration._step_sups(steps[2].T, every, every).any()
 
 
 def test_prim_components_are_runs_of_join_order(rng):

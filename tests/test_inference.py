@@ -12,10 +12,14 @@ from sparsecc import (
     FiltrationCurve,
     KIND_COMPONENTS,
     KIND_LARGEST,
+    KINDS,
+    WeightedGraph,
     compare_groups,
+    cross_correlate,
     crosscorr,
     exact_sup_tail,
     filtration,
+    filtration_curves,
     group_curves,
     inference,
     ks_pvalue,
@@ -146,6 +150,12 @@ def test_ks_monotone_nonincreasing(d1, d2):
 
 def test_ks_tends_to_zero():
     assert ks_pvalue(8.0) < 1e-50
+    # but never reaches it while the first term, 2 exp(-2 d^2), is a positive
+    # float: here it is below tol, and the rest of the series far smaller
+    for d in (4.3, 4.43, 6.0):
+        p = ks_pvalue(d)
+        assert p > 0.0
+        assert math.isclose(p, 2.0 * math.exp(-2.0 * d * d), rel_tol=1e-12)
 
 
 # ------------------------------------------------------------ compare_groups
@@ -174,6 +184,39 @@ def test_compare_normalization(rng):
     res = compare_groups(ds1, ds2)
     assert res.d_normalized == res.d_raw / math.sqrt(2 * 11)
     assert 0.0 <= res.p_asymptotic <= 1.0
+
+
+def dense_curves(ds, symmetrize):
+    return filtration_curves(WeightedGraph.from_crosscorr(cross_correlate(ds, symmetrize=symmetrize)))
+
+
+def blocked_group(rng, n_blocks, p):
+    """A normalized group of 4 observations per block on p nodes. Each node's
+    x and y are zero-sum integers on its own block's observations and zero
+    elsewhere, so nodes on different blocks share no edge and the forest
+    restarts once per block."""
+    block = rng.integers(n_blocks, size=p)
+    xy = np.zeros((2, 4 * n_blocks, p))
+    for v, b in enumerate(block):
+        steps = rng.integers(1, 4, size=(2, 3)) * rng.choice([-1, 1], size=(2, 3))
+        xy[:, 4 * b : 4 * b + 4, v] = np.column_stack([steps, -steps.sum(axis=1)])
+    return normalize_arrays(*xy)
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_compare_d_raw_is_sup_of_dense_curves(rng, symmetrize):
+    # the observed sups come from Prim's step weights, with no curve: they
+    # equal sup_distance of the curves of the groups' dense graphs
+    pairs = [tuple(normalize_arrays(x, y) for x, y in tied_raw_groups())]
+    pairs += [(random_dataset(rng, 8, p), random_dataset(rng, 9, p)) for p in range(2, 41)]
+    split = (blocked_group(rng, 3, 30), blocked_group(rng, 4, 30))
+    pairs.append(split)
+    for ds in split:  # several trees
+        assert dense_curves(ds, symmetrize)[0].values[0] >= 3
+    for ds1, ds2 in pairs:
+        curves = [dense_curves(ds, symmetrize) for ds in (ds1, ds2)]
+        for kind, c1, c2 in zip(KINDS, *curves):
+            assert compare_groups(ds1, ds2, kind, symmetrize).d_raw == sup_distance(c1, c2)
 
 
 def test_result_json_roundtrip(rng):
@@ -398,7 +441,8 @@ def test_exact_recursion_matches_enumeration():
 
 
 def full_table_sup_tail(p, c):
-    """The recursion over the whole (p - 1) x (p - 1) grid."""
+    """The recursion over the whole (p - 1) x (p - 1) grid, the tail as the
+    exact complement of the path count over one division."""
     m = p - 1
     a = [[0] * (m + 1) for _ in range(m + 1)]
     for i in range(m + 1):
@@ -407,7 +451,8 @@ def full_table_sup_tail(p, c):
                 a[i][j] = 1
             elif abs(i - j) < c:
                 a[i][j] = (a[i - 1][j] if i else 0) + (a[i][j - 1] if j else 0)
-    return 1.0 - a[m][m] / math.comb(2 * m, m) if c else 1.0
+    paths = math.comb(2 * m, m)
+    return (paths - a[m][m]) / paths if c else 1.0
 
 
 def test_exact_band_matches_full_grid():
@@ -415,10 +460,18 @@ def test_exact_band_matches_full_grid():
         for c in range(0, p + 2):
             assert exact_sup_tail(p, c) == full_table_sup_tail(p, c)
     # the full grid's values at larger p
-    for (p, c), tail in {(101, 14): 0.2819416298082478, (300, 20): 0.5160925431059655,
-                         (1000, 45): 0.2629418591959132, (2000, 60): 0.32887584059550823,
-                         (2000, 120): 0.0014840467952704772}.items():
+    for (p, c), tail in {(101, 14): 0.2819416298082478, (300, 20): 0.5160925431059654,
+                         (1000, 45): 0.26294185919591323, (2000, 60): 0.3288758405955082,
+                         (2000, 120): 0.0014840467952705195}.items():
         assert exact_sup_tail(p, c) == tail
+
+
+def test_exact_small_tails_keep_their_digits():
+    # 1 - A / comb cancels to 0.0 here; the true tails are 1.65e-17 and 4.77e-20
+    tails = [exact_sup_tail(2000, c) for c in (120, 280, 300)]
+    assert 0.0 < tails[2] < tails[1] < tails[0]
+    assert math.isclose(tails[1], 1.645635840462248e-17, rel_tol=1e-12)
+    assert math.isclose(tails[2], 4.773984647589213e-20, rel_tol=1e-12)
 
 
 def test_exact_tail_holds_one_band_row():
