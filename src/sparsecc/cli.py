@@ -165,13 +165,12 @@ def _cmd_build(args, out: Path) -> None:
     for lam, path in zip(args.lambdas, paths):
         _check_edges_fit(ds.n_nodes, lam, path, crosscorr._EDGES_CSV[0], "--lambda",
                          directed=not args.symmetrize)
-    # one streamed Prim pass for the curves, then one row pass per edge file:
-    # no p x p matrix
+    # one streamed Prim pass for the curves, then one row pass that writes every
+    # edge file: no p x p matrix
     stream = crosscorr.AbsWeightBlocks(ds, symmetrize=args.symmetrize)
     curves = filtration._streamed_curves(stream)[:2]
-    edges = [dataset._write_rows(path, *crosscorr._EDGES_CSV,
-                                 crosscorr._streamed_edges(stream, lam))
-             for lam, path in zip(args.lambdas, paths)]
+    edges = dataset._write_rows(paths, *crosscorr._EDGES_CSV,
+                                crosscorr._streamed_edges(stream, args.lambdas))
     lams = np.array(args.lambdas)
     values = (curve.value_at(lams) for curve in curves)
     dataset._write_rows(out / "summary.csv", "lambda,edges,components,largest", "{:g},{},{},{}",

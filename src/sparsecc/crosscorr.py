@@ -170,19 +170,23 @@ def sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr:
     return SparseCrossCorr(float(lam), cc.n_nodes, rows, cols, values, symmetric=cc.symmetrized)
 
 
-def _streamed_edges(stream: AbsWeightBlocks, lam: float):
-    """:func:`sparse_network` of the stream's dataset, bitwise, with no p x p
-    matrix: one block ``(rows, cols, values)`` per node u, in the edge file's
-    order. Row u is the stream's signed kernel row (bitwise row u of
-    :func:`cross_correlate`), from column u on when symmetrized (pairs u < j)
-    and from column 0 otherwise, without the directed reverse row."""
+def _streamed_edges(stream: AbsWeightBlocks, lams):
+    """:func:`sparse_network` of the stream's dataset at each level of ``lams``,
+    bitwise, with no p x p matrix and one kernel row per node: per node u, one
+    block ``(u, cols, values)`` per level, in the edge file's order. Row u is
+    the stream's signed kernel row (bitwise row u of :func:`cross_correlate`),
+    from column u on when symmetrized (pairs u < j) and from column 0
+    otherwise, without the directed reverse row."""
     for u in range(stream.n_nodes):
         start = u if stream.symmetrize else 0
         b = stream._signed_rows(u, start, reverse=False)[0]
-        keep = np.abs(b) > lam
-        keep[u - start] = False  # no self-loop
-        (j,) = np.nonzero(keep)
-        yield np.full(j.size, u), j + start, soft_threshold(b[j], lam)
+        magnitude = np.abs(b)
+        magnitude[u - start] = 0.0  # no self-loop
+        blocks = []
+        for lam in lams:
+            (j,) = np.nonzero(magnitude > lam)
+            blocks.append((u, j + start, soft_threshold(b[j], lam)))
+        yield blocks
 
 
 def symmetric_sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr:

@@ -8,6 +8,8 @@ precondition for all cross-correlation computations downstream.
 from __future__ import annotations
 
 import json
+import operator
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -170,33 +172,60 @@ def save_csv(values: np.ndarray, path, node_ids=None) -> None:
     _write_rows(path, header, ",".join(["{!r}"] * values.shape[1]), [values.T])
 
 
-def _write_rows(path, header: str | None, row_format: str, blocks) -> int:
+def _write_rows(path, header: str | None, row_format: str, blocks):
     """Every CSV output: ``header`` (unless None), then ``row_format.format(*row)``
     for each row of each block in ``blocks``, an iterable of tuples of
     equal-length columns; whole-array writers pass one block, streamed ones
-    one block per stretch of rows as they compute it. Returns the number of
-    rows written, the header not counted.
+    one block per node as they compute it. Returns the number of rows
+    written, the header not counted. With a list of paths, each item of
+    ``blocks`` holds one block per file, the files are written in one pass
+    and the counts come back as a list.
 
-    A block is rendered in chunks of at most ``_VALUES_PER_CHUNK`` values (one
-    row at least), so a chunk's Python objects and text stay near 10 MiB
-    whatever the width. ``tolist()`` turns the columns into Python objects, so
-    ``{!r}`` writes a float64 as ``repr(float(v))``, and one ``str.format``
-    call renders the whole chunk from ``row_format`` repeated once per row,
-    byte-identical to one call per row as long as its fields are auto-numbered
-    (``{}``, ``{!r}``, ``{:g}``).
+    A streamed block ``(u, j, w)`` holds node u's rows of an edge file
+    (``row_format`` ``"{},{},{!r}"``): u is one int, j an int array of node
+    indices >= 0 and w a float64 array. Its ``"u,"`` is rendered once, as the
+    text that joins its rows; each index i is read from one table of
+    ``f"{i},"`` per call, grown as far as the indices reach (p strings); and
+    each row is that string plus ``float.__repr__`` of its weight.
+
+    A whole-array block is rendered in chunks of at most ``_VALUES_PER_CHUNK``
+    values (one row at least), so a chunk's Python objects and text stay near
+    10 MiB whatever the width. ``tolist()`` turns the columns into Python
+    objects, so ``{!r}`` writes a float64 as ``repr(float(v))``, and one
+    ``str.format`` call renders the whole chunk from ``row_format`` repeated
+    once per row, byte-identical to one call per row as long as its fields
+    are auto-numbered (``{}``, ``{!r}``, ``{:g}``).
     """
-    line, rows = row_format + "\n", 0
-    with open(path, "w") as fh:
-        fh.write("" if header is None else header + "\n")
-        for columns in blocks:
-            step = max(1, _VALUES_PER_CHUNK // len(columns))
-            for k in range(0, len(columns[0]), step):
-                chunk = [np.asarray(c[k : k + step]).tolist() for c in columns]
-                # one flat argument list, row by row; dropped once its rows are written
-                values = list(chain.from_iterable(zip(*chunk, strict=True)))
-                fh.write((line * len(chunk[0])).format(*values))
-            rows += len(columns[0])
-    return rows
+    many = isinstance(path, list)
+    paths, line = path if many else [path], row_format + "\n"
+    table, counts = [], [0] * len(paths)  # table: f"{i}," for node indices 0, 1, ...
+    with ExitStack() as files:
+        fhs = [files.enter_context(open(p, "w")) for p in paths]
+        for fh in fhs:
+            fh.write("" if header is None else header + "\n")
+        for item in blocks:
+            for f, block in enumerate(item if many else [item]):
+                counts[f] += _write_block(fhs[f], line, block, table)
+    return counts if many else counts[0]
+
+
+def _write_block(fh, line: str, block, table: list[str]) -> int:
+    """One block of :func:`_write_rows`; returns its number of rows."""
+    if isinstance(block[0], int):  # one node's rows
+        u, j, w = block
+        if len(j):
+            table.extend(f"{i}," for i in range(len(table), int(j.max()) + 1))
+            rows = map(operator.add, map(table.__getitem__, j.tolist()),
+                       map(float.__repr__, w.tolist()))
+            fh.write(f"{u}," + f"\n{u},".join(rows) + "\n")
+        return len(j)
+    step = max(1, _VALUES_PER_CHUNK // len(block))
+    for k in range(0, len(block[0]), step):
+        chunk = [np.asarray(c[k : k + step]).tolist() for c in block]
+        # one flat argument list, row by row; dropped once its rows are written
+        values = list(chain.from_iterable(zip(*chunk, strict=True)))
+        fh.write((line * len(chunk[0])).format(*values))
+    return len(block[0])
 
 
 def save_binary(values: np.ndarray, path, node_ids=None) -> None:

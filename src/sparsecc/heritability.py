@@ -133,7 +133,7 @@ def _streamed_hgi(mz, dz, kinds, symmetrize, threshold, hi_path, edges_path) -> 
             rho[:, u] = b_mz[0], b_dz[0]
             h = 2.0 * (b_mz[1:] - b_dz[1:])
             (j,) = np.nonzero(np.abs(h) > threshold)
-            yield np.full(j.size, u), j + (u + 1), h[j]
+            yield u, j + (u + 1), h[j]
 
     _write_rows(edges_path, *_HGI_EDGES_CSV, edge_rows())
     _write_rows(hi_path, *_HI_CSV, [(mz.node_ids, *falconer_hi(*rho))])

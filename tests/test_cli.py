@@ -301,6 +301,54 @@ def test_edge_files_match_dense_rendering(tmp_path, symmetrize):
     )
 
 
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_build_writes_every_lambda_file_from_one_row_pass(tmp_path, group_csvs, monkeypatch,
+                                                          symmetrize):
+    # p = 18: p - 1 kernel rows for the forest and p for the edge files,
+    # whatever the number of lambda levels; each file as a one-level run writes it
+    x, y = group_csvs("lams")
+    sym = [] if symmetrize else ["--no-symmetrize"]
+    calls = []
+    original = crosscorr._signed_blocks
+    monkeypatch.setattr(crosscorr, "_signed_blocks",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    lams = ["0.3", "0", "0.05"]
+    per_run = []
+    for tag, levels in [("all", lams), *((lam, [lam]) for lam in lams)]:
+        calls.clear()
+        flags = [f for lam in levels for f in ("--lambda", lam)]
+        assert main(["build", x, y, *flags, *sym, "--out", str(tmp_path / tag)]) == 0
+        per_run.append(len(calls))
+    assert per_run == [2 * 18 - 1] * 4
+    summary = read_lines(tmp_path / "all" / "summary.csv")
+    for k, lam in enumerate(lams):
+        name = f"edges_lambda_{lam}.csv"
+        text = (tmp_path / "all" / name).read_bytes()
+        assert text == (tmp_path / lam / name).read_bytes()
+        assert summary[1 + k] == read_lines(tmp_path / lam / "summary.csv")[1]
+        assert int(summary[1 + k].split(",")[1]) == text.count(b"\n") - 1
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+def test_hgi_edge_file_matches_the_dense_public_path(tmp_path, group_csvs, symmetrize,
+                                                     threshold):
+    # the CLI's node rows, each rendered after its "u," prefix, against the
+    # public whole-array writer on the dense node-pair matrix
+    mz, dz = group_csvs("hgi_mz", p=30), group_csvs("hgi_dz", p=30)
+    sym = [] if symmetrize else ["--no-symmetrize"]
+    out = tmp_path / "hgi"
+    assert main(["hgi", *mz, *dz, "--edge-threshold", repr(threshold), *sym,
+                 "--out", str(out)]) == 0
+    groups = [dataset.normalize_pair(*map(dataset.ingest, pair)) for pair in (mz, dz)]
+    heritability.write_hgi_edges(heritability.hgi(*groups, symmetrize=symmetrize),
+                                 tmp_path / "dense.csv", threshold)
+    text = (out / "hgi_edges.csv").read_bytes()
+    assert text == (tmp_path / "dense.csv").read_bytes()
+    rows, pairs = text.count(b"\n") - 1, 30 * 29 // 2
+    assert rows == pairs if threshold == 0.0 else 0 < rows < pairs
+
+
 def test_build_memory_below_six_dense_matrices(tmp_path):
     # build and compare without permutations stream their rows: below one
     # p x p matrix, even at lambda = 0, where every one of the ~500k pairs

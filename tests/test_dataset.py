@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsecc import dataset
@@ -211,6 +211,56 @@ def test_write_rows_caps_wide_chunks_by_values(tmp_path, monkeypatch):
         dataset.save_csv(values, path)
         assert path.read_text() == "".join(",".join(map(repr, row)) + "\n"
                                            for row in values.tolist())
+
+
+_EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 1e16, np.inf, -np.inf, 2.0)
+
+
+@st.composite
+def edge_blocks(draw):
+    """Blocks of "i,j,w" rows over p nodes: a node's rows with its first
+    column as one int, or whole-array blocks, empty and one-row ones among them."""
+    p = draw(st.integers(min_value=1, max_value=40))
+    index = st.sampled_from([0, p - 1]) | st.integers(min_value=0, max_value=p - 1)
+    weight = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False)
+    blocks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        u, rows = draw(index), draw(st.lists(st.tuples(index, weight), max_size=4))
+        j = np.array([r[0] for r in rows], dtype=np.int64)
+        w = np.array([r[1] for r in rows], dtype=np.float64)
+        blocks.append((u, j, w) if draw(st.booleans()) else (np.full(j.size, u), j, w))
+    return blocks
+
+
+# p = 41 nodes; the index table grows from 1 string to 41
+_EVERY_EDGE_CASE = [
+    (7, np.array([0]), np.array([1e-05])),
+    (40, np.array([], dtype=np.int64), np.array([])),
+    (0, np.array([40, 0]), np.array(_EDGE_FLOATS[:2])),
+    (np.full(4, 40), np.array([40, 0, 1, 40]), np.array(_EDGE_FLOATS[3:])),
+    (np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([])),
+    (40, np.array([40, 39, 0]), np.array(_EDGE_FLOATS[:3])),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_blocks())
+@example(_EVERY_EDGE_CASE)
+def test_write_rows_matches_per_row_format(tmp_path_factory, blocks):
+    # node rows, their index table and whole-array chunks against one
+    # str.format call per row, in one file and in two written in one pass
+    path = tmp_path_factory.mktemp("rows") / "edges.csv"
+    assert dataset._write_rows(path, "i,j,w", "{},{},{!r}", blocks) == sum(
+        len(b[1]) for b in blocks)
+    expected = "i,j,w\n" + "".join(
+        "{},{},{!r}\n".format(u, i, w)
+        for b in blocks for u, i, w in zip(np.broadcast_to(b[0], len(b[1])).tolist(),
+                                           b[1].tolist(), b[2].tolist()))
+    assert path.read_text() == expected
+    paths = [path.with_name("a.csv"), path.with_name("b.csv")]
+    counts = dataset._write_rows(paths, "i,j,w", "{},{},{!r}", ([b, b] for b in blocks))
+    assert counts == [sum(len(b[1]) for b in blocks)] * 2
+    assert [f.read_text() for f in paths] == [expected] * 2
 
 
 def test_save_csv_memory_stays_bounded_for_wide_matrices(tmp_path):
