@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     wt.add_argument("--raw", dest="absolute", action="store_false",
                     help="filter on signed weights (exact mode only)")
     f.set_defaults(absolute=True)
-    f.add_argument("--threads", type=int, default=None)
+    f.add_argument("--threads", type=int, default=None,
+                   help="accepted for compatibility; has no effect")
     f.add_argument("--zero-variance", choices=("error", "drop"), default="error")
     _add_common(f)
 

@@ -10,12 +10,14 @@ The rows come from a dense weight matrix (``filtration_curves``), a stack
 of them (replicate batches) or are computed one at a time from the
 observations (``_streamed_steps`` and, snapped to a grid,
 ``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
+Prim finishes each single-linkage component before it leaves it, so every
+component size is read from the steps alone, by one routine (``_run_sizes``).
 Two groups' sup distances, for the observed pair of ``compare`` and ``hgi``
-and every replicate alike, come straight from the Prim step weights
-(``_step_sups``), with no curve or merge log. Those are built only where
-they are written out or returned (``filtrate``, ``build`` and the public
-curve functions): a union-find replays the forest's at most p - 1 edges
-(``_merge_log_curves``) and also lists the merge events.
+and every replicate alike, come straight from the step weights
+(``_step_sups``), with no curve or merge log. Curves and merge events are
+built only where they are written out or returned (``filtrate``, ``build``
+and the public curve functions), from the steps ranked in merge order
+(``_step_curves``).
 A streamed row is computed only against the nodes still outside the forest
 (``crosscorr._OutsideRows``), the only entries Prim reads, so a streamed pass
 computes every pair once. Every CLI pass over one group is streamed:
@@ -238,21 +240,20 @@ def filtration_curves(
     """Component-count and largest-size curves over all thresholds at once.
 
     One Prim pass (``_prim_steps`` at G = 1) over the rows of the undirected
-    weight matrix builds the maximum spanning forest, and its at most p - 1
-    edges are replayed through the union-find merge log. Diagonal entries are
-    ignored. Memory is the weight matrix plus O(p).
+    weight matrix builds the maximum spanning forest, and both curves and the
+    merge events are read from its steps (``_step_curves``). Diagonal entries
+    are ignored. Memory is the weight matrix plus O(p).
     """
     w = _pair_weights(g.weights, weight_transform, g.weights.T if g.directed else None)
-    return _merge_log_curves(len(w), *_prim_forests(*_prim_steps(w.__getitem__, 1, len(w)))[0])
+    return _step_curves(len(w), *_prim_steps(w.__getitem__, 1, len(w)))
 
 
 def _streamed_curves(
     stream, weight_transform: str = "absolute"
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
     """:func:`filtration_curves` of a stream's cross-correlation graph, with no
-    p x p matrix: the merge log of the forest of :func:`_streamed_steps`."""
-    return _merge_log_curves(stream.n_nodes,
-                             *_prim_forests(*_streamed_steps(stream, weight_transform))[0])
+    p x p matrix: the curves of the steps of :func:`_streamed_steps`."""
+    return _step_curves(stream.n_nodes, *_streamed_steps(stream, weight_transform))
 
 
 def _streamed_steps(stream, weight_transform: str = "absolute"):
@@ -271,32 +272,31 @@ def _streamed_steps(stream, weight_transform: str = "absolute"):
     return _prim_steps(rows, 1, stream.n_nodes)
 
 
-def _merge_log_curves(
-    p: int, iu: np.ndarray, ju: np.ndarray, wu: np.ndarray
+def _step_curves(
+    p: int, joined: np.ndarray, ends: np.ndarray, w: np.ndarray
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
-    """Both curves and the merge log of the spanning-forest edges (iu, ju, wu).
+    """Both curves and the merge events of one graph's :func:`_prim_steps`
+    columns: the node each step adds, the forest node it joins and the weight.
 
-    A union-find replays them in (-w, i, j) order. Each one merges two
-    different components, so m merges leave p - m of them.
+    The forest edges merge in the strict (-w, i, j) order of a sorted Kruskal
+    pass, the order Prim's ties follow. Ranked in that order, the edges of rank
+    <= r are a threshold set of a graph with distinct weights, so each of its
+    components is a run of Prim steps (``_run_sizes``): when Prim enters a new
+    component, every one it has touched is complete. A merge makes a component
+    of its edge's run size, the largest after it is the running maximum of
+    those, and each merge leaves one component fewer.
     """
-    order = np.lexsort((ju, iu, -wu))
-    parent, size, top, largest = list(range(p)), [1] * p, 1, []
-    for a, b in zip(iu[order].tolist(), ju[order].tolist()):
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if size[a] < size[b]:  # union by size keeps every root path O(log p)
-            a, b = b, a
-        parent[b] = a
-        size[a] += size[b]
-        top = max(top, size[a])
-        largest.append(top)
-    events = MergeEvents(wu[order], largest)
+    edge = w != -np.inf
+    i, j, w = joined[edge], ends[edge], w[edge]
+    order = np.lexsort((np.maximum(i, j), np.minimum(i, j), -w))
+    at = edge.ravel().nonzero()[0][order]  # the steps in merge order
+    ranks = np.full((1, edge.size), -np.inf)  # negated merge ranks; tree starts end every run
+    ranks[0, at] = -np.arange(at.size)
+    events = MergeEvents(w[order], np.maximum.accumulate(_run_sizes(ranks)[0, at]))
     # in ascending order first[k] is the last merge at weight bps[k], and the
     # value on [bps[k-1], bps[k]) is the state after it
     bps, first = np.unique(events.thresholds[::-1], return_index=True)
-    count = np.append(p - len(largest) + first, p)
+    count = np.append(p - order.size + first, p)
     largest_size = np.append(events.merged_sizes[::-1][first], 1)
     return (
         FiltrationCurve(KIND_COMPONENTS, p, bps, count),
@@ -337,13 +337,14 @@ def filtration_curves_binned(
     Both curves are set by a maximum spanning forest alone, and snapping up is
     monotone, so a maximum spanning tree of the raw weights is one of the
     snapped graph too. The tree comes from the same Prim pass over streamed
-    rows that the exact curves run, each row computed once, as its node joins
-    the tree. An ``AbsWeightBlocks`` row is computed against the nodes still
-    outside the tree only (``crosscorr._OutsideRows``), so every pair is
-    computed once; any other stream's ``row(u)`` is read in full. The tree's
-    p - 1 edges are snapped, the zero-weight ones (absent pairs) dropped, and
-    the rest replayed through the same merge log. Memory is O(p) on top of the
-    n x p observations the stream holds and a copy of them, so O(p * n) in
+    rows that the exact curves run (``_streamed_steps`` for an
+    ``AbsWeightBlocks``, which computes every pair once); any other stream's
+    ``row(u)`` is read in full. The step weights are snapped, the zero ones
+    (absent pairs) dropped, and the curves read from the steps as the exact
+    ones are (``_step_curves``). They are read only after the last merge at
+    each snapped weight, where the merged edges are those of the raw tree above
+    a threshold, so each component is a run of steps. Memory is O(p) on top of
+    the n x p observations the stream holds and a copy of them, so O(p * n) in
     all; the p x p weights are never stored.
 
     ``max_chunk_edges`` and ``threads`` are accepted for compatibility and
@@ -351,14 +352,11 @@ def filtration_curves_binned(
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    rows = (_OutsideRows(cc_stream, cc_stream._combine)
-            if isinstance(cc_stream, AbsWeightBlocks) else cc_stream.row)
-    ii, jj, w = _prim_forests(*_prim_steps(rows, 1, cc_stream.n_nodes))[0]
-    q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins).astype(np.int64) - 1
-    keep = q >= 0
-    return _merge_log_curves(
-        cc_stream.n_nodes, ii[keep], jj[keep], (q[keep] + 1) / n_bins
-    )[:2]
+    steps = (_streamed_steps(cc_stream) if isinstance(cc_stream, AbsWeightBlocks)
+             else _prim_steps(cc_stream.row, 1, cc_stream.n_nodes))
+    w = np.ceil(np.clip(steps[2], 0.0, 1.0) * n_bins) / n_bins
+    w[w == 0.0] = -np.inf
+    return _step_curves(cc_stream.n_nodes, *steps[:2], w)[:2]
 
 
 def _forest_sups(w: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -378,13 +376,37 @@ def _step_sups(ww: np.ndarray, first, second) -> np.ndarray:
     Below level lam the component count is p minus the steps heavier than lam.
     Prim finishes each single-linkage component before it leaves it (Gower &
     Ross, 1969), so at every level each component is a run of consecutive
-    steps: at a step's own weight v, its component is the run of steps of
-    weight >= v around it, one node more than the run is long. Each run is
-    found by doubling over a sparse table of minima, and the largest
-    component below lam is the largest run of a step heavier than lam. Each
-    pair's steps are merged in descending weight order, and both differences
-    are read after each distinct weight: every value either curve takes.
+    steps: at a step's own weight, its component is the step's run
+    (``_run_sizes``), and the largest component below lam is the largest run
+    of a step heavier than lam. Each pair's steps are merged in descending
+    weight order, and both differences are read after each distinct weight:
+    every value either curve takes.
     """
+    n = ww.shape[1]
+    # a pair's 2n steps in descending weight order; a step that starts a tree
+    # counts as an edge of weight -inf: those sort last, where both graphs read
+    # as one tree and both differences as 0
+    wt = np.concatenate((ww[first], ww[second]), axis=1)
+    order = np.argsort(-wt, axis=1)
+    flat = order + np.arange(len(first))[:, None] * (2 * n)
+    wt = wt.take(flat)
+    size = _run_sizes(ww)
+    size = np.concatenate((size[first], size[second]), axis=1).take(flat)
+    of_first = order < n
+    last = np.ones(wt.shape, dtype=bool)  # the last step of each distinct weight
+    np.not_equal(wt[:, 1:], wt[:, :-1], out=last[:, :-1])
+    count = np.cumsum(np.where(of_first, 1, -1), axis=1)
+    largest = [np.maximum.accumulate(np.where(of_first == side, size, 1), axis=1)
+               for side in (True, False)]
+    diffs = (np.abs(count), np.abs(largest[0] - largest[1]))
+    return np.stack([np.where(last, d, 0).max(axis=1, initial=0) for d in diffs], axis=1)
+
+
+def _run_sizes(ww: np.ndarray) -> np.ndarray:
+    """The one component-size routine: for ``(G, n)`` step weights ``ww``
+    (-inf starts a tree), one node more than each step's run, the longest
+    stretch of neighbouring steps around it whose weights are >= its own,
+    found by doubling over a sparse table of minima."""
     G, n = ww.shape
     # table[k][g, 1 + s]: the least weight of graph g's steps s .. s + 2**k - 1,
     # NaN where that runs past the last step and on either side of the steps,
@@ -405,35 +427,7 @@ def _step_sups(ww: np.ndarray, first, second) -> np.ndarray:
         start = np.maximum(lo - span, first_step - 1)
         lo = np.where(t.take(start) >= ww, start, lo)
         hi = np.where(t.take(hi + 1) >= ww, hi + span, hi)
-
-    # a pair's 2n steps in descending weight order; a step that starts a tree
-    # counts as an edge of weight -inf: those sort last, where both graphs read
-    # as one tree and both differences as 0
-    wt = np.concatenate((ww[first], ww[second]), axis=1)
-    order = np.argsort(-wt, axis=1)
-    flat = order + np.arange(len(first))[:, None] * (2 * n)
-    wt = wt.take(flat)
-    size = hi - lo + 2
-    size = np.concatenate((size[first], size[second]), axis=1).take(flat)
-    of_first = order < n
-    last = np.ones(wt.shape, dtype=bool)  # the last step of each distinct weight
-    np.not_equal(wt[:, 1:], wt[:, :-1], out=last[:, :-1])
-    count = np.cumsum(np.where(of_first, 1, -1), axis=1)
-    largest = [np.maximum.accumulate(np.where(of_first == side, size, 1), axis=1)
-               for side in (True, False)]
-    diffs = (np.abs(count), np.abs(largest[0] - largest[1]))
-    return np.stack([np.where(last, d, 0).max(axis=1, initial=0) for d in diffs], axis=1)
-
-
-def _prim_forests(joined, ends, ww) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The maximum spanning forests of the G graphs whose steps
-    :func:`_prim_steps` returned: each graph's edges as (i, j, w) with i < j."""
-    forests = []
-    for g in range(ww.shape[1]):
-        edge = ww[:, g] != -np.inf
-        i, j = joined[edge, g], ends[edge, g]
-        forests.append((np.minimum(i, j), np.maximum(i, j), ww[edge, g]))
-    return forests
+    return hi - lo + 2
 
 
 def _prim_steps(rows, G: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

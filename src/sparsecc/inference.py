@@ -103,9 +103,11 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
     """Asymptotic two-sided survival probability at normalized distance d.
 
     Truncates the alternating series after the first term once the next term
-    drops below ``tol`` (a far tail is 2 exp(-2 d^2), not 0); clipped into [0, 1].
+    drops below ``tol`` (a far tail is 2 exp(-2 d^2), not 0); clipped into
+    [ulp(0), 1] for d > 0. Beyond d of about 19.3 the tail underflows a double,
+    and the result, the smallest positive double, is an upper bound on it.
     """
-    if d_normalized < 0:
+    if not d_normalized >= 0:
         raise ValueError("d_normalized must be >= 0")
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -118,7 +120,7 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
         if term < tol and i > 1:
             break
         total += term if i % 2 == 1 else -term
-    return min(1.0, max(0.0, 2.0 * total))
+    return min(1.0, max(math.ulp(0.0), 2.0 * total))
 
 
 def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1024) -> dict:

@@ -566,9 +566,9 @@ def test_net_threads_env(tmp_path, group_csvs, monkeypatch):
 def pipeline_calls(monkeypatch):
     """Counts of the cross-correlations the CLI, inference and heritability
     layers run, of the spanning forests built, one per graph at the entry of
-    the forest core, which takes G graphs per call, of the union-find merge
-    logs replayed and of the curves built."""
-    calls = {"cross_correlate": 0, "forests": 0, "merge_logs": 0, "curves": 0}
+    the forest core, which takes G graphs per call, of the forests whose
+    curves and merge events are read from their steps and of the curves built."""
+    calls = {"cross_correlate": 0, "forests": 0, "step_curves": 0, "curves": 0}
     lock = threading.Lock()  # replicates run on worker threads
 
     def counted(module, name, key, graphs):
@@ -585,7 +585,7 @@ def pipeline_calls(monkeypatch):
     counted(inference, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(heritability, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(filtration, "_prim_steps", "forests", lambda rows, G, p: G)
-    counted(filtration, "_merge_log_curves", "merge_logs", lambda *a: 1)
+    counted(filtration, "_step_curves", "step_curves", lambda *a: 1)
     counted(filtration.FiltrationCurve, "__post_init__", "curves", lambda *a: 1)
     return calls
 
@@ -598,41 +598,41 @@ def test_each_group_curves_computed_once(tmp_path, group_csvs, pipeline_calls):
     assert rc == 0
     # one streamed forest per group, then both permuted groups of each of the
     # 9 permutations as dense matrices, once for both kinds; no merge log is
-    # replayed and no curve built: every sup, observed or permuted, comes from
+    # listed and no curve built: every sup, observed or permuted, comes from
     # the forests' step weights
-    assert pipeline_calls == {"cross_correlate": 18, "forests": 20, "merge_logs": 0, "curves": 0}
+    assert pipeline_calls == {"cross_correlate": 18, "forests": 20, "step_curves": 0, "curves": 0}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["compare", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "cmp0")])
     assert rc == 0
     # without permutations: one streamed forest per group, and no dense matrix
-    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 0, "curves": 0}
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "step_curves": 0, "curves": 0}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["build", x1, y1, "--lambda", "0", "--lambda", "0.5",
                "--out", str(tmp_path / "build")])
     assert rc == 0
     # one streamed forest for both lambdas; the edge files are streamed rows
-    assert pipeline_calls == {"cross_correlate": 0, "forests": 1, "merge_logs": 1, "curves": 2}
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 1, "step_curves": 1, "curves": 2}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     cfg = SimConfig(n_obs=8, n_nodes=12, n_reps=3, seed=4)
     run_validation(cfg, threads=2)
     # three dense groups per repetition, and no curve: every sup comes from step weights
-    assert pipeline_calls == {"cross_correlate": 9, "forests": 9, "merge_logs": 0, "curves": 0}
+    assert pipeline_calls == {"cross_correlate": 9, "forests": 9, "step_curves": 0, "curves": 0}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--out", str(tmp_path / "hgi")])
     assert rc == 0
     # one streamed forest per twin group, no node-pair matrix and no curve
-    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 0, "curves": 0}
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "step_curves": 0, "curves": 0}
 
     pipeline_calls.update(dict.fromkeys(pipeline_calls, 0))
     rc = main(["hgi", x1, y1, x2, y2, "--kind", "both", "--no-symmetrize",
                "--out", str(tmp_path / "hgi_directed")])
     assert rc == 0
     # the test always filtrates the symmetrized rows
-    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "merge_logs": 0, "curves": 0}
+    assert pipeline_calls == {"cross_correlate": 0, "forests": 2, "step_curves": 0, "curves": 0}
     for kind in ("component_count", "largest_component_size"):
         name = f"result_{kind}.json"
         directed = (tmp_path / "hgi_directed" / name).read_bytes()

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecc import (
+    KIND_COMPONENTS,
+    KIND_LARGEST,
     AbsWeightBlocks,
     BinaryGraph,
+    FiltrationCurve,
     WeightedGraph,
     binarize,
     cross_correlate,
@@ -278,21 +281,27 @@ def kruskal_merge_log(w):
     return edges, sizes
 
 
+def kruskal_curves(p, edges, sizes):
+    """The count and largest-size curves of a :func:`kruskal_merge_log`."""
+    thresholds = [t for _, _, t in edges]
+    bps = np.unique(thresholds)
+    above = [sum(t > lam for t in thresholds) for lam in [-np.inf, *bps]]
+    return (FiltrationCurve(KIND_COMPONENTS, p, bps, [p - n for n in above]),
+            FiltrationCurve(KIND_LARGEST, p, bps, [sizes[n - 1] if n else 1 for n in above]))
+
+
 def assert_curves_match_kruskal(w, directed, weight_transform, curves, forest=None):
     """``curves`` (count, largest, events) and, when given, the forest's
     (i, j, w) arrays are those of the all-pairs Kruskal on ``w``."""
     a = np.abs(w) if weight_transform == "absolute" else w
     eff = np.where(a != 0.0, a, -np.inf)
     edges, sizes = kruskal_merge_log(np.maximum(eff, eff.T) if directed else eff)
-    thresholds = [t for _, _, t in edges]
-    count_curve, largest_curve, events = curves
-    assert events.thresholds.tolist() == thresholds
+    events = curves[2]
+    assert events.thresholds.tolist() == [t for _, _, t in edges]
     assert events.merged_sizes.tolist() == sizes
-    bps = np.unique(thresholds)
-    above = [sum(t > lam for t in thresholds) for lam in [-np.inf, *bps]]
-    assert count_curve.breakpoints.tolist() == largest_curve.breakpoints.tolist() == bps.tolist()
-    assert count_curve.values.tolist() == [w.shape[0] - n for n in above]
-    assert largest_curve.values.tolist() == [sizes[n - 1] if n else 1 for n in above]
+    for got, want in zip(curves, kruskal_curves(w.shape[0], edges, sizes)):
+        assert got.breakpoints.tolist() == want.breakpoints.tolist()
+        assert got.values.tolist() == want.values.tolist()
     if forest is not None:
         ii, jj, ww = forest
         assert sorted(zip(ii.tolist(), jj.tolist(), ww.tolist())) == sorted(edges)
@@ -316,6 +325,13 @@ def tied_graph(rng, p):
     return w, directed, ("absolute", "raw")[int(rng.integers(2))]
 
 
+def step_forest(joined, ends, ww):
+    """One graph's forest edges (i, j, w), i < j, from its Prim step columns."""
+    edge = ww != -np.inf
+    i, j = joined[edge], ends[edge]
+    return np.minimum(i, j), np.maximum(i, j), ww[edge]
+
+
 def test_forest_matches_all_pairs_kruskal_on_ties(rng):
     for _ in range(300):
         w, directed, _ = tied_graph(rng, int(rng.integers(2, 13)))
@@ -330,9 +346,10 @@ def test_forest_matches_all_pairs_kruskal_on_ties(rng):
             stack = np.stack([filtration._pair_weights(w, t, w.T if d else None)
                               for w, d, t in graphs])
             steps = filtration._prim_steps(stack.reshape(G * p, p).__getitem__, G, p)
-            for (w, d, t), forest in zip(graphs, filtration._prim_forests(*steps)):
-                curves = filtration._merge_log_curves(p, *forest)
-                assert_curves_match_kruskal(w, d, t, curves, forest)
+            for g, (w, d, t) in enumerate(graphs):
+                columns = [a[:, g] for a in steps]
+                curves = filtration._step_curves(p, *columns)
+                assert_curves_match_kruskal(w, d, t, curves, step_forest(*columns))
     # the core never reads a row's entries of nodes that have joined (the row's
     # own node included), which the streamed row source leaves stale
     for _ in range(100):
@@ -346,9 +363,10 @@ def test_forest_matches_all_pairs_kruskal_on_ties(rng):
             r[joined] = np.inf
             return r
 
-        forest = filtration._prim_forests(*filtration._prim_steps(rows, 1, p))[0]
+        steps = filtration._prim_steps(rows, 1, p)
         assert len(set(joined)) == len(joined) == p - 1  # each row requested once
-        assert_curves_match_kruskal(w, d, t, filtration._merge_log_curves(p, *forest), forest)
+        assert_curves_match_kruskal(w, d, t, filtration._step_curves(p, *steps),
+                                    step_forest(*(a[:, 0] for a in steps)))
 
 
 def test_forest_choice_among_equal_weights_sets_merged_sizes():
@@ -381,15 +399,15 @@ def replicate_graph(rng, p):
 
 def test_step_sups_match_merge_log_curves(rng):
     # the replicate driver's sups, read from Prim's step weights, against
-    # sup_distance of the merge-log curves of the same forests, in the pair
-    # layouts of permutations (0, 1) and of study repetitions (0, 1), (0, 2)
+    # sup_distance of the curves of an all-pairs Kruskal merge log of the same
+    # graphs, in the pair layouts of permutations (0, 1) and of study
+    # repetitions (0, 1), (0, 2)
     for G in range(2, 27):
         for _ in range(6):
             p = int(rng.integers(2, 17))
             stack = np.stack([replicate_graph(rng, p) for _ in range(G)])
             steps = filtration._prim_steps(stack.reshape(G * p, p).__getitem__, G, p)
-            curves = [filtration._merge_log_curves(p, *f)[:2]
-                      for f in filtration._prim_forests(*steps)]
+            curves = [kruskal_curves(p, *kruskal_merge_log(w)) for w in stack]
             for gap in (1, 2):
                 first = np.arange(max(G - gap, 0))
                 sups = filtration._step_sups(steps[2].T, first, first + gap)
@@ -573,23 +591,61 @@ def test_binned_thread_invariance(rng):
         np.testing.assert_array_equal(r[1].values, results[0][1].values)
 
 
+def hadamard_dataset(rng, p):
+    """Columns of a 16 x 16 Sylvester-Hadamard matrix: one for each x, and a
+    signed sum of 1 or 4 of them for each y, or of all 15 for about a fifth of
+    the ys. The sums of 1 or 4 normalize to a power of two, so their products
+    are exact: many pairs weigh exactly 0, and many tie at multiples of 1/8.
+    The 15-term sums add weights that differ in their last bits."""
+    h = np.ones((1, 1))
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    h = h[:, 1:]  # the all-ones column is constant
+    x = h[:, rng.integers(15, size=p)] * rng.choice((-1.0, 1.0), p)
+    y = np.empty_like(x)
+    for j in range(p):
+        terms = rng.choice(15, int(rng.choice((1, 4))), replace=False)
+        y[:, j] = (h[:, terms] * rng.choice((-1.0, 1.0), terms.size)).sum(axis=1)
+    y[:, rng.random(p) < 0.2] = (h * rng.choice((-1.0, 1.0), 15)).sum(axis=1, keepdims=True)
+    return normalize_arrays(x, y)
+
+
+def assert_binned_equals_snapped(binned, w, n_bins):
+    """``binned`` curves are the exact ones of the weights ``w`` (in [0, 1], 0
+    where absent) snapped up to the grid, breakpoints and values alike."""
+    snapped = np.ceil(np.clip(w, 0.0, 1.0) * n_bins) / n_bins
+    for b, e in zip(binned, filtration_curves(WeightedGraph(snapped))):
+        np.testing.assert_array_equal(b.breakpoints, e.breakpoints)
+        np.testing.assert_array_equal(b.values, e.values)
+
+
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_binned_equals_exact_curves_of_snapped_weights(rng, symmetrize):
     x = rng.standard_normal((15, 120))
     y = x + 0.3 * rng.standard_normal((15, 120))
-    ds = normalize_arrays(x, y)
-    w = np.abs(cross_correlate(ds, symmetrize=symmetrize).rho)
-    w = np.maximum(w, w.T)  # weak connectivity when directed
-    np.fill_diagonal(w, 0.0)
-    for n_bins in (7, 100, 10_000):
-        q = np.ceil(np.clip(w, 0.0, 1.0) * n_bins) - 1
-        snapped = np.where(q >= 0, (q + 1) / n_bins, 0.0)
-        exact = filtration_curves(WeightedGraph(snapped))
-        stream = AbsWeightBlocks(ds, block_size=32, symmetrize=symmetrize)
-        binned = filtration_curves_binned(stream, n_bins=n_bins)
-        for b, e in zip(binned, exact):
-            np.testing.assert_array_equal(b.breakpoints, e.breakpoints)
-            np.testing.assert_array_equal(b.values, e.values)
+    hadamard = [hadamard_dataset(rng, int(rng.integers(10, 40))) for _ in range(3)]
+    for ds in (normalize_arrays(x, y), *hadamard):
+        w = np.abs(cross_correlate(ds, symmetrize=symmetrize).rho)
+        w = np.maximum(w, w.T)  # weak connectivity when directed
+        np.fill_diagonal(w, 0.0)
+        for n_bins in (2, 3, 7, 50, 100, 10_000):
+            stream = AbsWeightBlocks(ds, block_size=32, symmetrize=symmetrize)
+            assert_binned_equals_snapped(filtration_curves_binned(stream, n_bins=n_bins), w, n_bins)
+    assert all((cross_correlate(ds).rho == 0.0).any() for ds in hadamard)
+
+
+def test_binned_rows_with_zeros_equal_exact_curves_of_snapped_weights(rng):
+    # weights on and between the bin boundaries, zeros (absent pairs) among
+    # them, and graphs often disconnected, so zero-weight steps are dropped
+    for n_bins in (2, 3, 7, 50):
+        for _ in range(4):
+            p = int(rng.integers(2, 30))
+            w = rng.integers(0, 2 * n_bins + 1, (p, p)) / (2 * n_bins)
+            w *= rng.random((p, p)) < rng.uniform(0.0, 0.4)
+            rows = DenseRows(w)
+            np.fill_diagonal(rows.w, 0.0)
+            assert_binned_equals_snapped(filtration_curves_binned(rows, n_bins=n_bins), rows.w,
+                                         n_bins)
 
 
 def test_binned_computes_each_weight_row_once(rng, monkeypatch):

@@ -133,6 +133,8 @@ def test_ks_validation():
     with pytest.raises(ValueError):
         ks_pvalue(-0.1)
     with pytest.raises(ValueError):
+        ks_pvalue(math.nan)
+    with pytest.raises(ValueError):
         ks_pvalue(1.0, tol=0.0)
 
 
@@ -156,6 +158,9 @@ def test_ks_tends_to_zero():
         p = ks_pvalue(d)
         assert p > 0.0
         assert math.isclose(p, 2.0 * math.exp(-2.0 * d * d), rel_tol=1e-12)
+    # nor once that term underflows: the smallest positive double bounds it
+    for d in (19.5, 22.35, 40.0):
+        assert ks_pvalue(d) == math.ulp(0.0)
 
 
 # ------------------------------------------------------------ compare_groups
