@@ -186,7 +186,12 @@ def _write_rows(path, header: str | None, row_format: str, blocks):
     indices >= 0 and w a float64 array. Its ``"u,"`` is rendered once, as the
     text that joins its rows; each index i is read from one table of
     ``f"{i},"`` per call, grown as far as the indices reach (p strings); and
-    each row is that string plus ``float.__repr__`` of its weight.
+    each row is that string plus ``float.__repr__`` of its weight, as
+    :func:`_float_reprs` renders it: one ``orjson.dumps`` call per block,
+    whose shortest round-trip digits are ``repr``'s. Its notation is
+    ``repr``'s only for 1e-4 <= |x| < 1e16 and x == 0 (it writes ``1e-5``
+    for ``1e-05``, ``1e16`` for ``1e+16`` and ``null`` for inf and NaN), so
+    the weights outside that range are rendered by ``float.__repr__``.
 
     A whole-array block is rendered in chunks of at most ``_VALUES_PER_CHUNK``
     values (one row at least), so a chunk's Python objects and text stay near
@@ -215,8 +220,7 @@ def _write_block(fh, line: str, block, table: list[str]) -> int:
         u, j, w = block
         if len(j):
             table.extend(f"{i}," for i in range(len(table), int(j.max()) + 1))
-            rows = map(operator.add, map(table.__getitem__, j.tolist()),
-                       map(float.__repr__, w.tolist()))
+            rows = map(operator.add, map(table.__getitem__, j.tolist()), _float_reprs(w))
             fh.write(f"{u}," + f"\n{u},".join(rows) + "\n")
         return len(j)
     step = max(1, _VALUES_PER_CHUNK // len(block))
@@ -226,6 +230,19 @@ def _write_block(fh, line: str, block, table: list[str]) -> int:
         values = list(chain.from_iterable(zip(*chunk, strict=True)))
         fh.write((line * len(chunk[0])).format(*values))
     return len(block[0])
+
+
+def _float_reprs(w: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each entry of the float64 array ``w``."""
+    import orjson  # only the edge-file writer of hgi and build renders node blocks
+
+    if not len(w):
+        return []
+    texts = orjson.dumps(w.tolist()).decode()[1:-1].split(",")
+    size = np.abs(w)
+    for k in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (w == 0))).tolist():
+        texts[k] = float.__repr__(float(w[k]))
+    return texts
 
 
 def save_binary(values: np.ndarray, path, node_ids=None) -> None:

@@ -263,6 +263,35 @@ def test_write_rows_matches_per_row_format(tmp_path_factory, blocks):
     assert [f.read_text() for f in paths] == [expected] * 2
 
 
+# each side of both ends of the range whose digits come from orjson, and the
+# values at its limits or far outside it
+_REPR_EDGES = [float(x) for e in (1e-4, -1e-4, 1e16, -1e16)
+               for x in (np.nextafter(e, 0.0), e, np.nextafter(e, 2 * e))] + [
+    5e-324, -0.0, 0.0, 1.7976931348623157e308, 2.0, 1e15]
+
+
+def _reprs_match(w):
+    assert dataset._float_reprs(w) == [float.__repr__(x) for x in w.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats()), st.lists(st.integers(min_value=0, max_value=2**64 - 1)))
+@example(_REPR_EDGES, [])
+def test_float_reprs_match_float_repr(values, bits):
+    # any double, NaN and +-inf among them, and any 64-bit pattern viewed as one
+    _reprs_match(np.array(values, dtype=np.float64))
+    _reprs_match(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_float_reprs_match_float_repr_across_the_orjson_range():
+    # 17 significant digits at every decimal exponent of the range and beyond it
+    rng = np.random.default_rng(8)
+    exponents = rng.uniform(-6, 18, 200_000)
+    w = rng.choice([-1.0, 1.0], exponents.size) * 10.0 ** exponents
+    _reprs_match(w)
+    assert dataset._float_reprs(np.array([], dtype=np.float64)) == []
+
+
 def test_save_csv_memory_stays_bounded_for_wide_matrices(tmp_path):
     # rendered in one chunk, a 20 x 20000 matrix held about 32 MiB of objects and text
     values = np.random.default_rng(6).standard_normal((20, 20000))

@@ -114,3 +114,22 @@ assert not loaded, loaded
 """
     assert child(code)["numpy"]
     assert (tmp_path / "merge_events.csv").is_file()
+
+
+def test_only_edge_file_writers_load_orjson(tmp_path):
+    # filtrate and compare write no node block, so they never pay orjson's import
+    inputs = Path(__file__).resolve().parent / "golden" / "inputs"
+    groups = [str(inputs / f"{g}_{s}.csv") for g in ("mz", "dz") for s in "xy"]
+    runs = [["filtrate", *groups[:2]], ["compare", *groups], ["hgi", *groups]]
+    code = f"""
+import sys
+import sparsecc.dataset
+loaded = ["orjson" in sys.modules]
+import sparsecc.cli
+for k, argv in enumerate({runs!r}):
+    assert sparsecc.cli.main([*argv, "--out", {str(tmp_path)!r} + f"/{{k}}"]) == 0
+    loaded.append("orjson" in sys.modules)
+assert loaded == [False, False, False, True], loaded
+"""
+    assert child(code)["numpy"]
+    assert (tmp_path / "2" / "hgi_edges.csv").is_file()
