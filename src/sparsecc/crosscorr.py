@@ -30,6 +30,9 @@ from .errors import DimensionMismatch
 # Header and row format of an edge file
 _EDGES_CSV = ("i,j,weight", "{},{},{!r}")
 
+# Size of one block of signed kernel rows in the edge passes (``_kernel_rows``)
+_ROW_BLOCK_BYTES = 64 << 10
+
 
 @dataclass(eq=False)
 class CrossCorrMatrix:
@@ -103,17 +106,43 @@ def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool, reverse: bool = T
     if not (symmetrize or reverse):
         return b, None
     c = b.T if I == J else _product_blocks(y[:, I], x[:, J])
-    if symmetrize:
+    if symmetrize and I == J:
         b = c = (b + c) / 2.0
+    elif symmetrize:  # in place, bitwise (b + c) / 2.0: both halve the same rounded sum
+        b += c
+        b *= 0.5
+        c = b
     return b, c
 
 
-def _signed_row(x, y, u: int, J: slice, symmetrize: bool, reverse: bool = True):
+def _signed_row(x, y, u: int, J: slice, symmetrize: bool):
     """Row u of :func:`_signed_blocks` against the columns ``J`` as 1-D arrays
-    ``(b, c)``: one averaged row as both (``b is c``) when symmetrized, and
-    ``c = None`` for a directed row without ``reverse``."""
-    b, c = _signed_blocks(x, y, slice(u, u + 1), J, symmetrize, reverse)
-    return (b[0],) * 2 if b is c else (b[0], None if c is None else c[0])
+    ``(b, c)``: one averaged row as both (``b is c``) when symmetrized."""
+    b, c = _signed_blocks(x, y, slice(u, u + 1), J, symmetrize)
+    return (b[0],) * 2 if b is c else (b[0], c[0])
+
+
+def _kernel_rows(ds: PairedDataset, symmetrize: bool, upper: bool):
+    """Each node u's signed kernel row, in node order: row u of
+    ``cross_correlate(ds, symmetrize=symmetrize).rho`` bitwise, from column u
+    on when ``upper`` and from column 0 otherwise. A directed row is ``b``
+    alone: the reverse rows are not computed.
+
+    The rows are computed ``B`` at a time, one :func:`_signed_blocks` call per
+    block of B rows against the columns from the block's first row (or 0) on,
+    where B rows of p doubles fill ``_ROW_BLOCK_BYTES`` (one row at least).
+    The kernel sums every entry in observation order whatever the block shape,
+    so the rows are those of one call per row; each yielded row is a view into
+    its block.
+    """
+    p = ds.n_nodes
+    B = max(1, _ROW_BLOCK_BYTES // (8 * p))
+    for u0 in range(0, p, B):
+        start = u0 if upper else 0
+        rows = _signed_blocks(ds.x, ds.y, slice(u0, u0 + B), slice(start, None), symmetrize,
+                              reverse=False)[0]
+        for k, row in enumerate(rows):
+            yield row[k:] if upper else row
 
 
 def _block_pairs(p: int, bs: int) -> list[tuple[int, int]]:
@@ -174,12 +203,13 @@ def _streamed_edges(stream: AbsWeightBlocks, lams):
     """:func:`sparse_network` of the stream's dataset at each level of ``lams``,
     bitwise, with no p x p matrix and one kernel row per node: per node u, one
     block ``(u, cols, values)`` per level, in the edge file's order. Row u is
-    the stream's signed kernel row (bitwise row u of :func:`cross_correlate`),
-    from column u on when symmetrized (pairs u < j) and from column 0
-    otherwise, without the directed reverse row."""
-    for u in range(stream.n_nodes):
-        start = u if stream.symmetrize else 0
-        b = stream._signed_rows(u, start, reverse=False)[0]
+    the stream's signed kernel row from :func:`_kernel_rows` (bitwise row u of
+    :func:`cross_correlate`, computed in small blocks of rows), from column u
+    on when symmetrized (pairs u < j) and from column 0 otherwise, without the
+    directed reverse row."""
+    upper = stream.symmetrize
+    for u, b in enumerate(_kernel_rows(stream.ds, stream.symmetrize, upper)):
+        start = u if upper else 0
         magnitude = np.abs(b)
         magnitude[u - start] = 0.0  # no self-loop
         blocks = []
@@ -252,13 +282,10 @@ class AbsWeightBlocks:
     def row(self, u: int) -> np.ndarray:
         return self._combine(*self._signed_rows(u))
 
-    def _signed_rows(
-        self, u: int, start: int = 0, reverse: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``b[v] = x_u . y_w`` and ``c[v] = y_u . x_w`` for the nodes w = start + v
-        from ``start`` on, or their average as both. Without ``reverse`` a
-        directed stream skips ``c`` and gives None for it."""
-        return _signed_row(self.ds.x, self.ds.y, u, slice(start, None), self.symmetrize, reverse)
+    def _signed_rows(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """``b[w] = x_u . y_w`` and ``c[w] = y_u . x_w`` for every node w, or their
+        average as both."""
+        return _signed_row(self.ds.x, self.ds.y, u, slice(None), self.symmetrize)
 
     def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.abs(b) if b is c else np.maximum(np.abs(b), np.abs(c))

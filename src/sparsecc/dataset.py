@@ -8,7 +8,7 @@ precondition for all cross-correlation computations downstream.
 from __future__ import annotations
 
 import json
-import operator
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import chain
@@ -43,6 +43,10 @@ class RawMatrix:
         self.node_ids = tuple(str(v) for v in self.node_ids)
         if len(self.node_ids) != p:
             raise DimensionMismatch(f"{len(self.node_ids)} node ids for {p} columns")
+        counts = Counter(self.node_ids)
+        if len(counts) != p:
+            repeated = ", ".join(v for v, k in counts.items() if k > 1)
+            raise MalformedFile(f"repeated node ids: {repeated}")
         if not np.isfinite(self.values).all():
             raise NonFiniteEntry("matrix contains NaN or infinite entries")
 
@@ -109,18 +113,18 @@ def _looks_like_header(line: str) -> bool:
 
 def _read_csv(path: Path) -> RawMatrix:
     with open(path, "r") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise MalformedFile(f"{path}: empty file")
-        has_header = _looks_like_header(first)
         try:
+            first = fh.readline()
+            if not first.strip():
+                raise MalformedFile(f"{path}: empty file")
+            has_header = _looks_like_header(first)
             values = np.loadtxt(
                 fh if has_header else [first] + fh.readlines(),
                 delimiter=",",
                 ndmin=2,
                 dtype=np.float64,
             )
-        except ValueError as exc:
+        except ValueError as exc:  # also a UnicodeDecodeError, on a line or ahead of it
             raise MalformedFile(f"{path}: {exc}") from exc
     if has_header:
         node_ids = tuple(tok.strip() for tok in first.strip().split(","))
@@ -183,15 +187,9 @@ def _write_rows(path, header: str | None, row_format: str, blocks):
 
     A streamed block ``(u, j, w)`` holds node u's rows of an edge file
     (``row_format`` ``"{},{},{!r}"``): u is one int, j an int array of node
-    indices >= 0 and w a float64 array. Its ``"u,"`` is rendered once, as the
-    text that joins its rows; each index i is read from one table of
-    ``f"{i},"`` per call, grown as far as the indices reach (p strings); and
-    each row is that string plus ``float.__repr__`` of its weight, as
-    :func:`_float_reprs` renders it: one ``orjson.dumps`` call per block,
-    whose shortest round-trip digits are ``repr``'s. Its notation is
-    ``repr``'s only for 1e-4 <= |x| < 1e16 and x == 0 (it writes ``1e-5``
-    for ``1e-05``, ``1e16`` for ``1e+16`` and ``null`` for inf and NaN), so
-    the weights outside that range are rendered by ``float.__repr__``.
+    indices and w a float64 array. :func:`_node_rows` renders it with one
+    orjson call over its ``(j, w)`` pairs, cut at the few weights that
+    ``float.__repr__`` renders alone.
 
     A whole-array block is rendered in chunks of at most ``_VALUES_PER_CHUNK``
     values (one row at least), so a chunk's Python objects and text stay near
@@ -203,26 +201,22 @@ def _write_rows(path, header: str | None, row_format: str, blocks):
     """
     many = isinstance(path, list)
     paths, line = path if many else [path], row_format + "\n"
-    table, counts = [], [0] * len(paths)  # table: f"{i}," for node indices 0, 1, ...
+    counts = [0] * len(paths)
     with ExitStack() as files:
         fhs = [files.enter_context(open(p, "w")) for p in paths]
         for fh in fhs:
             fh.write("" if header is None else header + "\n")
         for item in blocks:
             for f, block in enumerate(item if many else [item]):
-                counts[f] += _write_block(fhs[f], line, block, table)
+                counts[f] += _write_block(fhs[f], line, block)
     return counts if many else counts[0]
 
 
-def _write_block(fh, line: str, block, table: list[str]) -> int:
+def _write_block(fh, line: str, block) -> int:
     """One block of :func:`_write_rows`; returns its number of rows."""
     if isinstance(block[0], int):  # one node's rows
-        u, j, w = block
-        if len(j):
-            table.extend(f"{i}," for i in range(len(table), int(j.max()) + 1))
-            rows = map(operator.add, map(table.__getitem__, j.tolist()), _float_reprs(w))
-            fh.write(f"{u}," + f"\n{u},".join(rows) + "\n")
-        return len(j)
+        fh.write(_node_rows(*block))
+        return len(block[1])
     step = max(1, _VALUES_PER_CHUNK // len(block))
     for k in range(0, len(block[0]), step):
         chunk = [np.asarray(c[k : k + step]).tolist() for c in block]
@@ -232,17 +226,33 @@ def _write_block(fh, line: str, block, table: list[str]) -> int:
     return len(block[0])
 
 
-def _float_reprs(w: np.ndarray) -> list[str]:
-    """``float.__repr__`` of each entry of the float64 array ``w``."""
+def _node_rows(u: int, j: np.ndarray, w: np.ndarray) -> str:
+    """Node u's edge rows, ``"u,j,w"`` with ``float.__repr__`` of each weight
+    w, one line each, in order.
+
+    One ``orjson.dumps`` call renders the ``(j, w)`` pairs as ``[[j,w],...]``:
+    with the outer brackets cut, each ``"],["`` between two pairs becomes the
+    row break plus ``"u,"``. orjson writes an int as ``str`` does and a float
+    in ``repr``'s shortest round-trip digits, in ``repr``'s notation only for
+    1e-4 <= |x| < 1e16 and x == 0 (it writes ``1e-5`` for ``1e-05``, ``1e16``
+    for ``1e+16`` and ``null`` for inf and NaN). So the rows whose weight is
+    outside that range are rendered alone by ``float.__repr__``, and each run
+    of rows between them by one orjson call.
+    """
     import orjson  # only the edge-file writer of hgi and build renders node blocks
 
-    if not len(w):
-        return []
-    texts = orjson.dumps(w.tolist()).decode()[1:-1].split(",")
     size = np.abs(w)
-    for k in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (w == 0))).tolist():
-        texts[k] = float.__repr__(float(w[k]))
-    return texts
+    alone = np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (w == 0))).tolist()
+    js, ws, prefix = j.tolist(), w.tolist(), f"{u},"
+    parts, a = [], 0
+    for k in alone + [len(js)]:
+        if a < k:
+            pairs = orjson.dumps(list(zip(js[a:k], ws[a:k]))).decode()
+            parts.append(prefix + pairs[2:-2].replace("],[", "\n" + prefix) + "\n")
+        if k < len(js):
+            parts.append(f"{prefix}{js[k]},{float.__repr__(ws[k])}\n")
+        a = k + 1
+    return "".join(parts)
 
 
 def save_binary(values: np.ndarray, path, node_ids=None) -> None:

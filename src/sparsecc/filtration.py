@@ -268,7 +268,8 @@ def _streamed_steps(stream, weight_transform: str = "absolute"):
     so the steps equal those of the dense graph
     ``WeightedGraph.from_crosscorr(cross_correlate(...))``.
     """
-    rows = _OutsideRows(stream, lambda b, c: _pair_weights(b, weight_transform, c))
+    # b is a fresh kernel row, so it is transformed in place
+    rows = _OutsideRows(stream, lambda b, c: _pair_weights(b, weight_transform, c, out=b))
     return _prim_steps(rows, 1, stream.n_nodes)
 
 

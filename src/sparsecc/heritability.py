@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crosscorr import AbsWeightBlocks, _kept_pairs, cross_correlate
+from .crosscorr import _kept_pairs, _kernel_rows, cross_correlate
 from .dataset import PairedDataset, _write_rows
 from .errors import NodeSetMismatch
 from .filtration import KIND_COMPONENTS
@@ -115,21 +115,20 @@ def _streamed_hgi(mz, dz, kinds, symmetrize, threshold, hi_path, edges_path) -> 
     The test results come from ``inference._compare_kinds``, symmetrized
     whatever ``symmetrize`` is, so from each twin group's streamed spanning
     forest. One pass over the nodes u in ascending order then reads row u of
-    both groups (``AbsWeightBlocks._signed_rows``, bitwise the rows of
-    :func:`~sparsecc.crosscorr.cross_correlate`; a directed pass skips the
-    reverse rows it does not use) from column u on. Entry u gives the
-    node-level correlations, the rest the pairs u < j in the edge file's
-    order, written as they are computed. The node sets must match
+    both groups from column u on (``crosscorr._kernel_rows``: bitwise the rows
+    of :func:`~sparsecc.crosscorr.cross_correlate`, computed a few rows per
+    kernel call; a directed pass skips the reverse rows it does not use).
+    Entry u gives the node-level correlations, the rest the pairs u < j in the
+    edge file's order, written as they are computed. The node sets must match
     (``_check_twins``).
     """
     results = _compare_kinds(mz, dz, kinds, symmetrize=True)
-    streams = [AbsWeightBlocks(ds, symmetrize=symmetrize) for ds in (mz, dz)]
     p = mz.n_nodes
     rho = np.empty((2, p))  # rho_mz and rho_dz, filled as the pass goes
 
     def edge_rows():
-        for u in range(p):
-            b_mz, b_dz = (stream._signed_rows(u, u, reverse=False)[0] for stream in streams)
+        rows = zip(*(_kernel_rows(ds, symmetrize, upper=True) for ds in (mz, dz)))
+        for u, (b_mz, b_dz) in enumerate(rows):
             rho[:, u] = b_mz[0], b_dz[0]
             h = 2.0 * (b_mz[1:] - b_dz[1:])
             (j,) = np.nonzero(np.abs(h) > threshold)

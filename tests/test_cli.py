@@ -161,6 +161,21 @@ def test_out_of_range_numbers_rejected_before_ingest(tmp_path, group_csvs, capsy
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["build", "filtrate", "compare", "hgi"])
+def test_repeated_node_ids_refused_before_any_output(tmp_path, capsys, command):
+    # the last input file's header repeats an id; the run writes nothing to --out
+    rng = np.random.default_rng(4)
+    paths = [tmp_path / f"in{k}.csv" for k in range(4 if command in ("compare", "hgi") else 2)]
+    for k, path in enumerate(paths):
+        ids = ["a", "b", "c", "a" if k == len(paths) - 1 else "d"]
+        dataset.save_csv(rng.standard_normal((6, 4)), path, node_ids=ids)
+    flags = ["--lambda", "0"] if command == "build" else []
+    out = tmp_path / "out"
+    assert main([command, *map(str, paths), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"sparsecc {command}: error: repeated node ids: a\n"
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["build", "filtrate", "compare", "hgi", "simulate"])
 def test_block_size_below_one_rejected_before_ingest(tmp_path, capsys, command):
     # the input paths do not exist, so only a check made before reading them can pass
@@ -304,21 +319,26 @@ def test_edge_files_match_dense_rendering(tmp_path, symmetrize):
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_build_writes_every_lambda_file_from_one_row_pass(tmp_path, group_csvs, monkeypatch,
                                                           symmetrize):
-    # p = 18: p - 1 kernel rows for the forest and p for the edge files,
-    # whatever the number of lambda levels; each file as a one-level run writes it
+    # p = 18: p - 1 kernel rows for the forest and p for the edge files (the
+    # summed heights of the kernel's row blocks), whatever the number of lambda
+    # levels; each file as a one-level run writes it
     x, y = group_csvs("lams")
     sym = [] if symmetrize else ["--no-symmetrize"]
-    calls = []
+    rows = []
     original = crosscorr._signed_blocks
-    monkeypatch.setattr(crosscorr, "_signed_blocks",
-                        lambda *a, **k: calls.append(1) or original(*a, **k))
+
+    def counted(x, y, I, *args, **kwargs):
+        rows.append(len(range(x.shape[1])[I]))
+        return original(x, y, I, *args, **kwargs)
+
+    monkeypatch.setattr(crosscorr, "_signed_blocks", counted)
     lams = ["0.3", "0", "0.05"]
     per_run = []
     for tag, levels in [("all", lams), *((lam, [lam]) for lam in lams)]:
-        calls.clear()
+        rows.clear()
         flags = [f for lam in levels for f in ("--lambda", lam)]
         assert main(["build", x, y, *flags, *sym, "--out", str(tmp_path / tag)]) == 0
-        per_run.append(len(calls))
+        per_run.append(sum(rows))
     assert per_run == [2 * 18 - 1] * 4
     summary = read_lines(tmp_path / "all" / "summary.csv")
     for k, lam in enumerate(lams):
@@ -329,24 +349,55 @@ def test_build_writes_every_lambda_file_from_one_row_pass(tmp_path, group_csvs, 
         assert int(summary[1 + k].split(",")[1]) == text.count(b"\n") - 1
 
 
+# kernel rows per block in the edge passes at p = 30: one, two, seven (30 is
+# no multiple of it, so the last block is short) and every row in one block
+_ROWS_PER_BLOCK = (1, 2, 7, 30)
+
+
 @pytest.mark.parametrize("symmetrize", [True, False])
 @pytest.mark.parametrize("threshold", [0.0, 0.5])
-def test_hgi_edge_file_matches_the_dense_public_path(tmp_path, group_csvs, symmetrize,
-                                                     threshold):
-    # the CLI's node rows, each rendered after its "u," prefix, against the
-    # public whole-array writer on the dense node-pair matrix
+def test_hgi_edge_file_matches_the_dense_public_path(tmp_path, group_csvs, monkeypatch,
+                                                     symmetrize, threshold):
+    # the CLI's node rows, computed in blocks of rows and each node's rendered
+    # by one orjson call, against the public whole-array writer on the dense
+    # node-pair matrix
     mz, dz = group_csvs("hgi_mz", p=30), group_csvs("hgi_dz", p=30)
     sym = [] if symmetrize else ["--no-symmetrize"]
-    out = tmp_path / "hgi"
-    assert main(["hgi", *mz, *dz, "--edge-threshold", repr(threshold), *sym,
-                 "--out", str(out)]) == 0
     groups = [dataset.normalize_pair(*map(dataset.ingest, pair)) for pair in (mz, dz)]
-    heritability.write_hgi_edges(heritability.hgi(*groups, symmetrize=symmetrize),
-                                 tmp_path / "dense.csv", threshold)
-    text = (out / "hgi_edges.csv").read_bytes()
-    assert text == (tmp_path / "dense.csv").read_bytes()
+    result = heritability.hgi(*groups, symmetrize=symmetrize)
+    heritability.write_hgi_edges(result, tmp_path / "dense.csv", threshold)
+    heritability.write_hi_csv(result, tmp_path / "dense_hi.csv")
+    for b in _ROWS_PER_BLOCK:
+        monkeypatch.setattr(crosscorr, "_ROW_BLOCK_BYTES", 8 * 30 * b)
+        out = tmp_path / f"hgi_{b}"
+        assert main(["hgi", *mz, *dz, "--edge-threshold", repr(threshold), *sym,
+                     "--out", str(out)]) == 0
+        text = (out / "hgi_edges.csv").read_bytes()
+        assert text == (tmp_path / "dense.csv").read_bytes()
+        assert (out / "hi.csv").read_bytes() == (tmp_path / "dense_hi.csv").read_bytes()
     rows, pairs = text.count(b"\n") - 1, 30 * 29 // 2
     assert rows == pairs if threshold == 0.0 else 0 < rows < pairs
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_build_edge_files_match_the_dense_public_path(tmp_path, group_csvs, monkeypatch,
+                                                      symmetrize):
+    # build's edge passes at levels 0 and 0.3, at any number of kernel rows per
+    # block, against the public writer on the dense sparse networks
+    x, y = group_csvs("build", p=30)
+    sym = [] if symmetrize else ["--no-symmetrize"]
+    cc = cross_correlate(dataset.normalize_pair(dataset.ingest(x), dataset.ingest(y)),
+                         symmetrize=symmetrize)
+    for lam in ("0", "0.3"):
+        crosscorr.write_edge_list(sparse_network(cc, float(lam)), tmp_path / f"dense_{lam}.csv")
+    for b in _ROWS_PER_BLOCK:
+        monkeypatch.setattr(crosscorr, "_ROW_BLOCK_BYTES", 8 * 30 * b)
+        out = tmp_path / f"build_{b}"
+        assert main(["build", x, y, "--lambda", "0", "--lambda", "0.3", *sym,
+                     "--out", str(out)]) == 0
+        for lam in ("0", "0.3"):
+            assert ((out / f"edges_lambda_{lam}.csv").read_bytes()
+                    == (tmp_path / f"dense_{lam}.csv").read_bytes())
 
 
 def test_build_memory_below_six_dense_matrices(tmp_path):

@@ -259,8 +259,9 @@ def test_abs_weight_row_matches_blocks_bitwise(rng, symmetrize):
 
 
 @pytest.mark.parametrize("symmetrize", [True, False])
-def test_signed_rows_without_reverse(rng, monkeypatch, symmetrize):
-    # a directed row read without reverse is one product, b alone; a
+def test_kernel_rows_without_reverse(rng, monkeypatch, symmetrize):
+    # the edge passes' rows, computed B rows at a time, are those of the dense
+    # matrix bitwise; a directed block is one product, b alone, and a
     # symmetrized one still needs both directions for the average
     calls = 0
     product = crosscorr._product_blocks
@@ -272,13 +273,16 @@ def test_signed_rows_without_reverse(rng, monkeypatch, symmetrize):
 
     ds = random_dataset(rng, 9, 70)
     rho = cross_correlate(ds, symmetrize=symmetrize).rho
-    stream = AbsWeightBlocks(ds, symmetrize=symmetrize)
     monkeypatch.setattr(crosscorr, "_product_blocks", counted)
-    for u in range(70):
-        b, c = stream._signed_rows(u, u, reverse=False)
-        assert np.array_equal(b, rho[u, u:])
-        assert c is (b if symmetrize else None)
-    assert calls == 70 * (2 if symmetrize else 1)
+    for B, blocks in ((1, 70), (2, 35), (7, 10), (8, 9), (70, 1), (100, 1)):
+        monkeypatch.setattr(crosscorr, "_ROW_BLOCK_BYTES", 8 * 70 * B)
+        for upper in (True, False):
+            calls = 0
+            rows = list(crosscorr._kernel_rows(ds, symmetrize, upper))
+            assert len(rows) == 70
+            for u, b in enumerate(rows):
+                assert np.array_equal(b, rho[u, u:] if upper else rho[u])
+            assert calls == blocks * (2 if symmetrize else 1)
 
 
 @pytest.mark.parametrize("symmetrize", [True, False])

@@ -51,6 +51,29 @@ def test_ingest_missing_file(tmp_path):
         dataset.ingest(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("text", [b"a,\xffb\n1,4\n2,5\n", b"a,b\n1,4\n2,\xff5\n"],
+                         ids=["header", "data-row"])
+def test_ingest_csv_not_utf8_names_the_file(tmp_path, text):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text)
+    with pytest.raises(MalformedFile, match=f"^{p}: 'utf-8' codec can't decode byte 0xff"):
+        dataset.ingest(p)
+
+
+def test_repeated_node_ids_rejected(tmp_path):
+    # from a CSV header, a binary sidecar and plain arrays, each naming every repeated id
+    values = np.arange(15, dtype=float).reshape(3, 5) ** 2
+    ids = ["a", "b", "a", "c", "b"]
+    csv, binary = tmp_path / "m.csv", tmp_path / "m.bin"
+    dataset.save_csv(values, csv, node_ids=ids)
+    dataset.save_binary(values, binary, node_ids=ids)
+    for path in (csv, binary):
+        with pytest.raises(MalformedFile, match="^repeated node ids: a, b$"):
+            dataset.ingest(path)
+    with pytest.raises(MalformedFile, match="^repeated node ids: a, b$"):
+        dataset.normalize_arrays(values, values + 1.0, node_ids=ids)
+
+
 def test_binary_roundtrip(tmp_path):
     values = np.arange(12, dtype=float).reshape(3, 4) / 7.0
     p = tmp_path / "m.bin"
@@ -232,7 +255,9 @@ def edge_blocks(draw):
     return blocks
 
 
-# p = 41 nodes; the index table grows from 1 string to 41
+# p = 41 nodes. A node block is cut at each weight that float.__repr__ renders
+# alone (outside 1e-4 <= |x| < 1e16, and nonzero): here at its first row, its
+# last, two adjacent ones, and every row of a block
 _EVERY_EDGE_CASE = [
     (7, np.array([0]), np.array([1e-05])),
     (40, np.array([], dtype=np.int64), np.array([])),
@@ -240,6 +265,10 @@ _EVERY_EDGE_CASE = [
     (np.full(4, 40), np.array([40, 0, 1, 40]), np.array(_EDGE_FLOATS[3:])),
     (np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([])),
     (40, np.array([40, 39, 0]), np.array(_EDGE_FLOATS[:3])),
+    (3, np.array([1, 2, 5]), np.array([1e16, 0.5, -2.0])),
+    (3, np.array([1, 2, 5]), np.array([0.5, -2.0, -5e-324])),
+    (3, np.array([0, 1, 2, 5, 9]), np.array([0.5, 1e-05, -np.inf, 0.0, 0.25])),
+    (3, np.array([0, 1, 2, 39]), np.array([np.nan, 1e-300, -1e300, 9.999999999999999e-05])),
 ]
 
 
@@ -270,26 +299,31 @@ _REPR_EDGES = [float(x) for e in (1e-4, -1e-4, 1e16, -1e16)
     5e-324, -0.0, 0.0, 1.7976931348623157e308, 2.0, 1e15]
 
 
-def _reprs_match(w):
-    assert dataset._float_reprs(w) == [float.__repr__(x) for x in w.tolist()]
+def _reprs_match(path, w):
+    # w as the weights of one node block, each rendered as float.__repr__ renders it
+    j = np.arange(w.size)
+    assert dataset._write_rows(path, None, "{},{},{!r}", [(5, j, w)]) == w.size
+    assert path.read_text() == "".join(f"5,{k},{float.__repr__(x)}\n"
+                                       for k, x in enumerate(w.tolist()))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats()), st.lists(st.integers(min_value=0, max_value=2**64 - 1)))
 @example(_REPR_EDGES, [])
-def test_float_reprs_match_float_repr(values, bits):
+def test_float_reprs_match_float_repr(tmp_path_factory, values, bits):
     # any double, NaN and +-inf among them, and any 64-bit pattern viewed as one
-    _reprs_match(np.array(values, dtype=np.float64))
-    _reprs_match(np.array(bits, dtype=np.uint64).view(np.float64))
+    path = tmp_path_factory.mktemp("reprs") / "edges.csv"
+    _reprs_match(path, np.array(values, dtype=np.float64))
+    _reprs_match(path, np.array(bits, dtype=np.uint64).view(np.float64))
 
 
-def test_float_reprs_match_float_repr_across_the_orjson_range():
+def test_float_reprs_match_float_repr_across_the_orjson_range(tmp_path):
     # 17 significant digits at every decimal exponent of the range and beyond it
     rng = np.random.default_rng(8)
     exponents = rng.uniform(-6, 18, 200_000)
     w = rng.choice([-1.0, 1.0], exponents.size) * 10.0 ** exponents
-    _reprs_match(w)
-    assert dataset._float_reprs(np.array([], dtype=np.float64)) == []
+    _reprs_match(tmp_path / "edges.csv", w)
+    _reprs_match(tmp_path / "edges.csv", np.array([], dtype=np.float64))
 
 
 def test_save_csv_memory_stays_bounded_for_wide_matrices(tmp_path):
