@@ -106,10 +106,8 @@ def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool, reverse: bool = T
     if not (symmetrize or reverse):
         return b, None
     c = b.T if I == J else _product_blocks(y[:, I], x[:, J])
-    if symmetrize and I == J:
-        b = c = (b + c) / 2.0
-    elif symmetrize:  # in place, bitwise (b + c) / 2.0: both halve the same rounded sum
-        b += c
+    if symmetrize:  # in place, bitwise (b + c) / 2.0: both halve the same rounded sum
+        b += c  # on a diagonal block c = b.T overlaps b, which numpy reads as a copy
         b *= 0.5
         c = b
     return b, c

@@ -16,7 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedFile, NonFiniteEntry, ZeroVarianceNode
+from .errors import (
+    DimensionMismatch,
+    MalformedFile,
+    NonFiniteEntry,
+    SparseCCError,
+    ZeroVarianceNode,
+)
 
 # A column is considered constant when its centered norm is this small
 # relative to the raw column magnitude.
@@ -130,7 +136,7 @@ def _read_csv(path: Path) -> RawMatrix:
         node_ids = tuple(tok.strip() for tok in first.strip().split(","))
     else:
         node_ids = default_node_ids(values.shape[1])
-    return RawMatrix(values, node_ids)
+    return _raw_matrix(path, values, node_ids)
 
 
 def _read_binary(path: Path) -> RawMatrix:
@@ -148,7 +154,15 @@ def _read_binary(path: Path) -> RawMatrix:
     node_ids = meta.get("node_ids") or default_node_ids(p)
     if len(node_ids) != p:
         raise DimensionMismatch(f"{path}: sidecar has {len(node_ids)} node ids for p={p}")
-    return RawMatrix(payload.reshape(n, p), tuple(node_ids))
+    return _raw_matrix(path, payload.reshape(n, p), tuple(node_ids))
+
+
+def _raw_matrix(path: Path, values, node_ids) -> RawMatrix:
+    """``RawMatrix(values, node_ids)`` read from ``path``: its errors name the file."""
+    try:
+        return RawMatrix(values, node_ids)
+    except SparseCCError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def ingest(path, format: str = "auto") -> RawMatrix:

@@ -163,7 +163,8 @@ def test_out_of_range_numbers_rejected_before_ingest(tmp_path, group_csvs, capsy
 
 @pytest.mark.parametrize("command", ["build", "filtrate", "compare", "hgi"])
 def test_repeated_node_ids_refused_before_any_output(tmp_path, capsys, command):
-    # the last input file's header repeats an id; the run writes nothing to --out
+    # the last input file's header repeats an id; the error names that file and the
+    # run writes nothing to --out
     rng = np.random.default_rng(4)
     paths = [tmp_path / f"in{k}.csv" for k in range(4 if command in ("compare", "hgi") else 2)]
     for k, path in enumerate(paths):
@@ -172,7 +173,8 @@ def test_repeated_node_ids_refused_before_any_output(tmp_path, capsys, command):
     flags = ["--lambda", "0"] if command == "build" else []
     out = tmp_path / "out"
     assert main([command, *map(str, paths), *flags, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"sparsecc {command}: error: repeated node ids: a\n"
+    error = f"sparsecc {command}: error: {paths[-1]}: repeated node ids: a\n"
+    assert capsys.readouterr().err == error
     assert not any(out.iterdir())
 
 

@@ -39,6 +39,21 @@ def test_ingest_csv_nan_rejected(tmp_path):
         dataset.ingest(p)
 
 
+def test_ingest_errors_name_the_file(tmp_path):
+    # a matrix that reads but is refused names its file, keeping the error's type
+    nan_csv, one_row, nan_bin = tmp_path / "nan.csv", tmp_path / "row.csv", tmp_path / "nan.bin"
+    nan_csv.write_text("1,NaN\n2,5\n")
+    one_row.write_text("a,b,c\n1,2,3\n")
+    dataset.save_binary(np.array([[1.0, np.inf], [2.0, 5.0]]), nan_bin)
+    for path, error, message in (
+        (nan_csv, NonFiniteEntry, "matrix contains NaN or infinite entries"),
+        (one_row, DimensionMismatch, "need at least 2 observations and 2 nodes, got 1x3"),
+        (nan_bin, NonFiniteEntry, "matrix contains NaN or infinite entries"),
+    ):
+        with pytest.raises(error, match=f"^{path}: {message}$"):
+            dataset.ingest(path)
+
+
 def test_ingest_csv_malformed(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("1,2\nfoo,bar,baz\n")
@@ -62,13 +77,14 @@ def test_ingest_csv_not_utf8_names_the_file(tmp_path, text):
 
 def test_repeated_node_ids_rejected(tmp_path):
     # from a CSV header, a binary sidecar and plain arrays, each naming every repeated id
+    # (and the file it was read from)
     values = np.arange(15, dtype=float).reshape(3, 5) ** 2
     ids = ["a", "b", "a", "c", "b"]
     csv, binary = tmp_path / "m.csv", tmp_path / "m.bin"
     dataset.save_csv(values, csv, node_ids=ids)
     dataset.save_binary(values, binary, node_ids=ids)
     for path in (csv, binary):
-        with pytest.raises(MalformedFile, match="^repeated node ids: a, b$"):
+        with pytest.raises(MalformedFile, match=f"^{path}: repeated node ids: a, b$"):
             dataset.ingest(path)
     with pytest.raises(MalformedFile, match="^repeated node ids: a, b$"):
         dataset.normalize_arrays(values, values + 1.0, node_ids=ids)
