@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import crosscorr, dataset, filtration  # the other modules load in the commands using them
-from .errors import SparseCCError
+from .errors import NodeSetMismatch, SparseCCError
 from ._parallel import resolve_threads
 
 _KINDS = {
@@ -54,7 +54,10 @@ def _add_common(parser, symmetrize_default=True):
 def _load_pair(x_path, y_path, fmt, policy="error"):
     x = dataset.ingest(x_path, format=fmt)
     y = dataset.ingest(y_path, format=fmt)
-    return dataset.normalize_pair(x, y, zero_variance_policy=policy)
+    try:
+        return dataset.normalize_pair(x, y, zero_variance_policy=policy)
+    except SparseCCError as exc:
+        raise type(exc)(f"{x_path}, {y_path}: {exc}") from exc
 
 
 def _check_edges_fit(p: int, threshold: float, path: Path, header: str, option: str,
@@ -168,10 +171,9 @@ def _cmd_build(args, out: Path) -> None:
                          directed=not args.symmetrize)
     # one streamed Prim pass for the curves, then one row pass that writes every
     # edge file: no p x p matrix
-    stream = crosscorr.AbsWeightBlocks(ds, symmetrize=args.symmetrize)
-    curves = filtration._streamed_curves(stream)[:2]
+    curves = filtration._streamed_curves(ds, args.symmetrize)[:2]
     edges = dataset._write_rows(paths, *crosscorr._EDGES_CSV,
-                                crosscorr._streamed_edges(stream, args.lambdas))
+                                crosscorr._streamed_edges(ds, args.symmetrize, args.lambdas))
     lams = np.array(args.lambdas)
     values = (curve.value_at(lams) for curve in curves)
     dataset._write_rows(out / "summary.csv", "lambda,edges,components,largest", "{:g},{},{},{}",
@@ -183,15 +185,15 @@ def _cmd_filtrate(args, out: Path) -> None:
         raise ValueError("--raw requires exact mode (binned weights live in [0, 1])")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
     # one Prim pass over streamed weight rows in every mode: no p x p matrix
-    stream = crosscorr.AbsWeightBlocks(ds, symmetrize=args.symmetrize)
     if args.bins is not None:
-        count_curve, largest_curve = filtration.filtration_curves_binned(stream, n_bins=args.bins)
+        stream = crosscorr.AbsWeightBlocks(ds, symmetrize=args.symmetrize)
+        curves = filtration.filtration_curves_binned(stream, n_bins=args.bins)
     else:
         transform = "absolute" if args.absolute else "raw"
-        count_curve, largest_curve, events = filtration._streamed_curves(stream, transform)
+        *curves, events = filtration._streamed_curves(ds, args.symmetrize, transform)
         events.write_csv(out / "merge_events.csv")
-    count_curve.write_csv(out / "curve_component_count.csv")
-    largest_curve.write_csv(out / "curve_largest_component_size.csv")
+    for curve in curves:  # curve_component_count.csv, curve_largest_component_size.csv
+        curve.write_csv(out / f"curve_{curve.kind}.csv")
 
 
 def _cmd_compare(args, out: Path) -> None:
@@ -203,8 +205,12 @@ def _cmd_compare(args, out: Path) -> None:
 
     ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
     ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
-    results = inference._compare_kinds(ds1, ds2, _KINDS[args.kind], args.symmetrize,
-                                       args.permutations, args.seed, args.threads)
+    try:
+        results = inference._compare_kinds(ds1, ds2, _KINDS[args.kind], args.symmetrize,
+                                           args.permutations, args.seed, args.threads)
+    except NodeSetMismatch as exc:  # the two pairs cover different node sets
+        raise NodeSetMismatch(f"{args.x1_path}, {args.y1_path} and {args.x2_path}, "
+                              f"{args.y2_path}: {exc}") from exc
     for kind, res in results.items():
         (out / f"result_{kind}.json").write_text(res.to_json())
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import PairedDataset, _write_rows
-from .errors import DimensionMismatch
 
 # Header and row format of an edge file
 _EDGES_CSV = ("i,j,weight", "{},{},{!r}")
@@ -197,17 +196,16 @@ def sparse_network(cc: CrossCorrMatrix, lam: float) -> SparseCrossCorr:
     return SparseCrossCorr(float(lam), cc.n_nodes, rows, cols, values, symmetric=cc.symmetrized)
 
 
-def _streamed_edges(stream: AbsWeightBlocks, lams):
-    """:func:`sparse_network` of the stream's dataset at each level of ``lams``,
-    bitwise, with no p x p matrix and one kernel row per node: per node u, one
-    block ``(u, cols, values)`` per level, in the edge file's order. Row u is
-    the stream's signed kernel row from :func:`_kernel_rows` (bitwise row u of
-    :func:`cross_correlate`, computed in small blocks of rows), from column u
-    on when symmetrized (pairs u < j) and from column 0 otherwise, without the
-    directed reverse row."""
-    upper = stream.symmetrize
-    for u, b in enumerate(_kernel_rows(stream.ds, stream.symmetrize, upper)):
-        start = u if upper else 0
+def _streamed_edges(ds: PairedDataset, symmetrize: bool, lams):
+    """:func:`sparse_network` of ``cross_correlate(ds, symmetrize=symmetrize)``
+    at each level of ``lams``, bitwise, with no p x p matrix and one kernel row
+    per node: per node u, one block ``(u, cols, values)`` per level, in the
+    edge file's order. Row u is the signed kernel row from :func:`_kernel_rows`
+    (bitwise row u of :func:`cross_correlate`, computed in small blocks of
+    rows), from column u on when symmetrized (pairs u < j) and from column 0
+    otherwise, without the directed reverse row."""
+    for u, b in enumerate(_kernel_rows(ds, symmetrize, upper=symmetrize)):
+        start = u if symmetrize else 0
         magnitude = np.abs(b)
         magnitude[u - start] = 0.0  # no self-loop
         blocks = []
@@ -247,15 +245,15 @@ class AbsWeightBlocks:
     ``row(u)`` gives node u's weights to every node (entry u is meaningless;
     ``block_size`` does not apply), bitwise equal to the matching block entries
     in either orientation: the same kernel, and products and sums commute. It
-    combines the signed kernel rows ``b, c = _signed_rows(u)``, bitwise row u
-    and column u of ``cross_correlate(ds, symmetrize=...).rho``, from which the
-    exact filtration also takes its raw and directed weights. Under
+    combines u's signed kernel rows ``b, c`` (:func:`_signed_row`), bitwise row
+    u and column u of ``cross_correlate(ds, symmetrize=...).rho``, from which
+    the exact filtration also takes its raw and directed weights. Under
     ``symmetrize`` both are the one averaged row (``b is c``), read once.
 
-    A streamed Prim pass (``filtration._streamed_steps``, and
-    ``filtration_curves_binned`` given this stream) does not read full rows:
-    :class:`_OutsideRows` computes each joining node's row against the nodes
-    still outside the forest only, with the same entries bitwise.
+    ``filtration_curves_binned`` given this stream does not read full rows: its
+    streamed Prim pass (``filtration._streamed_steps``) computes each joining
+    node's row against the nodes still outside the forest only, with the same
+    entries bitwise.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):
@@ -278,12 +276,7 @@ class AbsWeightBlocks:
         return i0, j0, self._combine(*_signed_blocks(self.ds.x, self.ds.y, I, J, self.symmetrize))
 
     def row(self, u: int) -> np.ndarray:
-        return self._combine(*self._signed_rows(u))
-
-    def _signed_rows(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """``b[w] = x_u . y_w`` and ``c[w] = y_u . x_w`` for every node w, or their
-        average as both."""
-        return _signed_row(self.ds.x, self.ds.y, u, slice(None), self.symmetrize)
+        return self._combine(*_signed_row(self.ds.x, self.ds.y, u, slice(None), self.symmetrize))
 
     def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return np.abs(b) if b is c else np.maximum(np.abs(b), np.abs(c))
@@ -291,46 +284,3 @@ class AbsWeightBlocks:
     def __iter__(self):
         for pair in self.block_pairs():
             yield self.compute_block(pair)
-
-
-class _OutsideRows:
-    """The weight rows of one Prim pass over a stream, each computed against the
-    nodes still outside the forest only, so every pair is computed once.
-
-    Called once per node u, in the order the nodes join, it returns one p-long
-    buffer that every call reuses. The entries of the nodes not yet called
-    hold ``combine(b, c)`` of u's signed kernel rows to them, bitwise those of
-    ``stream._signed_rows(u)``. The other entries, u's own and those of the
-    nodes called before, are stale; ``filtration._prim_steps`` never reads
-    them.
-
-    The outside nodes' x and y columns are kept compacted in slots [0, m) of
-    one copy of the observations, stacked as ``(n, 2, p)`` so that a column
-    moves in one step. A joining node's columns swap, in O(n), with those of
-    the last outside slot, which then drops out, and its row is one kernel
-    call against the m slots left. ``node`` maps each slot to its node,
-    through which the m weights are written into the buffer. Memory is two
-    n x p copies and O(p).
-    """
-
-    def __init__(self, stream: AbsWeightBlocks, combine):
-        self.xy = np.stack((stream.ds.x, stream.ds.y), axis=1)
-        # (n, p) views, not contiguous along the observations, as the kernel needs
-        self.x, self.y = self.xy[:, 0], self.xy[:, 1]
-        self.symmetrize, self.combine = stream.symmetrize, combine
-        self.node = np.arange(stream.n_nodes)  # slot -> node
-        self.slot = np.arange(stream.n_nodes)  # node -> slot
-        self.m = stream.n_nodes  # slots [0, m) are outside
-        self.out = np.full(stream.n_nodes, -np.inf)
-
-    def __call__(self, u: int) -> np.ndarray:
-        self.m -= 1
-        m, s, xy, node = self.m, self.slot[u], self.xy, self.node
-        v = node[m]  # u swaps with v, whose slot m then leaves the outside slots
-        t = xy[..., s].copy()
-        xy[..., s] = xy[..., m]
-        xy[..., m] = t
-        node[s], node[m], self.slot[v], self.slot[u] = v, u, s, m
-        b, c = _signed_row(self.x, self.y, m, slice(0, m), self.symmetrize)
-        self.out[node[:m]] = self.combine(b, c)
-        return self.out

@@ -19,7 +19,7 @@ built only where they are written out or returned (``filtrate``, ``build``
 and the public curve functions), from the steps ranked in merge order
 (``_step_curves``).
 A streamed row is computed only against the nodes still outside the forest
-(``crosscorr._OutsideRows``), the only entries Prim reads, so a streamed pass
+(``_OutsideRows``), the only entries Prim reads, so a streamed pass
 computes every pair once. Every CLI pass over one group is streamed:
 ``build``, ``filtrate``, ``compare`` and ``hgi``.
 
@@ -45,7 +45,7 @@ from .crosscorr import (
     CrossCorrMatrix,
     SparseCrossCorr,
     _kept_pairs,
-    _OutsideRows,
+    _signed_row,
     sparse_network,
 )
 from .dataset import _write_rows
@@ -249,28 +249,70 @@ def filtration_curves(
 
 
 def _streamed_curves(
-    stream, weight_transform: str = "absolute"
+    ds, symmetrize: bool, weight_transform: str = "absolute"
 ) -> tuple[FiltrationCurve, FiltrationCurve, MergeEvents]:
-    """:func:`filtration_curves` of a stream's cross-correlation graph, with no
+    """:func:`filtration_curves` of a dataset's cross-correlation graph, with no
     p x p matrix: the curves of the steps of :func:`_streamed_steps`."""
-    return _step_curves(stream.n_nodes, *_streamed_steps(stream, weight_transform))
+    return _step_curves(ds.n_nodes, *_streamed_steps(ds, symmetrize, weight_transform))
 
 
-def _streamed_steps(stream, weight_transform: str = "absolute"):
-    """:func:`_prim_steps` (G = 1) of a stream's cross-correlation graph, from the
-    one row source of the exact streamed weights: each joining node's weight row
-    comes from its two signed kernel rows against the nodes still outside the
-    forest (``crosscorr._OutsideRows``), so every pair is computed once and
-    memory is O(p) on top of two copies of the observations.
+def _streamed_steps(ds, symmetrize: bool, weight_transform: str = "absolute"):
+    """:func:`_prim_steps` (G = 1) of the graph of
+    ``cross_correlate(ds, symmetrize=symmetrize)``, from the one row source of
+    the exact streamed weights, :class:`_OutsideRows`: each joining node's
+    weight row comes from its signed kernel rows against the nodes still
+    outside the forest, so every pair is computed once and memory is O(p) on
+    top of two copies of the observations.
 
-    ``stream`` is an :class:`~sparsecc.crosscorr.AbsWeightBlocks`. Its row
-    entries are bitwise those of :func:`~sparsecc.crosscorr.cross_correlate`,
-    so the steps equal those of the dense graph
-    ``WeightedGraph.from_crosscorr(cross_correlate(...))``.
+    The row entries are bitwise those of
+    :func:`~sparsecc.crosscorr.cross_correlate`, so the steps equal those of
+    the dense graph ``WeightedGraph.from_crosscorr(cross_correlate(...))``.
     """
-    # b is a fresh kernel row, so it is transformed in place
-    rows = _OutsideRows(stream, lambda b, c: _pair_weights(b, weight_transform, c, out=b))
-    return _prim_steps(rows, 1, stream.n_nodes)
+    return _prim_steps(_OutsideRows(ds, symmetrize, weight_transform), 1, ds.n_nodes)
+
+
+class _OutsideRows:
+    """The weight rows of one streamed Prim pass, each computed against the
+    nodes still outside the forest only, so every pair is computed once.
+
+    Called once per node u, in the order the nodes join, it returns one p-long
+    buffer that every call reuses. The entries of the nodes not yet called hold
+    the :func:`_pair_weights` of u's signed kernel rows to them, bitwise row u
+    and column u of ``cross_correlate(ds, symmetrize=symmetrize).rho``. The
+    other entries, u's own and those of the nodes called before, are stale;
+    :func:`_prim_steps` never reads them.
+
+    The outside nodes' x and y columns are kept compacted in slots [0, m) of
+    one copy of the observations, stacked as ``(n, 2, p)`` so that a column
+    moves in one step. A joining node's columns swap, in O(n), with those of
+    the last outside slot, which then drops out, and its row is one kernel
+    call against the m slots left. ``node`` maps each slot to its node,
+    through which the m weights are written into the buffer. Memory is two
+    n x p copies and O(p).
+    """
+
+    def __init__(self, ds, symmetrize: bool, weight_transform: str):
+        self.xy = np.stack((ds.x, ds.y), axis=1)
+        # (n, p) views, not contiguous along the observations, as the kernel needs
+        self.x, self.y = self.xy[:, 0], self.xy[:, 1]
+        self.symmetrize, self.weight_transform = symmetrize, weight_transform
+        self.node = np.arange(ds.n_nodes)  # slot -> node
+        self.slot = np.arange(ds.n_nodes)  # node -> slot
+        self.m = ds.n_nodes  # slots [0, m) are outside
+        self.out = np.full(ds.n_nodes, -np.inf)
+
+    def __call__(self, u: int) -> np.ndarray:
+        self.m -= 1
+        m, s, xy, node = self.m, self.slot[u], self.xy, self.node
+        v = node[m]  # u swaps with v, whose slot m then leaves the outside slots
+        t = xy[..., s].copy()
+        xy[..., s] = xy[..., m]
+        xy[..., m] = t
+        node[s], node[m], self.slot[v], self.slot[u] = v, u, s, m
+        b, c = _signed_row(self.x, self.y, m, slice(0, m), self.symmetrize)
+        # b is a fresh kernel row, so it is transformed in place
+        self.out[node[:m]] = _pair_weights(b, self.weight_transform, c, out=b)
+        return self.out
 
 
 def _step_curves(
@@ -338,33 +380,27 @@ def filtration_curves_binned(
     Both curves are set by a maximum spanning forest alone, and snapping up is
     monotone, so a maximum spanning tree of the raw weights is one of the
     snapped graph too. The tree comes from the same Prim pass over streamed
-    rows that the exact curves run (``_streamed_steps`` for an
-    ``AbsWeightBlocks``, which computes every pair once); any other stream's
-    ``row(u)`` is read in full. The step weights are snapped, the zero ones
-    (absent pairs) dropped, and the curves read from the steps as the exact
-    ones are (``_step_curves``). They are read only after the last merge at
-    each snapped weight, where the merged edges are those of the raw tree above
-    a threshold, so each component is a run of steps. Memory is O(p) on top of
-    the n x p observations the stream holds and a copy of them, so O(p * n) in
-    all; the p x p weights are never stored.
+    rows that the exact curves run (``_streamed_steps`` on an
+    ``AbsWeightBlocks``' dataset, computing every pair once); any other
+    stream's ``row(u)`` is read in full. The step weights are snapped, the zero
+    ones (absent pairs) dropped, and the curves read from the steps as the
+    exact ones are (``_step_curves``). They are read only after the last merge
+    at each snapped weight, where the merged edges are those of the raw tree
+    above a threshold, so each component is a run of steps. Memory is O(p) on
+    top of the n x p observations the stream holds and a copy of them, so
+    O(p * n) in all; the p x p weights are never stored.
 
     ``max_chunk_edges`` and ``threads`` are accepted for compatibility and
     unused: the Prim pass is sequential and holds no edge chunks.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    steps = (_streamed_steps(cc_stream) if isinstance(cc_stream, AbsWeightBlocks)
+    steps = (_streamed_steps(cc_stream.ds, cc_stream.symmetrize)
+             if isinstance(cc_stream, AbsWeightBlocks)
              else _prim_steps(cc_stream.row, 1, cc_stream.n_nodes))
     w = np.ceil(np.clip(steps[2], 0.0, 1.0) * n_bins) / n_bins
     w[w == 0.0] = -np.inf
     return _step_curves(cc_stream.n_nodes, *steps[:2], w)[:2]
-
-
-def _forest_sups(w: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """:func:`_step_sups` of a ``(G, p, p)`` stack of undirected weights
-    (``_pair_weights``), all G forests built in one lockstep Prim pass."""
-    G, p = w.shape[:2]
-    return _step_sups(_prim_steps(w.reshape(G * p, p).__getitem__, G, p)[2].T, first, second)
 
 
 def _step_sups(ww: np.ndarray, first, second) -> np.ndarray:
@@ -441,7 +477,7 @@ def _prim_steps(rows, G: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     the result is ``(G, p)``. -inf marks an absent pair. Only the entries of
     nodes still outside the forest are read: those of the nodes that have
     joined, the requested node's own included, are never read, so a row
-    source may leave them stale (``crosscorr._OutsideRows`` does).
+    source may leave them stale (:class:`_OutsideRows` does).
 
     Returns three ``(p - 1, G)`` arrays: the node that step s adds to graph g,
     the forest node it joins, and the weight of that edge, -inf where the step

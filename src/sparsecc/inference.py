@@ -23,15 +23,15 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .crosscorr import AbsWeightBlocks, cross_correlate
+from .crosscorr import cross_correlate
 from .dataset import PairedDataset, _constant_when_permuted, _normalize_groups
 from .errors import CurveMismatch, NodeSetMismatch, SparseCCError, ZeroVarianceNode
 from .filtration import (
     KIND_COMPONENTS,
     KINDS,
     FiltrationCurve,
-    _forest_sups,
     _pair_weights,
+    _prim_steps,
     _step_sups,
     _streamed_curves,
     _streamed_steps,
@@ -129,7 +129,7 @@ def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1
     replicate batch (:func:`_datasets_weights`), and no p x p matrix.
     ``block_size`` has no effect: no tile shape changes a bit of the result.
     """
-    return dict(zip(KINDS, _streamed_curves(AbsWeightBlocks(ds, symmetrize=symmetrize))[:2]))
+    return dict(zip(KINDS, _streamed_curves(ds, symmetrize)[:2]))
 
 
 def _datasets_weights(datasets, symmetrize: bool) -> np.ndarray:
@@ -169,9 +169,9 @@ def _replicate_stats(raw_groups, pairs, n_reps, groups_per_rep, node_ids, symmet
     between the curves of groups a and b of each pair (a, b) in ``pairs``
     among replicate r's raw ``(x, y)`` groups ``raw_groups(r)``. They are
     computed in batches (:func:`_batches`): all of a batch's groups are
-    normalized, their weights stacked (:func:`_datasets_weights`) and every
-    pair's sups read from the lockstep Prim steps
-    (``filtration._forest_sups``), so no curve is built.
+    normalized, their weights stacked (:func:`_datasets_weights`), their forests
+    built in one lockstep ``_prim_steps`` call and every pair's sups read from
+    the step weights (``_step_sups``), so no curve is built.
 
     Batches of several replicates (p <= 256 for two groups per replicate,
     p <= 209 for three) run one at a time on the calling thread, whatever
@@ -196,18 +196,12 @@ def _replicate_stats(raw_groups, pairs, n_reps, groups_per_rep, node_ids, symmet
         groups = _normalize_groups([g for r in reps for g in raw_groups(r)], node_ids)
         first, second = (np.add.outer(np.arange(len(reps)) * groups_per_rep, ends).ravel()
                          for ends in zip(*pairs))
-        sups = _forest_sups(_datasets_weights(groups, symmetrize), first, second)
-        return sups.reshape(len(reps), len(pairs), 2)
+        w = _datasets_weights(groups, symmetrize).reshape(len(groups) * p, p)
+        ww = _prim_steps(w.__getitem__, len(groups), p)[2].T
+        return _step_sups(ww, first, second).reshape(len(reps), len(pairs), 2)
 
     batches = ordered_map(one_batch, _batches(n_reps, groups_per_rep, p), workers)
     return (stat for batch in batches for stat in batch)
-
-
-def _check_pair(ds1: PairedDataset, ds2: PairedDataset, kinds) -> None:
-    if unknown := [kind for kind in kinds if kind not in KINDS]:
-        raise ValueError(f"unknown curve kind {unknown[0]!r}")
-    if ds1.node_ids != ds2.node_ids:
-        raise NodeSetMismatch("datasets cover different node sets")
 
 
 def _ks_result(kind: str, d_raw: int, p: int) -> KSResult:
@@ -223,7 +217,10 @@ def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
     both sups read from the two groups' streamed Prim steps (``_step_sups``, as
     every permutation reads its own), and with ``n_perm`` > 0 the
     :func:`permutation_test` p-value of each, refused before the streamed pass."""
-    _check_pair(ds1, ds2, kinds)
+    if unknown := [kind for kind in kinds if kind not in KINDS]:
+        raise ValueError(f"unknown curve kind {unknown[0]!r}")
+    if ds1.node_ids != ds2.node_ids:
+        raise NodeSetMismatch("datasets cover different node sets")
     if n_perm:
         x, y = np.vstack([ds1.x, ds2.x]), np.vstack([ds1.y, ds2.y])
         n1, n_total = ds1.n_obs, ds1.n_obs + ds2.n_obs
@@ -240,8 +237,7 @@ def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
 
         # refuses now; its batches start only when read, after the streamed pass
         d_perm = _replicate_stats(split, ((0, 1),), n_perm, 2, ds1.node_ids, symmetrize, threads)
-    ww = np.stack([_streamed_steps(AbsWeightBlocks(ds, symmetrize=symmetrize))[2][:, 0]
-                   for ds in (ds1, ds2)])
+    ww = np.stack([_streamed_steps(ds, symmetrize)[2][:, 0] for ds in (ds1, ds2)])
     d_obs = _step_sups(ww, [0], [1])[0]
     results = {kind: _ks_result(kind, int(d_obs[KINDS.index(kind)]), ds1.n_nodes)
                for kind in kinds}

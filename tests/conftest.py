@@ -69,3 +69,27 @@ def permutation_oracle(ds1, ds2, n_perm, seed, symmetrize):
         for kind in KINDS:
             exceed[kind] += sup_distance(c1[kind], c2[kind]) >= d_raw[kind]
     return {kind: (d_raw[kind], (1 + exceed[kind]) / (1 + n_perm)) for kind in KINDS}
+
+
+def tied_zero_inputs(kind):
+    """Inputs whose cross-correlations hold exact zeros and tied weights.
+
+    Centred +-1 columns in orthogonal sign patterns have products that sum to
+    exactly 0. ``signs`` builds every node from them, so weights take a few
+    values only and some nodes link to the rest only through pairs whose one
+    direction is 0 and the other negative; ``mixed`` adds random nodes and
+    duplicates five of them.
+    """
+    h = np.array([[1.0]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    signs = h[:, 1:]
+    rng = np.random.default_rng(0)
+    if kind == "signs":
+        a, b = rng.integers(7, size=(2, 16))
+        flip = rng.choice([-1.0, 1.0], size=(2, 16))
+        return signs[:, a] * flip[0], signs[:, b] * flip[1]
+    x0 = rng.standard_normal((8, 10))
+    y0 = x0 + 0.5 * rng.standard_normal((8, 10))
+    return (np.hstack([signs, x0, x0[:, :5]]),
+            np.hstack([signs[:, 3::-1], y0[:, 7:], y0, y0[:, :5]]))

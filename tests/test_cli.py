@@ -27,7 +27,7 @@ from sparsecc import (
 from sparsecc.cli import main
 
 import worked_example
-from conftest import permutation_oracle, tied_raw_groups
+from conftest import permutation_oracle, tied_raw_groups, tied_zero_inputs
 
 
 @pytest.fixture()
@@ -178,6 +178,65 @@ def test_repeated_node_ids_refused_before_any_output(tmp_path, capsys, command):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("case", ["empty-csv", "unreadable-sidecar", "sidecar-id-count",
+                                  "xy-node-ids", "xy-shape", "drop-leaves-one-node",
+                                  "group-node-sets", "group-constant-column"])
+def test_input_refusals_name_their_files(tmp_path, capsys, case):
+    # each bad input exits 1 with one error line that starts with the file or
+    # files at fault, and the run writes nothing to --out
+    rng = np.random.default_rng(8)
+
+    def csv(name, values, ids=None):
+        dataset.save_csv(values, tmp_path / name, node_ids=ids)
+        return str(tmp_path / name)
+
+    x1, y1, x2, y2 = (csv(f"{name}.csv", rng.standard_normal((8, 5)))
+                      for name in ("x1", "y1", "x2", "y2"))
+    command, flags = "filtrate", []
+    if case == "empty-csv":
+        (tmp_path / "empty.csv").write_text("")
+        paths, error = [str(tmp_path / "empty.csv"), y1], f"{tmp_path / 'empty.csv'}: empty file"
+    elif case in ("unreadable-sidecar", "sidecar-id-count"):
+        xb = tmp_path / "x.bin"
+        save_binary(rng.standard_normal((8, 5)), xb)
+        paths, sidecar = [str(xb), y1], tmp_path / "x.bin.json"
+        if case == "unreadable-sidecar":
+            sidecar.write_text("{")
+            error = f"{sidecar}: unreadable sidecar ("
+        else:
+            sidecar.write_text(json.dumps({"n": 8, "p": 5, "node_ids": list("abcd")}))
+            error = f"{xb}: sidecar has 4 node ids for p=5"
+    elif case == "xy-node-ids":
+        paths = [x1, csv("y_ids.csv", rng.standard_normal((8, 5)), list("abcde"))]
+        error = f"{x1}, {paths[1]}: x and y carry different node ids"
+    elif case == "xy-shape":
+        paths = [x1, csv("y_short.csv", rng.standard_normal((7, 5)))]
+        error = f"{x1}, {paths[1]}: shape mismatch: x is (8, 5), y is (7, 5)"
+    elif case == "drop-leaves-one-node":
+        x = rng.standard_normal((8, 5))
+        x[:, 1:] = 2.0
+        paths, flags = [csv("x_flat.csv", x), y1], ["--zero-variance", "drop"]
+        error = f"{paths[0]}, {y1}: fewer than 2 nodes left after dropping constant signals"
+    else:
+        command = "compare"
+        if case == "group-node-sets":
+            x2, y2 = (csv(f"{name}_ids.csv", rng.standard_normal((8, 5)), list("abcde"))
+                      for name in ("x2", "y2"))
+            error = f"{x1}, {y1} and {x2}, {y2}: datasets cover different node sets"
+        else:
+            y = rng.standard_normal((8, 5))
+            y[:, 2] = 0.5
+            y2 = csv("y2_flat.csv", y)
+            error = f"{x2}, {y2}: constant signal at nodes: v3"
+        paths = [x1, y1, x2, y2]
+    out = tmp_path / "out"
+    assert main([command, *paths, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sparsecc {command}: error: {error}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["build", "filtrate", "compare", "hgi", "simulate"])
 def test_block_size_below_one_rejected_before_ingest(tmp_path, capsys, command):
     # the input paths do not exist, so only a check made before reading them can pass
@@ -189,30 +248,6 @@ def test_block_size_below_one_rejected_before_ingest(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert f"sparsecc {command}: error: --block-size must be >= 1" in err
     assert not out.exists()
-
-
-def tied_zero_inputs(kind):
-    """Inputs whose cross-correlations hold exact zeros and tied weights.
-
-    Centred +-1 columns in orthogonal sign patterns have products that sum to
-    exactly 0. ``signs`` builds every node from them, so weights take a few
-    values only and some nodes link to the rest only through pairs whose one
-    direction is 0 and the other negative; ``mixed`` adds random nodes and
-    duplicates five of them.
-    """
-    h = np.array([[1.0]])
-    for _ in range(3):
-        h = np.block([[h, h], [h, -h]])
-    signs = h[:, 1:]
-    rng = np.random.default_rng(0)
-    if kind == "signs":
-        a, b = rng.integers(7, size=(2, 16))
-        flip = rng.choice([-1.0, 1.0], size=(2, 16))
-        return signs[:, a] * flip[0], signs[:, b] * flip[1]
-    x0 = rng.standard_normal((8, 10))
-    y0 = x0 + 0.5 * rng.standard_normal((8, 10))
-    return (np.hstack([signs, x0, x0[:, :5]]),
-            np.hstack([signs[:, 3::-1], y0[:, 7:], y0, y0[:, :5]]))
 
 
 @pytest.mark.parametrize("kind", ["mixed", "signs"])
@@ -638,6 +673,7 @@ def pipeline_calls(monkeypatch):
     counted(inference, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(heritability, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(filtration, "_prim_steps", "forests", lambda rows, G, p: G)
+    counted(inference, "_prim_steps", "forests", lambda rows, G, p: G)  # replicate batches
     counted(filtration, "_step_curves", "step_curves", lambda *a: 1)
     counted(filtration.FiltrationCurve, "__post_init__", "curves", lambda *a: 1)
     return calls

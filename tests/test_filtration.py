@@ -28,7 +28,7 @@ from sparsecc import crosscorr, filtration
 from sparsecc.errors import NodeSetMismatch
 
 import worked_example
-from conftest import random_dataset
+from conftest import random_dataset, tied_zero_inputs
 
 
 def brute_force_components(weights, lam):
@@ -447,6 +447,28 @@ def test_prim_components_are_runs_of_join_order(rng):
                     assert max(at) - min(at) + 1 == len(at)
 
 
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("weight_transform", ["absolute", "raw"])
+def test_outside_rows_hold_the_dense_pair_weights(rng, symmetrize, weight_transform):
+    # the streamed row source, called in a shuffled join order: at every call
+    # each entry of a node not yet called is the pair weight of row u and
+    # column u of the dense matrix, bitwise, and every call returns one buffer
+    datasets = [normalize_arrays(*tied_zero_inputs(kind)) for kind in ("mixed", "signs")]
+    datasets += [random_dataset(rng, int(rng.integers(3, 12)), int(rng.integers(2, 40)))
+                 for _ in range(4)]
+    for ds in datasets:
+        rho = cross_correlate(ds, symmetrize=symmetrize).rho
+        rows = filtration._OutsideRows(ds, symmetrize, weight_transform)
+        order, buffer = rng.permutation(ds.n_nodes), None
+        for k, u in enumerate(order[:-1]):
+            row = rows(u)
+            buffer = row if buffer is None else buffer
+            assert row is buffer
+            outside = order[k + 1:]
+            want = filtration._pair_weights(rho[u, outside], weight_transform, rho[outside, u])
+            assert np.array_equal(row[outside], want)
+
+
 def test_exact_memory_stays_below_three_dense_matrices(rng):
     p = 1500
     w = rng.uniform(-1, 1, (p, p))
@@ -666,7 +688,7 @@ def test_binned_computes_each_weight_row_once(rng, monkeypatch):
     filtration_curves_binned(AbsWeightBlocks(ds, block_size=8), n_bins=1000)
     assert (calls, entries) == (2 * (p - 1), p * (p - 1))
     calls = entries = 0
-    filtration._streamed_curves(AbsWeightBlocks(ds, symmetrize=False))
+    filtration._streamed_curves(ds, symmetrize=False)
     assert (calls, entries) == (2 * (p - 1), p * (p - 1))
 
 
