@@ -183,6 +183,8 @@ def _cmd_build(args, out: Path) -> None:
 def _cmd_filtrate(args, out: Path) -> None:
     if args.bins is not None and not args.absolute:
         raise ValueError("--raw requires exact mode (binned weights live in [0, 1])")
+    if args.bins is not None and args.bins < 2:
+        raise ValueError("--bins must be >= 2")
     ds = _load_pair(args.x_path, args.y_path, args.format, args.zero_variance)
     # one Prim pass over streamed weight rows in every mode: no p x p matrix
     if args.bins is not None:

@@ -161,7 +161,9 @@ def cross_correlate(
     for i0, j0 in _block_pairs(ds.n_nodes, block_size):
         I, J = slice(i0, i0 + block_size), slice(j0, j0 + block_size)
         b, c = _signed_blocks(ds.x, ds.y, I, J, symmetrize)
-        rho[I, J], rho[J, I] = b, c.T
+        rho[I, J] = b
+        if i0 != j0:  # a diagonal block's c.T is b bitwise (see _signed_blocks)
+            rho[J, I] = c.T
     return CrossCorrMatrix(rho, symmetrized=symmetrize, node_ids=ds.node_ids)
 
 
@@ -250,10 +252,12 @@ class AbsWeightBlocks:
     the exact filtration also takes its raw and directed weights. Under
     ``symmetrize`` both are the one averaged row (``b is c``), read once.
 
-    ``filtration_curves_binned`` given this stream does not read full rows: its
-    streamed Prim pass (``filtration._streamed_steps``) computes each joining
-    node's row against the nodes still outside the forest only, with the same
-    entries bitwise.
+    ``filtration_curves_binned`` given this stream reads neither full rows nor
+    blocks, only ``ds`` and ``symmetrize``: its streamed Prim pass
+    (``filtration._streamed_steps``) computes each joining node's signed rows
+    against the nodes still outside the forest only, with the same entries
+    bitwise, and compares their absolute weights with its best weights, which
+    start from a floor of 0.0, so a zero weight needs no mask.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):

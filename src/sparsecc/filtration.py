@@ -5,11 +5,13 @@ of binary graphs. Two integer step functions summarize it: the number of
 connected components (non-decreasing in the threshold) and the size of the
 largest component (non-increasing). Both change only at the weights of a
 maximum spanning forest, so every filtration builds that forest by one Prim
-pass over weight rows (``_prim_steps``, which runs G graphs in lockstep).
-The rows come from a dense weight matrix (``filtration_curves``), a stack
-of them (replicate batches) or are computed one at a time from the
-observations (``_streamed_steps`` and, snapped to a grid,
-``filtration_curves_binned``), so the streamed paths hold no p x p matrix.
+pass over weight rows, in one of two loops with the same rules.
+``_prim_steps`` runs G graphs in lockstep over dense rows
+(``filtration_curves``, replicate batches). ``_streamed_steps`` computes each
+joining node's row from the observations against the nodes still outside the
+forest only, the only entries Prim reads, so it holds no p x p matrix and
+computes every pair once. Every CLI pass over one group is streamed:
+``build``, ``filtrate``, ``compare`` and ``hgi``.
 Prim finishes each single-linkage component before it leaves it, so every
 component size is read from the steps alone, by one routine (``_run_sizes``).
 Two groups' sup distances, for the observed pair of ``compare`` and ``hgi``
@@ -18,10 +20,6 @@ and every replicate alike, come straight from the step weights
 built only where they are written out or returned (``filtrate``, ``build``
 and the public curve functions), from the steps ranked in merge order
 (``_step_curves``).
-A streamed row is computed only against the nodes still outside the forest
-(``_OutsideRows``), the only entries Prim reads, so a streamed pass
-computes every pair once. Every CLI pass over one group is streamed:
-``build``, ``filtrate``, ``compare`` and ``hgi``.
 
 Conventions, fixed throughout:
   - an edge is present at level lam iff its weight strictly exceeds lam;
@@ -258,61 +256,77 @@ def _streamed_curves(
 
 def _streamed_steps(ds, symmetrize: bool, weight_transform: str = "absolute"):
     """:func:`_prim_steps` (G = 1) of the graph of
-    ``cross_correlate(ds, symmetrize=symmetrize)``, from the one row source of
-    the exact streamed weights, :class:`_OutsideRows`: each joining node's
-    weight row comes from its signed kernel rows against the nodes still
-    outside the forest, so every pair is computed once and memory is O(p) on
-    top of two copies of the observations.
+    ``cross_correlate(ds, symmetrize=symmetrize)``, in a loop of its own over
+    streamed rows, each computed against the nodes still outside the forest.
+
+    The outside nodes' x and y columns sit compacted in slots [0, m) of one
+    copy of the observations, stacked as ``(n, 2, p)`` so that a column moves
+    in one step, and Prim's state (best weight, its forest end, node) sits in
+    the same slots. A joining node swaps, in O(n), with the last outside slot,
+    which then drops out, and its row is one kernel call against the m slots
+    left, compared with their best weights as it comes. So every pair is
+    computed once, no step touches a p-long array, and memory is two n x p
+    copies and O(p).
 
     The row entries are bitwise those of
-    :func:`~sparsecc.crosscorr.cross_correlate`, so the steps equal those of
-    the dense graph ``WeightedGraph.from_crosscorr(cross_correlate(...))``.
+    :func:`~sparsecc.crosscorr.cross_correlate` and the rules are those of
+    :func:`_prim_steps`, so the steps are bitwise those of the dense graph.
+    Absolute weights start from a floor of 0.0, not -inf: a zero weight (no
+    edge) ties with it as -inf ties with -inf, so no row is masked, and zero
+    step weights become -inf at the end. Raw weights, whose negative weights
+    are edges, keep -inf and the mask.
     """
-    return _prim_steps(_OutsideRows(ds, symmetrize, weight_transform), 1, ds.n_nodes)
-
-
-class _OutsideRows:
-    """The weight rows of one streamed Prim pass, each computed against the
-    nodes still outside the forest only, so every pair is computed once.
-
-    Called once per node u, in the order the nodes join, it returns one p-long
-    buffer that every call reuses. The entries of the nodes not yet called hold
-    the :func:`_pair_weights` of u's signed kernel rows to them, bitwise row u
-    and column u of ``cross_correlate(ds, symmetrize=symmetrize).rho``. The
-    other entries, u's own and those of the nodes called before, are stale;
-    :func:`_prim_steps` never reads them.
-
-    The outside nodes' x and y columns are kept compacted in slots [0, m) of
-    one copy of the observations, stacked as ``(n, 2, p)`` so that a column
-    moves in one step. A joining node's columns swap, in O(n), with those of
-    the last outside slot, which then drops out, and its row is one kernel
-    call against the m slots left. ``node`` maps each slot to its node,
-    through which the m weights are written into the buffer. Memory is two
-    n x p copies and O(p).
-    """
-
-    def __init__(self, ds, symmetrize: bool, weight_transform: str):
-        self.xy = np.stack((ds.x, ds.y), axis=1)
-        # (n, p) views, not contiguous along the observations, as the kernel needs
-        self.x, self.y = self.xy[:, 0], self.xy[:, 1]
-        self.symmetrize, self.weight_transform = symmetrize, weight_transform
-        self.node = np.arange(ds.n_nodes)  # slot -> node
-        self.slot = np.arange(ds.n_nodes)  # node -> slot
-        self.m = ds.n_nodes  # slots [0, m) are outside
-        self.out = np.full(ds.n_nodes, -np.inf)
-
-    def __call__(self, u: int) -> np.ndarray:
-        self.m -= 1
-        m, s, xy, node = self.m, self.slot[u], self.xy, self.node
-        v = node[m]  # u swaps with v, whose slot m then leaves the outside slots
+    p = ds.n_nodes
+    xy = np.stack((ds.x, ds.y), axis=1)
+    # (n, p) views, not contiguous along the observations, as the kernel needs
+    x, y = xy[:, 0], xy[:, 1]
+    absolute = weight_transform == "absolute"
+    floor = 0.0 if absolute else -np.inf
+    best = np.full(p, floor)  # slot -> heaviest weight from its node to the forest
+    end = np.zeros(p, dtype=np.intp)  # slot -> that edge's forest end
+    node = np.arange(p)  # slot -> node
+    closer = np.empty(p, dtype=bool)
+    joined, ends = np.empty((2, max(p - 1, 0)), dtype=np.intp)
+    ww = np.empty(max(p - 1, 0))
+    s = 0  # node 0 starts the forest
+    for step in range(p - 1):
+        m = p - 1 - step  # u, in slot s, trades places with slot m, which then drops out
+        u = node[s]
         t = xy[..., s].copy()
         xy[..., s] = xy[..., m]
         xy[..., m] = t
-        node[s], node[m], self.slot[v], self.slot[u] = v, u, s, m
-        b, c = _signed_row(self.x, self.y, m, slice(0, m), self.symmetrize)
-        # b is a fresh kernel row, so it is transformed in place
-        self.out[node[:m]] = _pair_weights(b, self.weight_transform, c, out=b)
-        return self.out
+        best[s], end[s], node[s] = best[m], end[m], node[m]  # u's own state is read no more
+        b, c = _signed_row(x, y, m, slice(0, m), symmetrize)
+        if absolute:  # b and c are fresh kernel rows, so transformed in place
+            r = np.abs(b, out=b)
+            if c is not b:
+                np.maximum(r, np.abs(c, out=c), out=r)
+        else:
+            r = _pair_weights(b, weight_transform, c, out=b)
+        bm = best[:m]
+        np.greater_equal(r, bm, out=closer[:m])
+        k = closer[:m].nonzero()[0]
+        rk = r[k]
+        tied = rk == bm[k]
+        if np.count_nonzero(tied):  # {u, v} precedes v's best edge iff u < that edge's forest end
+            keep = ~tied | (end[k] > u)
+            k, rk = k[keep], rk[keep]
+        bm[k] = rk
+        end[k] = u
+        s = bm.argmax()
+        w = bm[s]
+        bm[s] = floor  # s joins next, and its best weight is read no more
+        if w == floor:  # nothing above the floor reaches the forest
+            s = node[:m].argmin()  # a new tree starts at the lowest outside node
+        elif bm[bm.argmax()] == w:  # equally heavy: the smallest (i, j) pair joins
+            bm[s] = w
+            tie = (bm == w).nonzero()[0]
+            i, j = node[tie], end[tie]
+            s = tie[(np.minimum(i, j) * p + np.maximum(i, j)).argmin()]
+        joined[step], ends[step], ww[step] = node[s], end[s], w
+    if absolute:
+        ww[ww == 0.0] = -np.inf
+    return joined[:, None], ends[:, None], ww[:, None]
 
 
 def _step_curves(
@@ -379,11 +393,11 @@ def filtration_curves_binned(
 
     Both curves are set by a maximum spanning forest alone, and snapping up is
     monotone, so a maximum spanning tree of the raw weights is one of the
-    snapped graph too. The tree comes from the same Prim pass over streamed
-    rows that the exact curves run (``_streamed_steps`` on an
-    ``AbsWeightBlocks``' dataset, computing every pair once); any other
-    stream's ``row(u)`` is read in full. The step weights are snapped, the zero
-    ones (absent pairs) dropped, and the curves read from the steps as the
+    snapped graph too. The tree comes from the streamed pass the exact curves
+    run (``_streamed_steps`` on an ``AbsWeightBlocks``' dataset, computing
+    every pair once); any other stream's ``row(u)`` is read in full by
+    ``_prim_steps``. The step weights are snapped, the zero ones and the tree
+    starts (-inf) dropped, and the curves read from the steps as the
     exact ones are (``_step_curves``). They are read only after the last merge
     at each snapped weight, where the merged edges are those of the raw tree
     above a threshold, so each component is a run of steps. Memory is O(p) on
@@ -469,15 +483,16 @@ def _run_sizes(ww: np.ndarray) -> np.ndarray:
 
 def _prim_steps(rows, G: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximum spanning forests (Prim, 1957) of G graphs on p nodes, built in
-    lockstep. This is the one spanning-forest core: every filtration calls it,
-    the streamed and single-graph ones with G = 1. Node v of graph g sits at
-    flat position g * p + v. ``rows(at)`` returns the weights from the nodes at
+    lockstep over dense rows, with the state in node order (compacted to the
+    outside nodes, as :func:`_streamed_steps` keeps it, replicate batches run
+    about 3x slower). Node v of graph g sits at flat position g * p + v.
+    ``rows(at)`` returns the weights from the nodes at
     positions ``at`` to the nodes of their graphs: for G = 1 ``at`` is an int
     (the node) and the result one row, otherwise ``at`` holds G positions and
     the result is ``(G, p)``. -inf marks an absent pair. Only the entries of
     nodes still outside the forest are read: those of the nodes that have
     joined, the requested node's own included, are never read, so a row
-    source may leave them stale (:class:`_OutsideRows` does).
+    source may leave them stale.
 
     Returns three ``(p - 1, G)`` arrays: the node that step s adds to graph g,
     the forest node it joins, and the weight of that edge, -inf where the step

@@ -78,7 +78,9 @@ def tied_zero_inputs(kind):
     exactly 0. ``signs`` builds every node from them, so weights take a few
     values only and some nodes link to the rest only through pairs whose one
     direction is 0 and the other negative; ``mixed`` adds random nodes and
-    duplicates five of them.
+    duplicates five of them. ``split`` puts each node's x and y columns on one
+    pattern, so pairs on different patterns weigh exactly 0 both ways and the
+    graph falls apart into one component per pattern.
     """
     h = np.array([[1.0]])
     for _ in range(3):
@@ -89,6 +91,10 @@ def tied_zero_inputs(kind):
         a, b = rng.integers(7, size=(2, 16))
         flip = rng.choice([-1.0, 1.0], size=(2, 16))
         return signs[:, a] * flip[0], signs[:, b] * flip[1]
+    if kind == "split":
+        a = rng.integers(7, size=16)
+        flip = rng.choice([-1.0, 1.0], size=(2, 16))
+        return signs[:, a] * flip[0], signs[:, a] * flip[1]
     x0 = rng.standard_normal((8, 10))
     y0 = x0 + 0.5 * rng.standard_normal((8, 10))
     return (np.hstack([signs, x0, x0[:, :5]]),

@@ -122,6 +122,17 @@ def test_filtrate_raw_bins_rejected_before_ingest(tmp_path, capsys):
     assert "no such file" not in err
 
 
+@pytest.mark.parametrize("bins", ["1", "0", "-3"])
+def test_filtrate_bins_below_two_rejected_before_ingest(tmp_path, capsys, bins):
+    out = tmp_path / "o"
+    rc = main(["filtrate", str(tmp_path / "nope_x.csv"), str(tmp_path / "nope_y.csv"),
+               "--bins", bins, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "sparsecc filtrate: error: --bins must be >= 2\n"
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, flags, message",
     [
@@ -250,7 +261,7 @@ def test_block_size_below_one_rejected_before_ingest(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["mixed", "signs"])
+@pytest.mark.parametrize("kind", ["mixed", "signs", "split"])
 @pytest.mark.parametrize(
     "flags", [[], ["--raw"], ["--no-symmetrize"], ["--raw", "--no-symmetrize"]]
 )
@@ -654,8 +665,9 @@ def test_net_threads_env(tmp_path, group_csvs, monkeypatch):
 def pipeline_calls(monkeypatch):
     """Counts of the cross-correlations the CLI, inference and heritability
     layers run, of the spanning forests built, one per graph at the entry of
-    the forest core, which takes G graphs per call, of the forests whose
-    curves and merge events are read from their steps and of the curves built."""
+    the lockstep core, which takes G graphs per call, and one per streamed
+    pass, of the forests whose curves and merge events are read from their
+    steps and of the curves built."""
     calls = {"cross_correlate": 0, "forests": 0, "step_curves": 0, "curves": 0}
     lock = threading.Lock()  # replicates run on worker threads
 
@@ -674,6 +686,8 @@ def pipeline_calls(monkeypatch):
     counted(heritability, "cross_correlate", "cross_correlate", lambda *a: 1)
     counted(filtration, "_prim_steps", "forests", lambda rows, G, p: G)
     counted(inference, "_prim_steps", "forests", lambda rows, G, p: G)  # replicate batches
+    counted(filtration, "_streamed_steps", "forests", lambda *a: 1)
+    counted(inference, "_streamed_steps", "forests", lambda *a: 1)
     counted(filtration, "_step_curves", "step_curves", lambda *a: 1)
     counted(filtration.FiltrationCurve, "__post_init__", "curves", lambda *a: 1)
     return calls

@@ -449,24 +449,22 @@ def test_prim_components_are_runs_of_join_order(rng):
 
 @pytest.mark.parametrize("symmetrize", [True, False])
 @pytest.mark.parametrize("weight_transform", ["absolute", "raw"])
-def test_outside_rows_hold_the_dense_pair_weights(rng, symmetrize, weight_transform):
-    # the streamed row source, called in a shuffled join order: at every call
-    # each entry of a node not yet called is the pair weight of row u and
-    # column u of the dense matrix, bitwise, and every call returns one buffer
-    datasets = [normalize_arrays(*tied_zero_inputs(kind)) for kind in ("mixed", "signs")]
+def test_streamed_steps_are_the_dense_prim_steps(rng, symmetrize, weight_transform):
+    # the streamed pass, with its state in outside-slot order and absolute
+    # weights on a zero floor, against the lockstep core over the dense pair
+    # weights of cross_correlate: the same steps bitwise, the forest ends of
+    # the steps that start a new tree included
+    datasets = [normalize_arrays(*tied_zero_inputs(kind)) for kind in ("mixed", "signs", "split")]
     datasets += [random_dataset(rng, int(rng.integers(3, 12)), int(rng.integers(2, 40)))
-                 for _ in range(4)]
+                 for _ in range(6)]
     for ds in datasets:
         rho = cross_correlate(ds, symmetrize=symmetrize).rho
-        rows = filtration._OutsideRows(ds, symmetrize, weight_transform)
-        order, buffer = rng.permutation(ds.n_nodes), None
-        for k, u in enumerate(order[:-1]):
-            row = rows(u)
-            buffer = row if buffer is None else buffer
-            assert row is buffer
-            outside = order[k + 1:]
-            want = filtration._pair_weights(rho[u, outside], weight_transform, rho[outside, u])
-            assert np.array_equal(row[outside], want)
+        w = filtration._pair_weights(rho, weight_transform, None if symmetrize else rho.T)
+        want = filtration._prim_steps(w.__getitem__, 1, ds.n_nodes)
+        got = filtration._streamed_steps(ds, symmetrize, weight_transform)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 def test_exact_memory_stays_below_three_dense_matrices(rng):

@@ -367,6 +367,8 @@ def test_permutation_refuses_a_column_a_permuted_group_could_hold_constant(rng, 
         m.setattr(inference, "cross_correlate", no_work)
         m.setattr(filtration, "_prim_steps", no_work)
         m.setattr(inference, "_prim_steps", no_work)
+        m.setattr(filtration, "_streamed_steps", no_work)
+        m.setattr(inference, "_streamed_steps", no_work)
         with pytest.raises(ZeroVarianceNode, match="^a permuted group of 10 observations "
                                                    "could have a constant signal at nodes: v3$"):
             permutation_test(*groups, n_perm=50, seed=0)
