@@ -12,7 +12,8 @@ from itertools import chain, islice
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument, else NET_THREADS env var, else cpu count."""
+    """Explicit argument, else NET_THREADS env var, else cpu count, and never
+    more than the cpu count: a pool gets no more OS threads than cores."""
     if threads is None:
         env = os.environ.get("NET_THREADS")
         if env:
@@ -24,7 +25,7 @@ def resolve_threads(threads: int | None = None) -> int:
             threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError("thread count must be >= 1")
-    return threads
+    return min(threads, os.cpu_count() or 1)
 
 
 def ordered_map(fn, items, threads: int | None = None):

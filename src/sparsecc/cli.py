@@ -128,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--permutations", type=int, default=0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--threads", type=int, default=None,
-                   help="workers sharing out permutations from 257 nodes on; smaller "
-                        "permutations run in larger batches on one thread")
+                   help="workers, at most one per core, sharing out permutations of 257 "
+                        "to 1023 nodes; smaller ones run in larger batches, and larger ones "
+                        "as streamed passes, on one thread")
     _add_common(c)
 
     h = sub.add_parser("hgi", help="heritability indices from MZ and DZ pairs")
@@ -149,8 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reps", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--threads", type=int, default=None,
-                   help="workers sharing out repetitions from 210 nodes on; smaller "
-                        "repetitions run in larger batches on one thread")
+                   help="workers, at most one per core, sharing out repetitions of 210 "
+                        "to 1023 nodes; smaller ones run in larger batches, and larger ones "
+                        "as streamed passes, on one thread")
     _add_common(s)
     return ap
 

@@ -143,9 +143,16 @@ def _read_binary(path: Path) -> RawMatrix:
     sidecar = Path(str(path) + ".json")
     try:
         meta = json.loads(sidecar.read_text())
-        n, p = int(meta["n"]), int(meta["p"])
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedFile(f"{sidecar}: unreadable sidecar ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise MalformedFile(f"{sidecar}: sidecar is not a JSON object")
+    n, p = meta.get("n"), meta.get("p")
+    if not all(type(v) is int and v >= 0 for v in (n, p)):
+        raise MalformedFile(f"{sidecar}: sidecar needs integers n >= 0 and p >= 0, "
+                            f"got n={n!r}, p={p!r}")
+    if not isinstance(meta.get("node_ids", []), list):
+        raise MalformedFile(f"{sidecar}: sidecar node_ids is not a list")
     payload = np.fromfile(path, dtype="<f8")
     if payload.size != n * p:
         raise DimensionMismatch(

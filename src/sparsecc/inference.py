@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate
 
 import numpy as np
 
 from .crosscorr import cross_correlate
 from .dataset import PairedDataset, _constant_when_permuted, _normalize_groups
-from .errors import CurveMismatch, NodeSetMismatch, SparseCCError, ZeroVarianceNode
+from .errors import CurveMismatch, NodeSetMismatch, ZeroVarianceNode
 from .filtration import (
     KIND_COMPONENTS,
     KINDS,
@@ -40,15 +39,22 @@ from ._parallel import ordered_map, resolve_threads
 
 # The p x p weights one replicate batch holds at most, spent on batch size
 # before threads: 13 permutations (26 groups) or 8 study repetitions (24 groups)
-# at p = 100, and such batches run one at a time, since their many small numpy
-# calls hold the interpreter lock and threads cannot overlap them. From p = 257
-# (permutations) or p = 210 (repetitions) on one replicate outgrows it, so each
-# batch is one replicate and the threads share them out. On
-# `compare --permutations 200` at p = 100, 3 and 8 MiB read the same CPU as
-# 2 MiB at 6.5 and 35 % more peak memory. Since the sups are read from Prim's
-# step weights, 4 MiB saves some CPU there but raises the CLI's peak RSS by 11 %
-# (40.5 to 45.1 MiB).
+# at p = 100, run one batch at a time. From p = 257 (permutations) or p = 210
+# (repetitions) on a batch is one replicate, and below _STREAMED_FROM threads
+# share the batches out. On `compare --permutations 200` at p = 100, 3 and
+# 8 MiB read the same CPU as 2 MiB at 6.5 and 35 % more peak memory, and 4 MiB
+# saves some CPU but raises the CLI's peak RSS by 11 % (40.5 to 45.1 MiB).
 _BATCH_BYTES = 1 << 21
+
+# From this node count on, a replicate's groups each take a streamed pass: the
+# smallest p at which two streamed passes took no more CPU than one dense
+# one-replicate batch in every run. CPU ms per replicate, dense / streamed, one
+# thread, n = 20, two groups, medians of 7-11 alternating rounds per run on a
+# shared 2-core Xeon: p = 900: 35.7 / 37.1, 40.3 / 39.5, 65.6 / 80.6; 1000:
+# 43.3 / 42.5, 50.0 / 46.8, 73.6 / 92.8, 70.7 / 66.5; 1024: 66.6 / 47.3,
+# 100.4 / 94.7, 86.9 / 68.3; 1200: 72.1 / 56.9. A dense batch below it holds at
+# most 7 x 8 x 1023^2 bytes (56 MiB), one per core.
+_STREAMED_FROM = 1024
 
 
 @dataclass(eq=False)
@@ -126,25 +132,29 @@ def ks_pvalue(d_normalized: float, tol: float = 1e-16) -> float:
 def group_curves(ds: PairedDataset, symmetrize: bool = True, block_size: int = 1024) -> dict:
     """Every filtration curve of one group as {kind: FiltrationCurve}, all from one
     streamed spanning forest, bitwise that of the group's dense weights in a
-    replicate batch (:func:`_datasets_weights`), and no p x p matrix.
+    dense replicate batch (:func:`_dense_step_weights`), and no p x p matrix.
     ``block_size`` has no effect: no tile shape changes a bit of the result.
     """
     return dict(zip(KINDS, _streamed_curves(ds, symmetrize)[:2]))
 
 
-def _datasets_weights(datasets, symmetrize: bool) -> np.ndarray:
-    """The ``(G, p, p)`` stack of the absolute cross-correlation weights
-    (``_pair_weights``) of G normalized groups on one node set, in order.
-
-    Each group's weights go straight into the stack, one matrix at a time, and
-    every graph keeps the arithmetic it has alone.
-    """
-    w = np.empty((len(datasets), datasets[0].n_nodes, datasets[0].n_nodes))
+def _dense_step_weights(datasets, symmetrize: bool) -> np.ndarray:
+    """:func:`_step_weights` of G normalized groups on one node set, from a
+    ``(G, p, p)`` stack of their absolute weights (``_pair_weights``), filled
+    one matrix at a time, and one lockstep ``_prim_steps`` call: every graph
+    keeps the arithmetic it has alone."""
+    G, p = len(datasets), datasets[0].n_nodes
+    w = np.empty((G, p, p))
     for ds, wg in zip(datasets, w):
         rho = cross_correlate(ds, symmetrize=symmetrize).rho
         _pair_weights(rho, "absolute", None if symmetrize else rho.T, out=wg)
         del rho  # released before the next matrix is computed
-    return w
+    return _prim_steps(w.reshape(G * p, p).__getitem__, G, p)[2].T
+
+
+def _step_weights(groups, symmetrize: bool) -> np.ndarray:
+    """The ``(G, p - 1)`` Prim step weights of G normalized groups, one streamed pass each."""
+    return np.stack([_streamed_steps(ds, symmetrize)[2][:, 0] for ds in groups])
 
 
 def _batch_size(groups_per_rep: int, p: int) -> int:
@@ -158,46 +168,36 @@ def _batches(n_reps: int, groups_per_rep: int, p: int):
     return (range(a, min(a + size, n_reps)) for a in range(0, n_reps, size))
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _replicate_stats(raw_groups, pairs, n_reps, groups_per_rep, node_ids, symmetrize,
                      threads):
     """The replicate driver: for replicates 0 .. n_reps - 1 in order, a
     ``(len(pairs), 2)`` integer array, the sup distances (``KINDS`` order)
     between the curves of groups a and b of each pair (a, b) in ``pairs``
-    among replicate r's raw ``(x, y)`` groups ``raw_groups(r)``. They are
-    computed in batches (:func:`_batches`): all of a batch's groups are
-    normalized, their weights stacked (:func:`_datasets_weights`), their forests
-    built in one lockstep ``_prim_steps`` call and every pair's sups read from
-    the step weights (``_step_sups``), so no curve is built.
+    among replicate r's raw ``(x, y)`` groups ``raw_groups(r)``. Each batch
+    (:func:`_batches`) normalizes its groups, builds their forests and reads
+    every pair's sups from the step weights (``_step_sups``): no curve is built.
 
-    Batches of several replicates (p <= 256 for two groups per replicate,
-    p <= 209 for three) run one at a time on the calling thread, whatever
-    ``threads`` says: their time is interpreter overhead, which threads cannot
-    overlap. Batches of one replicate are shared out among the ``threads``
-    workers. Before any batch runs, it raises :class:`SparseCCError` if the
-    batches in flight do not fit in physical memory: each holds its groups'
-    p x p weights plus four matrices of kernel temporaries (tracemalloc at
-    p = 600 read 5.9 for one permutation, 6.3 for one study repetition).
+    Below ``_STREAMED_FROM`` nodes the forests come from dense weights
+    (:func:`_dense_step_weights`). Batches of several replicates run one at a
+    time on the calling thread: their time is interpreter overhead, which
+    threads cannot overlap. Batches of one replicate (from p = 257 for two
+    groups per replicate, p = 210 for three) are shared out among the
+    ``threads`` workers, each holding at most 7 p x p matrices. From
+    ``_STREAMED_FROM`` on each group takes a streamed pass (:func:`_step_weights`)
+    on the calling thread.
     """
     p = len(node_ids)
     workers = resolve_threads(threads)  # checked also where it goes unused
-    if _batch_size(groups_per_rep, p) > 1:
+    streamed = p >= _STREAMED_FROM
+    if streamed or _batch_size(groups_per_rep, p) > 1:
         workers = 1
-    in_flight = islice(_batches(n_reps, groups_per_rep, p), workers)
-    need = sum(len(reps) * groups_per_rep + 4 for reps in in_flight) * 8 * p * p
-    if need > (have := _physical_memory()):
-        raise SparseCCError(f"{p} nodes need about {need / 2**30:.1f} GiB of dense p x p "
-                            f"matrices, more than the {have / 2**30:.1f} GiB of physical memory")
+    step_weights = _step_weights if streamed else _dense_step_weights
 
     def one_batch(reps: range) -> np.ndarray:
         groups = _normalize_groups([g for r in reps for g in raw_groups(r)], node_ids)
         first, second = (np.add.outer(np.arange(len(reps)) * groups_per_rep, ends).ravel()
                          for ends in zip(*pairs))
-        w = _datasets_weights(groups, symmetrize).reshape(len(groups) * p, p)
-        ww = _prim_steps(w.__getitem__, len(groups), p)[2].T
+        ww = step_weights(groups, symmetrize)
         return _step_sups(ww, first, second).reshape(len(reps), len(pairs), 2)
 
     batches = ordered_map(one_batch, _batches(n_reps, groups_per_rep, p), workers)
@@ -235,10 +235,9 @@ def _compare_kinds(ds1, ds2, kinds, symmetrize, n_perm=0, seed=0,
             perm = np.random.default_rng(np.random.SeedSequence([seed, r])).permutation(n_total)
             return [(x[i], y[i]) for i in (perm[:n1], perm[n1:])]
 
-        # refuses now; its batches start only when read, after the streamed pass
+        # checks threads now; its batches start only when read, after the streamed pass
         d_perm = _replicate_stats(split, ((0, 1),), n_perm, 2, ds1.node_ids, symmetrize, threads)
-    ww = np.stack([_streamed_steps(ds, symmetrize)[2][:, 0] for ds in (ds1, ds2)])
-    d_obs = _step_sups(ww, [0], [1])[0]
+    d_obs = _step_sups(_step_weights((ds1, ds2), symmetrize), [0], [1])[0]
     results = {kind: _ks_result(kind, int(d_obs[KINDS.index(kind)]), ds1.n_nodes)
                for kind in kinds}
     if n_perm:
@@ -288,13 +287,13 @@ def permutation_test(
     The permutations run in batches of whole splits that normalize their
     groups as stacks and build their forests in one lockstep pass: up to 2 MiB
     of weights, 13 splits at p = 100, run one batch at a time. From p = 257 on
-    a batch is one split, and ``threads`` share out the batches. Every group
-    keeps the arithmetic it has alone, so the p-values are identical at any
-    thread count. A node count whose batches in flight do not fit in physical
-    memory raises :class:`SparseCCError` before any runs, and so does a column
-    that a permuted group could hold constant (:class:`ZeroVarianceNode`,
-    naming its nodes): one in which min(n1, n2) pooled values are equal, or
-    nearly so.
+    a batch is one split, and ``threads`` (at most one per core) share out the
+    batches. From 1024 nodes on each permuted group takes a streamed pass, as
+    the observed ones do, on the calling thread. Every group keeps the
+    arithmetic it has alone, so the p-values are identical at any thread count
+    and on either route. A column that a permuted group could hold constant
+    raises :class:`ZeroVarianceNode`, naming its nodes, before any permutation
+    runs: one in which min(n1, n2) pooled values are equal, or nearly so.
     ``block_size`` has no effect.
     """
     if n_perm < 1:

@@ -117,10 +117,11 @@ def run_validation(
     :func:`~sparsecc.inference.compare_groups`. Repetitions run in batches
     through the replicate driver of :func:`~sparsecc.inference.permutation_test`:
     up to 2 MiB of p x p weights, 8 repetitions at p = 100, run one batch at a
-    time. From p = 210 on a batch is one repetition, and ``threads`` share out
-    the batches. Every group keeps the arithmetic it has alone, so the rows are
-    identical at any thread count. Batches in flight that do not fit in
-    physical memory raise ``SparseCCError`` before any data is drawn.
+    time. From p = 210 on a batch is one repetition, and ``threads`` (at most
+    one per core) share out the batches. From 1024 nodes on each group takes a
+    streamed pass instead, in O(p n) memory and on the calling thread. Every
+    group keeps the arithmetic it has alone, so the rows are identical at any
+    thread count and on either route.
     """
     kinds = tuple(kinds)
     for k in kinds:

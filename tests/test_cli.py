@@ -1,4 +1,3 @@
-import itertools
 import json
 import threading
 import tracemalloc
@@ -244,6 +243,24 @@ def test_input_refusals_name_their_files(tmp_path, capsys, case):
     assert main([command, *paths, *flags, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"sparsecc {command}: error: {error}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("meta", ["[6, 4]", "5", '{"n": null, "p": 4}', '{"n": 6, "p": 4.0}',
+                                  '{"n": "6", "p": 4}', '{"n": 6, "p": 4, "node_ids": 7}',
+                                  '{"n": 6, "p": 4, "node_ids": "abcd"}'])
+def test_malformed_sidecar_refused_with_one_line(tmp_path, capsys, meta):
+    # a sidecar must be a JSON object with integer n and p, and node_ids absent or a list
+    rng = np.random.default_rng(4)
+    xb, yb = tmp_path / "x.bin", tmp_path / "y.bin"
+    save_binary(rng.standard_normal((6, 4)), xb)
+    save_binary(rng.standard_normal((6, 4)), yb)
+    (tmp_path / "x.bin.json").write_text(meta)
+    out = tmp_path / "out"
+    assert main(["filtrate", str(xb), str(yb), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sparsecc filtrate: error: {tmp_path / 'x.bin.json'}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not any(out.iterdir())
 
@@ -753,53 +770,28 @@ def test_small_permutations_run_on_one_thread(tmp_path, group_csvs, map_threads)
     assert map_threads == [1]
 
 
-@pytest.mark.parametrize("command, flags, replicates", [
-    # at p = 18 every replicate of a run is in one batch; compare's replicates
-    # are its permutations
-    pytest.param("compare", ["--permutations", "3", "--threads", "2"], 3,
-                 id="compare-two-threads"),
-    pytest.param("simulate", ["--n-nodes", "18", "--reps", "3", "--threads", "2"], 3,
-                 id="simulate-two-threads"),
-    pytest.param("simulate", ["--n-nodes", "18", "--reps", "1", "--threads", "2"], 1,
-                 id="simulate-one-rep"),
-])
-def test_dense_working_set_refused_before_allocation(tmp_path, group_csvs, capsys, monkeypatch,
-                                                     command, flags, replicates):
-    n_paths = {"compare": 4, "simulate": 0}[command]
-    paths = [*group_csvs("a"), *group_csvs("b")][:n_paths]  # p = 18
-    # each replicate batch in flight, one per thread, holds its groups' weights
-    # and four matrices of kernel temporaries
-    groups = {"compare": 2, "simulate": 3}[command]
-    in_flight = itertools.islice(inference._batches(replicates, groups, 18), 2)
-    need = sum(len(batch) * groups + 4 for batch in in_flight) * 8 * 18 * 18
-    monkeypatch.setattr(inference, "_physical_memory", lambda: need - 1)
-
-    def no_dense(*args, **kwargs):
-        raise AssertionError("a p x p matrix was computed")
-
-    def no_data(*args, **kwargs):
-        raise AssertionError("study data was drawn")
-
-    with monkeypatch.context() as m:
-        for module in (crosscorr, heritability, inference):
-            m.setattr(module, "cross_correlate", no_dense)
-        m.setattr(crosscorr, "_product_blocks", no_dense)  # nor the streamed pass
-        m.setattr(simulation, "_raw_group", no_data)
-        out = tmp_path / "refused"
-        rc = main([command, *paths, *flags, "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"sparsecc {command}: error: 18 nodes need about" in err
-    assert "more than the 0.0 GiB of physical memory" in err
-    assert not any(out.iterdir())
-    monkeypatch.setattr(inference, "_physical_memory", lambda: need)
-    assert main([command, *paths, *flags, "--out", str(tmp_path / "fits")]) == 0
+@pytest.mark.parametrize("command", ["compare", "simulate"])
+def test_replicates_write_the_same_files_on_both_routes(tmp_path, group_csvs, monkeypatch,
+                                                        command):
+    # at p = 18 the replicates are dense batches below the cut, streamed passes from it
+    paths = [*group_csvs("a"), *group_csvs("b")] if command == "compare" else []
+    flags = {"compare": ["--permutations", "9", "--seed", "2"],
+             "simulate": ["--n-nodes", "18", "--reps", "3", "--seed", "2"]}[command]
+    written = {}
+    for cut in (19, 18):
+        monkeypatch.setattr(inference, "_STREAMED_FROM", cut)
+        for threads in ("1", "2"):
+            out = tmp_path / f"{cut}_{threads}"
+            assert main([command, *paths, *flags, "--threads", threads, "--out", str(out)]) == 0
+            written[out] = {f.name: f.read_bytes() for f in out.iterdir()}
+    first, *rest = written.values()
+    assert len(first) == {"compare": 2, "simulate": 1}[command]
+    assert all(files == first for files in rest)
 
 
 def test_hgi_runs_where_one_dense_matrix_would_not_fit(tmp_path, group_csvs, monkeypatch):
     # hgi, build and compare without permutations stream their rows
     paths = [*group_csvs("a"), *group_csvs("b")]  # p = 18
-    monkeypatch.setattr(inference, "_physical_memory", lambda: 8 * 18 * 18 - 1)
 
     def no_dense(*args, **kwargs):
         raise AssertionError("a p x p matrix was computed")

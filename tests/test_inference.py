@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from sparsecc import (
     WeightedGraph,
     compare_groups,
     cross_correlate,
-    crosscorr,
     exact_sup_tail,
     filtration,
     filtration_curves,
@@ -28,7 +28,7 @@ from sparsecc import (
     random_pairing_null,
     sup_distance,
 )
-from sparsecc.errors import CurveMismatch, SparseCCError, ZeroVarianceNode
+from sparsecc.errors import CurveMismatch, ZeroVarianceNode
 
 from conftest import permutation_oracle, random_dataset, tied_raw_groups
 
@@ -313,33 +313,33 @@ def test_permutation_ranks_the_reported_d_raw():
         assert permutation_test(ds1, ds2, kind, n_perm=199, seed=0, symmetrize=False) == p_value
 
 
-@pytest.mark.parametrize("p, threads, in_flight", [
-    (18, 2, [3]),  # the 3 permutations are one batch
-    (260, 1, [1]),  # one split per batch from p = 257 on, one batch per thread
-    (260, 2, [1, 1]),
-])
-def test_permutation_refused_before_any_matrix(rng, monkeypatch, p, threads, in_flight):
-    # each batch in flight holds its groups' p x p weights and four matrices
-    # of kernel temporaries
-    ds1, ds2 = random_dataset(rng, 6, p), random_dataset(rng, 5, p)
-    need = sum(2 * splits + 4 for splits in in_flight) * 8 * p * p
-    monkeypatch.setattr(inference, "_physical_memory", lambda: need - 1)
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_permutation_routes_agree_across_the_cut(rng, monkeypatch, symmetrize):
+    # p = 260 is one split per batch, so two threads share the dense batches out;
+    # from the cut on every permuted group takes a streamed pass instead
+    p = 260
+    ds1, ds2 = random_dataset(rng, 7, p), random_dataset(rng, 6, p)
+
+    def p_values(threads):
+        return [permutation_test(ds1, ds2, kind, n_perm=5, seed=4, symmetrize=symmetrize,
+                                 threads=threads) for kind in KINDS]
+
+    monkeypatch.setattr(inference, "_STREAMED_FROM", p + 1)
+    dense = {t: p_values(t) for t in (1, 2)}
 
     def no_dense(*args, **kwargs):
         raise AssertionError("a p x p matrix was computed")
 
-    with monkeypatch.context() as m:
-        m.setattr(inference, "cross_correlate", no_dense)
-        m.setattr(crosscorr, "_product_blocks", no_dense)  # nor the streamed pass
-        with pytest.raises(SparseCCError, match=f"^{p} nodes need about .* of physical memory$"):
-            permutation_test(ds1, ds2, n_perm=3, threads=threads)
-    monkeypatch.setattr(inference, "_physical_memory", lambda: need)
-    assert 0 < permutation_test(ds1, ds2, n_perm=3, threads=threads) <= 1
+    monkeypatch.setattr(inference, "_STREAMED_FROM", p)
+    monkeypatch.setattr(inference, "cross_correlate", no_dense)
+    assert dense[1] == dense[2] == p_values(1) == p_values(2)
 
 
-def test_permutation_threads_share_out_batches_of_one_split(rng, map_threads):
+def test_permutation_threads_share_out_batches_of_one_split(rng, monkeypatch, map_threads):
     # from p = 257 on a batch is one split, so the threads share the batches
-    # out; this keeps the pool path covered, and the p-values do not move
+    # out; this keeps the pool path covered, and the p-values do not move. On
+    # 4 cores no count here is clamped
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     p = 260
     assert len(next(inference._batches(10**6, 2, p))) == 1
     assert len(next(inference._batches(10**6, 2, p - 4))) == 2

@@ -13,8 +13,7 @@ from sparsecc import (
     run_validation,
     write_summary_csv,
 )
-from sparsecc import inference, simulation
-from sparsecc.errors import SparseCCError
+from sparsecc import inference
 from sparsecc.filtration import WeightedGraph
 
 
@@ -109,27 +108,19 @@ def test_run_validation_rows_unchanged_by_batching():
             assert [v for r in rows for v in (r["mean_p"], r["sd_p"])] == expected[symmetrize]
 
 
-@pytest.mark.parametrize("n_nodes, threads, in_flight", [
-    (25, 2, [3]),  # 3 repetitions are one batch
-    (210, 1, [1]),  # one repetition per batch from p = 210 on, one batch per thread
-    (210, 2, [1, 1]),
-])
-def test_run_validation_refused_before_any_data(monkeypatch, n_nodes, threads, in_flight):
-    # each batch in flight holds its groups' p x p weights and four matrices
-    # of kernel temporaries
-    cfg = small_cfg(n_nodes=n_nodes, n_reps=3)
-    need = sum(3 * reps + 4 for reps in in_flight) * 8 * n_nodes * n_nodes
-    monkeypatch.setattr(inference, "_physical_memory", lambda: need - 1)
+def test_run_validation_routes_agree_across_the_cut(monkeypatch):
+    # p = 210 is one repetition per batch, so two threads share the dense batches
+    # out; from the cut on every group takes a streamed pass instead
+    cfg = small_cfg(n_nodes=210, n_reps=3)
+    monkeypatch.setattr(inference, "_STREAMED_FROM", 211)
+    dense = {t: run_validation(cfg, threads=t) for t in (1, 2)}
 
-    def no_data(*args, **kwargs):
-        raise AssertionError("study data was drawn")
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a p x p matrix was computed")
 
-    with monkeypatch.context() as m:
-        m.setattr(simulation, "_raw_group", no_data)
-        with pytest.raises(SparseCCError, match=f"^{n_nodes} nodes need about .* physical memory$"):
-            run_validation(cfg, threads=threads)
-    monkeypatch.setattr(inference, "_physical_memory", lambda: need)
-    assert len(run_validation(cfg, threads=threads)) == 4
+    monkeypatch.setattr(inference, "_STREAMED_FROM", 210)
+    monkeypatch.setattr(inference, "cross_correlate", no_dense)
+    assert dense[1] == dense[2] == run_validation(cfg, threads=1) == run_validation(cfg, threads=2)
 
 
 def test_run_validation_single_rep_has_no_sd(tmp_path):
