@@ -9,18 +9,34 @@ OPENBLAS_NUM_THREADS=1 unless the environment already sets it. No code path
 calls BLAS (see the crosscorr module), so the pool would only cost start-up
 time and a spinning worker's CPU. ``import sparsecc`` loads no numpy, so both
 ``python -m sparsecc.cli`` and the ``sparsecc`` script get here first.
+
+Under the same guard the process stops paying the cyclic collector for its
+start-up objects. The collector is paused while numpy and sparsecc import;
+the ~32 k objects they leave are then frozen (``gc.freeze``), so no later
+collection walks them, and the collector is enabled again. At exit an
+``atexit`` hook freezes whatever is left, so interpreter teardown finds
+nothing to collect. Output files are closed by ``with`` blocks, never by the
+collector. A program that imports numpy before this module keeps its
+collector as it was, as it keeps its BLAS setting.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import sys
 
-# This process makes no BLAS call (the product kernel is numpy's einsum loop),
-# so OpenBLAS's thread pool would only add start-up time and a spinning worker.
-# A value set by the user wins, and once numpy is loaded the pool exists.
-if "numpy" not in sys.modules:
+# Unless numpy is already loaded, this module starts the process. Then:
+# - it makes no BLAS call (the product kernel is numpy's einsum loop), so
+#   OpenBLAS's thread pool would only add start-up time and a spinning
+#   worker; a value set by the user wins;
+# - no collection need walk the objects the imports create, so the
+#   collector pauses until they are frozen below.
+_STARTS_PROCESS = "numpy" not in sys.modules
+if _STARTS_PROCESS:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
 
 import argparse
 import shutil
@@ -31,6 +47,12 @@ import numpy as np
 from . import crosscorr, dataset, filtration  # the other modules load in the commands using them
 from .errors import NodeSetMismatch, SparseCCError
 from ._parallel import resolve_threads
+
+if _STARTS_PROCESS:
+    # no gc.collect() first: it would cost most of what the freeze saves
+    gc.freeze()
+    gc.enable()
+    atexit.register(gc.freeze)  # teardown then has nothing left to collect
 
 _KINDS = {
     "count": (filtration.KIND_COMPONENTS,),

@@ -153,11 +153,15 @@ def _read_binary(path: Path) -> RawMatrix:
                             f"got n={n!r}, p={p!r}")
     if not isinstance(meta.get("node_ids", []), list):
         raise MalformedFile(f"{sidecar}: sidecar node_ids is not a list")
-    payload = np.fromfile(path, dtype="<f8")
-    if payload.size != n * p:
+    # checked before reading: np.fromfile drops a trailing partial value, and a
+    # huge declared size is refused without reading anything
+    size = path.stat().st_size
+    if size != 8 * n * p:
         raise DimensionMismatch(
-            f"{path}: sidecar declares {n}x{p} = {n * p} values, payload has {payload.size}"
+            f"{path}: sidecar declares {n}x{p} = {n * p} float64 values ({8 * n * p} bytes), "
+            f"the file has {size} bytes"
         )
+    payload = np.fromfile(path, dtype="<f8")
     node_ids = meta.get("node_ids") or default_node_ids(p)
     if len(node_ids) != p:
         raise DimensionMismatch(f"{path}: sidecar has {len(node_ids)} node ids for p={p}")

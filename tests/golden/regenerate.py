@@ -28,6 +28,15 @@ def cases() -> dict[str, list[str]]:
     return {name: [arg.format(**INPUTS) for arg in argv] for name, argv in spec.items()}
 
 
+def differences(name: str, out: Path) -> list[str]:
+    """The files missing from ``out``, extra in it, or whose bytes differ from
+    ``expected/<name>/``; empty when ``out`` matches case ``name``."""
+    expected = HERE / "expected" / name
+    got, want = ({f.name for f in d.iterdir()} for d in (out, expected))
+    return sorted((got ^ want) | {f for f in got & want
+                                  if (out / f).read_bytes() != (expected / f).read_bytes()})
+
+
 def run_case(argv: list[str], out: Path) -> None:
     if main([*argv, "--out", str(out)]) != 0:
         raise RuntimeError(f"sparsecc {' '.join(argv)} failed")

@@ -265,6 +265,27 @@ def test_malformed_sidecar_refused_with_one_line(tmp_path, capsys, meta):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("tail, meta, size", [
+    (b"abc", '{"n": 6, "p": 4}', 195),  # a trailing partial value
+    (b"", '{"n": 7, "p": 4}', 192),  # one row short
+    (b"", '{"n": 1000000000, "p": 1000000000}', 192),  # refused without reading
+])
+def test_payload_size_must_match_the_sidecar(tmp_path, capsys, tail, meta, size):
+    rng = np.random.default_rng(4)
+    xb, yb = tmp_path / "x.bin", tmp_path / "y.bin"
+    save_binary(rng.standard_normal((6, 4)), xb)
+    save_binary(rng.standard_normal((6, 4)), yb)
+    xb.write_bytes(xb.read_bytes() + tail)
+    (tmp_path / "x.bin.json").write_text(meta)
+    n, p = json.loads(meta).values()
+    out = tmp_path / "out"
+    assert main(["filtrate", str(xb), str(yb), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"sparsecc filtrate: error: {xb}: sidecar declares {n}x{p} = {n * p} float64 "
+                   f"values ({8 * n * p} bytes), the file has {size} bytes\n")
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["build", "filtrate", "compare", "hgi", "simulate"])
 def test_block_size_below_one_rejected_before_ingest(tmp_path, capsys, command):
     # the input paths do not exist, so only a check made before reading them can pass

@@ -3,7 +3,7 @@ files in ``tests/golden/expected/`` (see ``tests/golden/regenerate.py``)."""
 
 import pytest
 
-from golden.regenerate import HERE, cases, run_case
+from golden.regenerate import cases, differences, run_case
 
 CASES = cases()
 
@@ -11,8 +11,4 @@ CASES = cases()
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_outputs(tmp_path, name):
     run_case(CASES[name], tmp_path)
-    expected = HERE / "expected" / name
-    names = sorted(p.name for p in expected.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == names
-    differ = [f for f in names if (tmp_path / f).read_bytes() != (expected / f).read_bytes()]
-    assert not differ, f"{name}: {differ} differ from {expected.relative_to(HERE)}"
+    assert not differences(name, tmp_path), f"{name}: differs from expected/{name}"

@@ -1,8 +1,10 @@
-"""Process start: ``import sparsecc`` is lazy, the CLI starts no BLAS pool, and
-a command loads only the sparsecc modules it uses.
+"""Process start: ``import sparsecc`` is lazy, the CLI starts no BLAS pool and
+freezes its start-up objects out of the collector's reach, and a command
+loads only the sparsecc modules it uses.
 
 Each case runs in a fresh interpreter, since numpy reads the BLAS thread
-variable once, when it is first imported.
+variable once, when it is first imported, and the CLI changes the collector
+only in a process it starts.
 """
 
 import json
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from golden.regenerate import cases, differences
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 VAR = "OPENBLAS_NUM_THREADS"
@@ -36,19 +40,22 @@ PUBLIC = {
 }
 
 REPORT = f"""
-import json, os, sys
+import gc, json, os, sys
 from pathlib import Path
 tasks = Path({str(TASKS)!r})
 print(json.dumps({{
     "numpy": "numpy" in sys.modules,
     "var": os.environ.get({VAR!r}),
     "threads": len(list(tasks.iterdir())) if tasks.is_dir() else None,
+    "collector": gc.isenabled(),
+    "frozen": gc.get_freeze_count(),
 }}))
 """
 
 
 def child(code: str, **env) -> dict:
-    """Run ``code`` then print what it left: numpy loaded, the variable, threads."""
+    """Run ``code`` then print what it left: numpy loaded, the variable,
+    threads, the collector's state and its count of frozen objects."""
     base = {k: v for k, v in os.environ.items() if k != VAR}
     base["PYTHONPATH"] = str(SRC)
     proc = subprocess.run([sys.executable, "-c", code + REPORT], env={**base, **env},
@@ -59,7 +66,8 @@ def child(code: str, **env) -> dict:
 
 def test_import_loads_no_numpy_and_sets_nothing():
     assert child("import sparsecc") == {"numpy": False, "var": None,
-                                        "threads": 1 if TASKS.is_dir() else None}
+                                        "threads": 1 if TASKS.is_dir() else None,
+                                        "collector": True, "frozen": 0}
 
 
 def test_every_public_name_resolves():
@@ -99,7 +107,30 @@ def test_cli_keeps_a_value_the_user_set():
 
 
 def test_cli_sets_nothing_once_numpy_is_loaded():
-    assert child("import numpy\nimport sparsecc.cli")["var"] is None
+    report = child("import numpy\nimport sparsecc.cli")
+    assert report["var"] is None
+    assert report["collector"] and report["frozen"] == 0
+
+
+def test_cli_import_freezes_start_up_objects():
+    # numpy's and sparsecc's import-time objects leave the collector's reach,
+    # and the collector runs again for what the command creates
+    report = child("import sparsecc.cli")
+    assert report["collector"] and report["frozen"] > 0
+
+
+@pytest.mark.parametrize("name", ["build_symmetrized", "filtrate",
+                                  "compare_permutations_threads_2", "hgi", "simulate"])
+def test_golden_case_out_of_process(tmp_path, name):
+    # the CLI's own process start (collector frozen, exit hook) writes the same
+    # bytes as the in-process golden run, and prints nothing: an exception in
+    # an exit hook goes to stderr while the exit status stays 0
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "sparsecc.cli", *cases()[name],
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert not differences(name, tmp_path), f"{name}: differs from expected/{name}"
 
 
 def test_filtrate_loads_no_replicate_or_twin_modules(tmp_path):
