@@ -5,9 +5,11 @@ outputs only; reruns with identical inputs, seeds, and flags produce
 byte-identical files regardless of the thread count.
 
 The process starts no BLAS thread pool: before numpy loads, this module sets
-OPENBLAS_NUM_THREADS=1 unless the environment already sets it. No code path
-calls BLAS (see the crosscorr module), so the pool would only cost start-up
-time and a spinning worker's CPU. ``import sparsecc`` loads no numpy, so both
+OPENBLAS_NUM_THREADS=1 unless the environment already sets it. No output bit
+comes from BLAS; the screen's float32 products do, on one thread (see the
+crosscorr module). A pool would cost start-up time and a spinning worker's
+CPU; at p = 25972 a second BLAS thread took 10-20 % off a streamed pass's
+wall time for 35-40 % more CPU. ``import sparsecc`` loads no numpy, so both
 ``python -m sparsecc.cli`` and the ``sparsecc`` script get here first.
 
 Under the same guard the process stops paying the cyclic collector for its
@@ -28,9 +30,10 @@ import os
 import sys
 
 # Unless numpy is already loaded, this module starts the process. Then:
-# - it makes no BLAS call (the product kernel is numpy's einsum loop), so
-#   OpenBLAS's thread pool would only add start-up time and a spinning
-#   worker; a value set by the user wins;
+# - its only BLAS calls are the streamed pass's float32 screens, one row
+#   product each, whose bits reach no output (the product kernel is numpy's
+#   einsum loop), and OpenBLAS's thread pool would add start-up time and a
+#   spinning worker; a value set by the user wins;
 # - no collection need walk the objects the imports create, so the
 #   collector pauses until they are frozen below.
 _STARTS_PROCESS = "numpy" not in sys.modules

@@ -13,9 +13,15 @@ are bit-identical regardless of block size or thread count. The order holds
 because ``PairedDataset`` stores ``x`` and ``y`` C-ordered, so no kernel
 operand is contiguous along the observations, the layout in which einsum sums
 them in another order. BLAS gemm is faster but sums by shape-dependent
-blocking, so it is not used. The two directed cross-correlations are averaged
-in ``_signed_blocks``. Since no code path calls BLAS, the CLI starts no BLAS
-thread pool (see ``cli``).
+blocking, so it is not used for any output. The two directed
+cross-correlations are averaged in ``_signed_blocks``.
+
+No output bit comes from BLAS; the screen's float32 products do, on one
+thread. The streamed Prim pass (``filtration._streamed_steps``) screens each
+row with one float32 BLAS product (``_screen_row``) and runs the kernel only on
+the entries whose screened weight comes within a proven rounding bound of
+mattering, so its steps do not depend on how BLAS sums. The CLI keeps BLAS to
+one thread (see ``cli``).
 """
 
 from __future__ import annotations
@@ -93,18 +99,21 @@ def _product_blocks(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("ki,kj->ij", X, Y)
 
 
-def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool, reverse: bool = True):
+def _signed_blocks(x, y, I: slice, J, symmetrize: bool, reverse: bool = True):
     """The one kernel entry: the directed blocks ``b = x_I . y_J`` and
     ``c = y_I . x_J``, or with ``symmetrize`` their average as both. A directed
     call without ``reverse`` computes ``b`` alone and gives ``c = None``.
 
+    ``J`` is a slice or an array of column indices, whose columns are then
+    gathered into C-ordered copies: the kernel sums each entry in the same
+    order on those, so the entries are those of the full block bitwise.
     On a diagonal block (``I == J``) ``c`` is ``b.T`` bitwise (the products
     commute and are summed in the same order), so it is not computed again.
     """
     b = _product_blocks(x[:, I], y[:, J])
     if not (symmetrize or reverse):
         return b, None
-    c = b.T if I == J else _product_blocks(y[:, I], x[:, J])
+    c = b.T if type(J) is slice and I == J else _product_blocks(y[:, I], x[:, J])
     if symmetrize:  # in place, bitwise (b + c) / 2.0: both halve the same rounded sum
         b += c  # on a diagonal block c = b.T overlaps b, which numpy reads as a copy
         b *= 0.5
@@ -112,11 +121,31 @@ def _signed_blocks(x, y, I: slice, J: slice, symmetrize: bool, reverse: bool = T
     return b, c
 
 
-def _signed_row(x, y, u: int, J: slice, symmetrize: bool):
+def _signed_row(x, y, u: int, J, symmetrize: bool):
     """Row u of :func:`_signed_blocks` against the columns ``J`` as 1-D arrays
     ``(b, c)``: one averaged row as both (``b is c``) when symmetrized."""
     b, c = _signed_blocks(x, y, slice(u, u + 1), J, symmetrize)
     return (b[0],) * 2 if b is c else (b[0], c[0])
+
+
+def _screen_row(v: np.ndarray, yx: np.ndarray, m: int, symmetrize: bool):
+    """A float32 estimate of :func:`_signed_row`'s ``(b, c)`` against the m
+    columns held in slots [0, m) of ``yx``, from one BLAS product.
+
+    ``yx`` is a C-ordered ``(2, n, p)`` float32 array of y columns over x
+    columns; ``v`` is the joining node's ``(2, n)`` x column over its y
+    column, halved when symmetrized. Then one matrix-vector product over the
+    2n stacked observations gives the average ``(b + c) / 2`` as both;
+    otherwise a stacked product gives ``b`` and ``c``. BLAS sums in an order
+    of its own choosing, on as many threads as it runs, so these bits are
+    not reproducible: ``filtration._streamed_steps`` only compares them with
+    a bound that holds for every order, and outputs none of them.
+    """
+    if symmetrize:
+        r = v.reshape(-1) @ yx.reshape(-1, yx.shape[2])[:, :m]
+        return r, r
+    b, c = (v[:, None] @ yx[..., :m])[:, 0]
+    return b, c
 
 
 def _kernel_rows(ds: PairedDataset, symmetrize: bool, upper: bool):
@@ -254,10 +283,11 @@ class AbsWeightBlocks:
 
     ``filtration_curves_binned`` given this stream reads neither full rows nor
     blocks, only ``ds`` and ``symmetrize``: its streamed Prim pass
-    (``filtration._streamed_steps``) computes each joining node's signed rows
-    against the nodes still outside the forest only, with the same entries
-    bitwise, and compares their absolute weights with its best weights, which
-    start from a floor of 0.0, so a zero weight needs no mask.
+    (``filtration._streamed_steps``) screens each joining node's row in
+    float32 against the nodes still outside the forest only, then computes
+    the signed entries of the candidates, those the screen cannot rule out,
+    bitwise as here, and compares their absolute weights with its best
+    weights, which start from a floor of 0.0, so a zero weight needs no mask.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):

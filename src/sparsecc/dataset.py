@@ -118,7 +118,9 @@ def _looks_like_header(line: str) -> bool:
 
 
 def _read_csv(path: Path) -> RawMatrix:
-    with open(path, "r") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise glue
+    # itself to the first header id or make a numeric first row read as one
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             first = fh.readline()
             if not first.strip():

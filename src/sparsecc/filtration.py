@@ -7,10 +7,11 @@ largest component (non-increasing). Both change only at the weights of a
 maximum spanning forest, so every filtration builds that forest by one Prim
 pass over weight rows, in one of two loops with the same rules.
 ``_prim_steps`` runs G graphs in lockstep over dense rows
-(``filtration_curves``, replicate batches). ``_streamed_steps`` computes each
+(``filtration_curves``, replicate batches). ``_streamed_steps`` screens each
 joining node's row from the observations against the nodes still outside the
-forest only, the only entries Prim reads, so it holds no p x p matrix and
-computes every pair once. Every CLI pass over one group is streamed:
+forest only, the only entries Prim reads, and computes exactly the few that
+can change the forest, so it holds no p x p matrix and screens every pair
+once. Every CLI pass over one group is streamed:
 ``build``, ``filtrate``, ``compare`` and ``hgi``.
 Prim finishes each single-linkage component before it leaves it, so every
 component size is read from the steps alone, by one routine (``_run_sizes``).
@@ -34,15 +35,18 @@ Conventions, fixed throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .crosscorr import (
+    _ROW_BLOCK_BYTES,
     AbsWeightBlocks,
     CrossCorrMatrix,
     SparseCrossCorr,
     _kept_pairs,
+    _screen_row,
     _signed_row,
     sparse_network,
 )
@@ -254,65 +258,138 @@ def _streamed_curves(
     return _step_curves(ds.n_nodes, *_streamed_steps(ds, symmetrize, weight_transform))
 
 
+# float32's unit roundoff and its smallest normal number: a float32 result
+# that underflows, gradually or flushed to zero, is off by at most the latter
+_U32, _TINY32, _MAX32 = 2.0**-24, 2.0**-126, float(np.finfo(np.float32).max)
+
+
+def _screen_slack(ds) -> float:
+    """The ε of :func:`_streamed_steps`' float32 screen on ``ds``, or inf where
+    the bound derived there does not hold."""
+    n = ds.n_obs
+    # the largest column norms, rounded up; squares that underflow (entries
+    # below 2**-537) take at most sqrt(n) * 2**-537 off a norm
+    nx, ny = (math.sqrt(np.einsum("ij,ij->j", a, a).max()) * (1 + 2.0**-20)
+              + math.sqrt(n) * 2.0**-537 for a in (ds.x, ds.y))
+    t, r = nx * ny, math.sqrt(n) * (nx + ny)
+    if not (8 * n * _U32 <= 1 and 4 * (t + nx + ny) < _MAX32):  # NaN fails too
+        return math.inf
+    return 2 * ((3 + 3 * n) * _U32 * t + 6 * _TINY32 * r + 10 * n * _TINY32)
+
+
+def _row_weights(b: np.ndarray, c: np.ndarray, absolute: bool) -> np.ndarray:
+    """The undirected weights of signed rows ``b`` and ``c`` (``c is b`` when
+    symmetric), absolute or raw, the larger of two directions, written over
+    ``b``: no zero weight is masked."""
+    r = np.abs(b, out=b) if absolute else b
+    if c is not b:
+        np.maximum(r, np.abs(c, out=c) if absolute else c, out=r)
+    return r
+
+
 def _streamed_steps(ds, symmetrize: bool, weight_transform: str = "absolute"):
     """:func:`_prim_steps` (G = 1) of the graph of
     ``cross_correlate(ds, symmetrize=symmetrize)``, in a loop of its own over
-    streamed rows, each computed against the nodes still outside the forest.
+    streamed rows, each screened against the nodes still outside the forest.
 
-    The outside nodes' x and y columns sit compacted in slots [0, m) of one
-    copy of the observations, stacked as ``(n, 2, p)`` so that a column moves
-    in one step, and Prim's state (best weight, its forest end, node) sits in
-    the same slots. A joining node swaps, in O(n), with the last outside slot,
-    which then drops out, and its row is one kernel call against the m slots
-    left, compared with their best weights as it comes. So every pair is
-    computed once, no step touches a p-long array, and memory is two n x p
-    copies and O(p).
+    The outside nodes' y and x columns sit compacted in slots [0, m) of one
+    float32 copy of the observations, stacked as ``(2, n, p)``, and Prim's
+    state (best weight, its level, its forest end, node) sits in the same
+    slots. A joining node's columns are read out of its slot, the last
+    outside slot moves in, in O(n), and slot m drops out. Its row is then
+    screened, by one float32 BLAS product against the m slots left
+    (``crosscorr._screen_row``). Only the candidates, the slots whose
+    screened weight reaches their level, get exact weights: the einsum
+    kernel on their columns gathered from the node-ordered ``ds.x`` and
+    ``ds.y``, ``_ROW_BLOCK_BYTES`` of columns at a time, bitwise the entries
+    of :func:`~sparsecc.crosscorr.cross_correlate`, and a step with no
+    candidate computes none. So every pair is screened once, no step touches
+    a p-long array, and memory is one float32 n x 2p copy and O(p).
 
-    The row entries are bitwise those of
-    :func:`~sparsecc.crosscorr.cross_correlate` and the rules are those of
-    :func:`_prim_steps`, so the steps are bitwise those of the dense graph.
+    A slot's level is a float32 number at or below its best weight minus ε,
+    and ε bounds how far a screened weight can sit from the exact one,
+    whatever order BLAS sums in. So every slot whose exact weight reaches its
+    best weight is a candidate. The other slots weigh less than their best
+    weights, and Prim would pass them over. The rules are those of
+    :func:`_prim_steps`, so the steps are bitwise those of the dense graph on
+    any CPU, BLAS build and thread count.
+
+    ε (``_screen_slack``) follows the order-independent bounds of Higham
+    (2002), *Accuracy and Stability of Numerical Algorithms*, §3.1. Let
+    u = 2**-24 (float32's unit roundoff), η = 2**-126 (its smallest normal
+    number), X and Y the largest x and y column norms, T = X Y and
+    R = sqrt(n) (X + Y). A weight's product, or symmetrized the average of
+    two, has at most 2n terms, and |x_i . y_j| <= T. Then:
+      - rounding the inputs to float32, and halving the joining node's
+        columns, moves the sum by at most 2.1 u T + 2.6 η R;
+      - the float32 products and sums, in any order, fused or not, add at
+        most γ_2n (1.1 T + 2.6 η R), where γ_2n = 2nu / (1 - 2nu) <= 2.7 nu
+        while 8 nu <= 1;
+      - each float32 product or sum that underflows, gradually or flushed to
+        zero, is off by at most η, and a later rounding at most doubles
+        that: 8 n η in all;
+      - the float64 kernel, with its add and halve under ``symmetrize``, is
+        within γ_2n(2**-53) T + 2**-53 T + 4 n 2**-1022 of the exact value,
+        below u T + n η;
+      - |.| and the larger of two directions move no weight further than
+        their arguments.
+    So a screened weight is within e = (3 + 3n) u T + 6 η R + 10 n η of the
+    exact one, and ε = 2e: the second e covers rounding best - ε to float64
+    and then to float32. Where the bound cannot be guaranteed (8 nu > 1, a
+    non-finite norm, or a float32 product or sum that could overflow,
+    4 (T + X + Y) not below float32's largest value), ε = inf: every level is
+    -inf, the float32 copy holds zeros so that the screen reads no NaN, and
+    every slot is a candidate.
+
     Absolute weights start from a floor of 0.0, not -inf: a zero weight (no
     edge) ties with it as -inf ties with -inf, so no row is masked, and zero
     step weights become -inf at the end. Raw weights, whose negative weights
-    are edges, keep -inf and the mask.
+    are edges, keep -inf and the mask. The screen masks no zero weight.
     """
-    p = ds.n_nodes
-    xy = np.stack((ds.x, ds.y), axis=1)
-    # (n, p) views, not contiguous along the observations, as the kernel needs
-    x, y = xy[:, 0], xy[:, 1]
+    p, n = ds.n_nodes, ds.n_obs
+    eps = _screen_slack(ds)
+    screens = eps < math.inf
+    yx = np.zeros((2, n, p), dtype=np.float32)  # slot -> its node's y and x columns
+    if screens:
+        yx[0], yx[1] = ds.y, ds.x
+    v = np.empty((2, n), dtype=np.float32)  # the joining node's x and y columns
+    half = 0.5 if symmetrize else 1.0
     absolute = weight_transform == "absolute"
     floor = 0.0 if absolute else -np.inf
     best = np.full(p, floor)  # slot -> heaviest weight from its node to the forest
+    level = np.full(p, floor - eps, dtype=np.float32)  # slot -> its screen's level
     end = np.zeros(p, dtype=np.intp)  # slot -> that edge's forest end
     node = np.arange(p)  # slot -> node
-    closer = np.empty(p, dtype=bool)
+    screened = np.empty(p, dtype=bool)
+    chunk = max(1, _ROW_BLOCK_BYTES // (8 * n))  # candidate columns gathered at a time
     joined, ends = np.empty((2, max(p - 1, 0)), dtype=np.intp)
     ww = np.empty(max(p - 1, 0))
     s = 0  # node 0 starts the forest
     for step in range(p - 1):
-        m = p - 1 - step  # u, in slot s, trades places with slot m, which then drops out
+        m = p - 1 - step  # u leaves slot s to the node of slot m, which then drops out
         u = node[s]
-        t = xy[..., s].copy()
-        xy[..., s] = xy[..., m]
-        xy[..., m] = t
-        best[s], end[s], node[s] = best[m], end[m], node[m]  # u's own state is read no more
-        b, c = _signed_row(x, y, m, slice(0, m), symmetrize)
-        if absolute:  # b and c are fresh kernel rows, so transformed in place
-            r = np.abs(b, out=b)
-            if c is not b:
-                np.maximum(r, np.abs(c, out=c), out=r)
-        else:
-            r = _pair_weights(b, weight_transform, c, out=b)
+        np.multiply(yx[::-1, :, s], half, out=v)
+        yx[..., s] = yx[..., m]
+        best[s], level[s], end[s], node[s] = best[m], level[m], end[m], node[m]
+        r = _row_weights(*_screen_row(v, yx, m, symmetrize), absolute)
+        k = np.greater_equal(r, level[:m], out=screened[:m]).nonzero()[0]
         bm = best[:m]
-        np.greater_equal(r, bm, out=closer[:m])
-        k = closer[:m].nonzero()[0]
-        rk = r[k]
-        tied = rk == bm[k]
-        if np.count_nonzero(tied):  # {u, v} precedes v's best edge iff u < that edge's forest end
-            keep = ~tied | (end[k] > u)
-            k, rk = k[keep], rk[keep]
-        bm[k] = rk
-        end[k] = u
+        for i in range(0, k.size, chunk):
+            kc = k[i : i + chunk]
+            # fresh kernel rows, so transformed in place
+            b, c = _signed_row(ds.x, ds.y, u, node[kc], symmetrize)
+            rk = (_row_weights(b, c, True) if absolute
+                  else _pair_weights(b, weight_transform, c, out=b))
+            bk = bm[kc]
+            keep = rk >= bk
+            tied = rk == bk
+            if np.count_nonzero(tied):  # {u, v} precedes v's best edge iff u < its forest end
+                keep &= ~tied | (end[kc] > u)
+            kc, rk = kc[keep], rk[keep]
+            bm[kc] = rk
+            end[kc] = u
+            if screens:  # else every level stays -inf (an infinite weight would make it NaN)
+                level[kc] = rk - eps
         s = bm.argmax()
         w = bm[s]
         bm[s] = floor  # s joins next, and its best weight is read no more
@@ -394,14 +471,14 @@ def filtration_curves_binned(
     Both curves are set by a maximum spanning forest alone, and snapping up is
     monotone, so a maximum spanning tree of the raw weights is one of the
     snapped graph too. The tree comes from the streamed pass the exact curves
-    run (``_streamed_steps`` on an ``AbsWeightBlocks``' dataset, computing
+    run (``_streamed_steps`` on an ``AbsWeightBlocks``' dataset, screening
     every pair once); any other stream's ``row(u)`` is read in full by
     ``_prim_steps``. The step weights are snapped, the zero ones and the tree
     starts (-inf) dropped, and the curves read from the steps as the
     exact ones are (``_step_curves``). They are read only after the last merge
     at each snapped weight, where the merged edges are those of the raw tree
     above a threshold, so each component is a run of steps. Memory is O(p) on
-    top of the n x p observations the stream holds and a copy of them, so
+    top of the n x p observations the stream holds and a float32 copy of them, so
     O(p * n) in all; the p x p weights are never stored.
 
     ``max_chunk_edges`` and ``threads`` are accepted for compatibility and

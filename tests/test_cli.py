@@ -405,27 +405,31 @@ def test_edge_files_match_dense_rendering(tmp_path, symmetrize):
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_build_writes_every_lambda_file_from_one_row_pass(tmp_path, group_csvs, monkeypatch,
                                                           symmetrize):
-    # p = 18: p - 1 kernel rows for the forest and p for the edge files (the
-    # summed heights of the kernel's row blocks), whatever the number of lambda
-    # levels; each file as a one-level run writes it
+    # p = 18: p kernel rows for the edge files (the summed heights of the
+    # kernel's row blocks), whatever the number of lambda levels, and for the
+    # forest one exact row on gathered candidate columns per Prim step that has
+    # candidates after the float32 screen: the first step (every weight
+    # reaches the zero floor) and at most the p - 2 others; each file as a
+    # one-level run writes it
     x, y = group_csvs("lams")
     sym = [] if symmetrize else ["--no-symmetrize"]
-    rows = []
+    rows = {True: [], False: []}  # gathered or not: Prim's rows, the edge rows
     original = crosscorr._signed_blocks
 
-    def counted(x, y, I, *args, **kwargs):
-        rows.append(len(range(x.shape[1])[I]))
-        return original(x, y, I, *args, **kwargs)
+    def counted(x, y, I, J, *args, **kwargs):
+        rows[type(J) is not slice].append(len(range(x.shape[1])[I]))
+        return original(x, y, I, J, *args, **kwargs)
 
     monkeypatch.setattr(crosscorr, "_signed_blocks", counted)
     lams = ["0.3", "0", "0.05"]
     per_run = []
     for tag, levels in [("all", lams), *((lam, [lam]) for lam in lams)]:
-        rows.clear()
+        rows[True].clear(), rows[False].clear()
         flags = [f for lam in levels for f in ("--lambda", lam)]
         assert main(["build", x, y, *flags, *sym, "--out", str(tmp_path / tag)]) == 0
-        per_run.append(sum(rows))
-    assert per_run == [2 * 18 - 1] * 4
+        per_run.append((sum(rows[True]), sum(rows[False])))
+    assert per_run == [per_run[0]] * 4
+    assert 1 <= per_run[0][0] <= 18 - 1 and per_run[0][1] == 18
     summary = read_lines(tmp_path / "all" / "summary.csv")
     for k, lam in enumerate(lams):
         name = f"edges_lambda_{lam}.csv"

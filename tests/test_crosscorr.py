@@ -158,6 +158,52 @@ def test_product_kernel_is_the_rank1_loop(n):
                 assert np.array_equal(crosscorr._product_blocks(a[:, I], b[:, J]), loop[I, J])
 
 
+@pytest.mark.parametrize("n", [3, 20, 8193, 9000])
+@pytest.mark.parametrize("k", [1, 2, 100])
+def test_gathered_columns_give_the_full_row_bitwise(n, k):
+    # the streamed pass's exact kernel runs on candidate columns gathered from
+    # the node-ordered observations: C-ordered copies, of which a 1-column one
+    # is contiguous along the observations and must take the 1 x 1 guard
+    p = 130
+    ds = PairedDataset(*np.random.default_rng(n + k).standard_normal((2, n, p)),
+                       tuple(map(str, range(p))))
+    cols = np.random.default_rng(k).choice(p, size=k, replace=False)
+    for u in (0, 57, p - 1):
+        assert np.array_equal(crosscorr._product_blocks(ds.x[:, u : u + 1], ds.y[:, cols]),
+                              crosscorr._product_blocks(ds.x[:, u : u + 1], ds.y)[:, cols])
+        for symmetrize in (True, False):
+            full = crosscorr._signed_row(ds.x, ds.y, u, slice(None), symmetrize)
+            got = crosscorr._signed_row(ds.x, ds.y, u, cols, symmetrize)
+            assert (got[0] is got[1]) == symmetrize
+            for a, b in zip(got, full, strict=True):
+                assert np.array_equal(a, b[cols])
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_screen_row_is_within_the_slack_of_the_exact_row(rng, symmetrize):
+    # the float32 screen, against the exact kernel row over the same slots:
+    # every signed entry within the pass's epsilon, which also bounds the
+    # absolute weights and their larger direction
+    from sparsecc.filtration import _screen_slack
+
+    for n, p, scale in ((20, 300, 1.0), (150, 200, 1.0), (20, 100, 1e6), (9, 50, 1e-30)):
+        x, y = rng.standard_normal((2, n, p)) * scale
+        ds = PairedDataset(x, y, tuple(map(str, range(p))))
+        eps = _screen_slack(ds)
+        assert 0 < eps < np.inf
+        yx = np.stack((ds.y, ds.x)).astype(np.float32)
+        for u in (0, p // 2):
+            v = yx[::-1, :, u] * np.float32(0.5 if symmetrize else 1.0)
+            screened = crosscorr._screen_row(v, yx, p, symmetrize)
+            exact = crosscorr._signed_row(ds.x, ds.y, u, slice(None), symmetrize)
+            for a, b in zip(screened, exact, strict=True):
+                assert a.dtype == np.float32
+                assert np.abs(a.astype(float) - b).max() <= eps / 2
+    # no bound holds once a float32 product can overflow
+    ds = PairedDataset(*rng.standard_normal((2, 9, 5)) * 1e20, tuple("abcde"))
+    assert _screen_slack(ds) == np.inf
+
+
 @pytest.mark.parametrize("symmetrize", [True, False])
 def test_one_node_tiles_change_no_bit(symmetrize):
     # at block size 1 every product is 1 x 1, here past 8193 observations

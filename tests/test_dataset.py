@@ -75,6 +75,20 @@ def test_ingest_csv_not_utf8_names_the_file(tmp_path, text):
         dataset.ingest(p)
 
 
+@pytest.mark.parametrize("header", [False, True])
+def test_ingest_csv_after_a_byte_order_mark(tmp_path, header):
+    # a UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write it, is
+    # not part of the first field: a numeric first row stays an observation and
+    # a header's first id reads without it
+    values = np.random.default_rng(3).standard_normal((6, 4))
+    lines = [",".join(map(repr, row)) for row in values.tolist()]
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + "\n".join(["a,b,c,d"] * header + lines + [""]).encode())
+    raw = dataset.ingest(p)
+    assert raw.node_ids == (("a", "b", "c", "d") if header else ("v1", "v2", "v3", "v4"))
+    assert np.array_equal(raw.values, values)
+
+
 def test_repeated_node_ids_rejected(tmp_path):
     # from a CSV header, a binary sidecar and plain arrays, each naming every repeated id
     # (and the file it was read from)

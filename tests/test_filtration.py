@@ -24,7 +24,7 @@ from sparsecc import (
     sup_distance,
     support_graph,
 )
-from sparsecc import crosscorr, filtration
+from sparsecc import PairedDataset, crosscorr, filtration
 from sparsecc.errors import NodeSetMismatch
 
 import worked_example
@@ -447,14 +447,38 @@ def test_prim_components_are_runs_of_join_order(rng):
                     assert max(at) - min(at) + 1 == len(at)
 
 
+def screen_stress_datasets(rng):
+    """Datasets on which a float32 screen with too small an epsilon misses
+    candidates: exact ties and zeros, duplicated and negated columns, columns
+    equal up to 1e-9 noise, few and many observations, and unnormalized
+    observations whose float32 products underflow, or (at 1e20) overflow."""
+    datasets = [normalize_arrays(*tied_zero_inputs(kind)) for kind in ("mixed", "signs", "split")]
+    x0, y0 = rng.standard_normal((2, 12, 15))
+    datasets.append(normalize_arrays(np.hstack([x0, x0[:, :5], -x0[:, 5:10]]),
+                                     np.hstack([y0, -y0[:, :5], y0[:, 5:10]])))
+    for n in (6, 20):  # near-ties: every node one of three patterns, up to sign and noise
+        base = rng.standard_normal((n, 3))
+        g, sign = rng.integers(3, size=60), rng.choice([-1.0, 1.0], size=(2, 60))
+        x = base[:, g] * sign[0] + 1e-9 * rng.standard_normal((n, 60))
+        y = (base + 0.3 * rng.standard_normal((n, 3)))[:, g] * sign[1]
+        datasets.append(normalize_arrays(x, y + 1e-9 * rng.standard_normal((n, 60))))
+    datasets += [random_dataset(rng, n, p) for n, p in ((3, 40), (150, 40), (9000, 30))]
+    for scale in (1e-30, 1e6, 1e20):
+        x, y = rng.standard_normal((2, 10, 25)) * scale
+        datasets.append(PairedDataset(x, y, tuple(map(str, range(25)))))
+        assert (filtration._screen_slack(datasets[-1]) == np.inf) == (scale == 1e20)
+    return datasets
+
+
 @pytest.mark.parametrize("symmetrize", [True, False])
 @pytest.mark.parametrize("weight_transform", ["absolute", "raw"])
 def test_streamed_steps_are_the_dense_prim_steps(rng, symmetrize, weight_transform):
-    # the streamed pass, with its state in outside-slot order and absolute
-    # weights on a zero floor, against the lockstep core over the dense pair
-    # weights of cross_correlate: the same steps bitwise, the forest ends of
-    # the steps that start a new tree included
-    datasets = [normalize_arrays(*tied_zero_inputs(kind)) for kind in ("mixed", "signs", "split")]
+    # the streamed pass, with its state in outside-slot order, absolute
+    # weights on a zero floor and each row screened in float32, against the
+    # lockstep core over the dense pair weights of cross_correlate: the same
+    # steps bitwise, the forest ends of the steps that start a new tree
+    # included
+    datasets = screen_stress_datasets(rng)
     datasets += [random_dataset(rng, int(rng.integers(3, 12)), int(rng.integers(2, 40)))
                  for _ in range(6)]
     for ds in datasets:
@@ -668,26 +692,59 @@ def test_binned_rows_with_zeros_equal_exact_curves_of_snapped_weights(rng):
                                          n_bins)
 
 
+def candidate_bounds(w, joined, floor, slack):
+    """For the Prim pass whose steps add ``joined`` to node 0 over the
+    undirected pair weights ``w``: the number of steps with a candidate and
+    the number of candidates, counted as the outside nodes whose weight from
+    the joining node reaches their best weight, or comes within ``slack`` of
+    it. The float32 screen must flag the first and may flag no more than the
+    second."""
+    order = np.r_[0, joined]
+    best = np.full(len(w), floor)
+    steps, entries = np.zeros(2, dtype=int), np.zeros(2, dtype=int)
+    for t, u in enumerate(order[:-1]):
+        outside = order[t + 1 :]
+        r, b = w[u, outside], best[outside]
+        for side, hit in enumerate((r >= b, r >= b - slack)):
+            steps[side] += hit.any()
+            entries[side] += hit.sum()
+        best[outside] = np.maximum(b, r)
+    return steps, entries
+
+
 def test_binned_computes_each_weight_row_once(rng, monkeypatch):
-    calls = entries = 0
-    product = crosscorr._product_blocks
+    entries, screened = [], []  # one item per call
+    product, screen = crosscorr._product_blocks, filtration._screen_row
 
     def counted(x, y):
-        nonlocal calls, entries
-        calls += 1
-        entries += x.shape[1] * y.shape[1]
+        entries.append(x.shape[1] * y.shape[1])
         return product(x, y)
 
+    def counted_screen(v, yx, m, symmetrize):
+        screened.append(m)
+        return screen(v, yx, m, symmetrize)
+
     monkeypatch.setattr(crosscorr, "_product_blocks", counted)
+    monkeypatch.setattr(filtration, "_screen_row", counted_screen)
     p = 200
     ds = random_dataset(rng, 8, p)
-    # each joining node's two directed products run against the nodes still
-    # outside the forest only, so every pair is computed once in each direction
-    filtration_curves_binned(AbsWeightBlocks(ds, block_size=8), n_bins=1000)
-    assert (calls, entries) == (2 * (p - 1), p * (p - 1))
-    calls = entries = 0
-    filtration._streamed_curves(ds, symmetrize=False)
-    assert (calls, entries) == (2 * (p - 1), p * (p - 1))
+    for symmetrize in (True, False):
+        rho = cross_correlate(ds, symmetrize=symmetrize).rho
+        w = np.abs(rho) if symmetrize else np.maximum(np.abs(rho), np.abs(rho.T))
+        joined = filtration._streamed_steps(ds, symmetrize)[0][:, 0]
+        steps, candidates = candidate_bounds(w, joined, 0.0, 1e-4)
+        entries.clear(), screened.clear()
+        if symmetrize:
+            filtration_curves_binned(AbsWeightBlocks(ds, block_size=8), n_bins=1000)
+        else:
+            filtration._streamed_curves(ds, symmetrize=False)
+        # each joining node's row is screened in float32 against the nodes
+        # still outside the forest only, so every pair once; the exact kernel
+        # runs both directions on the candidates only, one call each per step
+        # that has any (p < _ROW_BLOCK_BYTES / 8n: one gather per row)
+        assert screened == list(range(p - 1, 0, -1))
+        assert steps[0] <= len(entries) / 2 <= steps[1] < p - 1
+        assert candidates[0] <= sum(entries) / 2 <= candidates[1] < p * (p - 1) / 20
 
 
 def test_binned_memory_stays_linear_in_nodes(rng):
