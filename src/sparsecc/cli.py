@@ -76,6 +76,13 @@ def _add_common(parser, symmetrize_default=True):
     parser.set_defaults(symmetrize=symmetrize_default)
 
 
+def _add_two_groups(parser, *paths: str) -> None:
+    """``compare``'s and ``hgi``'s two x, y pairs, positionals named ``paths``, and ``--kind``."""
+    for path in paths:
+        parser.add_argument(path)
+    parser.add_argument("--kind", choices=tuple(_KINDS), default="both")
+
+
 def _load_pair(x_path, y_path, fmt, policy="error"):
     x = dataset.ingest(x_path, format=fmt)
     y = dataset.ingest(y_path, format=fmt)
@@ -83,6 +90,20 @@ def _load_pair(x_path, y_path, fmt, policy="error"):
         return dataset.normalize_pair(x, y, zero_variance_policy=policy)
     except SparseCCError as exc:
         raise type(exc)(f"{x_path}, {y_path}: {exc}") from exc
+
+
+def _load_groups(x1, y1, x2, y2, fmt):
+    """``compare``'s and ``hgi``'s two groups, refused unless they cover one node set."""
+    ds1, ds2 = _load_pair(x1, y1, fmt), _load_pair(x2, y2, fmt)
+    if ds1.node_ids != ds2.node_ids:
+        raise NodeSetMismatch(f"{x1}, {y1} and {x2}, {y2}: datasets cover different node sets")
+    return ds1, ds2
+
+
+def _write_results(out: Path, results) -> None:
+    """``result_<kind>.json`` for each two-group comparison in ``results``."""
+    for kind, res in results.items():
+        (out / f"result_{kind}.json").write_text(res.to_json())
 
 
 def _check_edges_fit(p: int, threshold: float, path: Path, header: str, option: str,
@@ -145,11 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(f)
 
     c = sub.add_parser("compare", help="two-group curve comparison")
-    c.add_argument("x1_path")
-    c.add_argument("y1_path")
-    c.add_argument("x2_path")
-    c.add_argument("y2_path")
-    c.add_argument("--kind", choices=("count", "largest", "both"), default="both")
+    _add_two_groups(c, "x1_path", "y1_path", "x2_path", "y2_path")
     c.add_argument("--permutations", type=int, default=0)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--threads", type=int, default=None,
@@ -159,11 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(c)
 
     h = sub.add_parser("hgi", help="heritability indices from MZ and DZ pairs")
-    h.add_argument("mz_x_path")
-    h.add_argument("mz_y_path")
-    h.add_argument("dz_x_path")
-    h.add_argument("dz_y_path")
-    h.add_argument("--kind", choices=("count", "largest", "both"), default="both")
+    _add_two_groups(h, "mz_x_path", "mz_y_path", "dz_x_path", "dz_y_path")
     h.add_argument("--edge-threshold", type=float, default=0.0)
     _add_common(h)
 
@@ -232,16 +245,9 @@ def _cmd_compare(args, out: Path) -> None:
         raise ValueError("--seed must be >= 0")
     from . import inference
 
-    ds1 = _load_pair(args.x1_path, args.y1_path, args.format)
-    ds2 = _load_pair(args.x2_path, args.y2_path, args.format)
-    try:
-        results = inference._compare_kinds(ds1, ds2, _KINDS[args.kind], args.symmetrize,
-                                           args.permutations, args.seed, args.threads)
-    except NodeSetMismatch as exc:  # the two pairs cover different node sets
-        raise NodeSetMismatch(f"{args.x1_path}, {args.y1_path} and {args.x2_path}, "
-                              f"{args.y2_path}: {exc}") from exc
-    for kind, res in results.items():
-        (out / f"result_{kind}.json").write_text(res.to_json())
+    ds1, ds2 = _load_groups(args.x1_path, args.y1_path, args.x2_path, args.y2_path, args.format)
+    _write_results(out, inference._compare_kinds(ds1, ds2, _KINDS[args.kind], args.symmetrize,
+                                                 args.permutations, args.seed, args.threads))
 
 
 def _cmd_hgi(args, out: Path) -> None:
@@ -249,15 +255,13 @@ def _cmd_hgi(args, out: Path) -> None:
         raise ValueError("--edge-threshold must be >= 0")
     from . import heritability
 
-    mz = _load_pair(args.mz_x_path, args.mz_y_path, args.format)
-    dz = _load_pair(args.dz_x_path, args.dz_y_path, args.format)
-    heritability._check_twins(mz, dz)
+    mz, dz = _load_groups(args.mz_x_path, args.mz_y_path, args.dz_x_path, args.dz_y_path,
+                          args.format)
     _check_edges_fit(mz.n_nodes, args.edge_threshold, out / "hgi_edges.csv",
                      heritability._HGI_EDGES_CSV[0], "--edge-threshold")
     results = heritability._streamed_hgi(mz, dz, _KINDS[args.kind], args.symmetrize,
                                          args.edge_threshold, out / "hi.csv", out / "hgi_edges.csv")
-    for kind, res in results.items():
-        (out / f"result_{kind}.json").write_text(res.to_json())
+    _write_results(out, results)
 
 
 def _cmd_simulate(args, out: Path) -> None:

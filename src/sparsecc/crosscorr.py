@@ -148,6 +148,16 @@ def _screen_row(v: np.ndarray, yx: np.ndarray, m: int, symmetrize: bool):
     return b, c
 
 
+def _row_weights(b: np.ndarray, c: np.ndarray, absolute: bool) -> np.ndarray:
+    """The undirected weights of signed rows or blocks ``b`` and ``c`` (``c is b``
+    when symmetric, the view ``b.T`` on a directed diagonal block), absolute or
+    raw, the larger of two directions, written over ``b``: no zero is masked."""
+    r = np.abs(b, out=b) if absolute else b
+    if c is not b:
+        np.maximum(r, np.abs(c, out=c) if absolute else c, out=r)
+    return r
+
+
 def _kernel_rows(ds: PairedDataset, symmetrize: bool, upper: bool):
     """Each node u's signed kernel row, in node order: row u of
     ``cross_correlate(ds, symmetrize=symmetrize).rho`` bitwise, from column u
@@ -275,19 +285,18 @@ class AbsWeightBlocks:
 
     ``row(u)`` gives node u's weights to every node (entry u is meaningless;
     ``block_size`` does not apply), bitwise equal to the matching block entries
-    in either orientation: the same kernel, and products and sums commute. It
-    combines u's signed kernel rows ``b, c`` (:func:`_signed_row`), bitwise row
-    u and column u of ``cross_correlate(ds, symmetrize=...).rho``, from which
-    the exact filtration also takes its raw and directed weights. Under
-    ``symmetrize`` both are the one averaged row (``b is c``), read once.
+    in either orientation: the same kernel, and products and sums commute.
+    Both take :func:`_row_weights` of fresh signed kernel output ``b, c``
+    (:func:`_signed_blocks`, :func:`_signed_row`: bitwise entries of
+    ``cross_correlate(ds, symmetrize=...).rho``), as the streamed Prim pass
+    does; under ``symmetrize`` both are the one averaged row (``b is c``).
 
     ``filtration_curves_binned`` given this stream reads neither full rows nor
     blocks, only ``ds`` and ``symmetrize``: its streamed Prim pass
     (``filtration._streamed_steps``) screens each joining node's row in
-    float32 against the nodes still outside the forest only, then computes
-    the signed entries of the candidates, those the screen cannot rule out,
-    bitwise as here, and compares their absolute weights with its best
-    weights, which start from a floor of 0.0, so a zero weight needs no mask.
+    float32 against the nodes still outside the forest only, and computes the
+    weights of the candidates the screen cannot rule out bitwise as here;
+    its best weights start from a floor of 0.0, so no zero weight is masked.
     """
 
     def __init__(self, ds: PairedDataset, block_size: int = 1024, symmetrize: bool = True):
@@ -307,13 +316,12 @@ class AbsWeightBlocks:
     def compute_block(self, pair: tuple[int, int]) -> tuple[int, int, np.ndarray]:
         (i0, j0), bs = pair, self.block_size
         I, J = slice(i0, i0 + bs), slice(j0, j0 + bs)
-        return i0, j0, self._combine(*_signed_blocks(self.ds.x, self.ds.y, I, J, self.symmetrize))
+        b, c = _signed_blocks(self.ds.x, self.ds.y, I, J, self.symmetrize)
+        return i0, j0, _row_weights(b, c, True)
 
     def row(self, u: int) -> np.ndarray:
-        return self._combine(*_signed_row(self.ds.x, self.ds.y, u, slice(None), self.symmetrize))
-
-    def _combine(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return np.abs(b) if b is c else np.maximum(np.abs(b), np.abs(c))
+        b, c = _signed_row(self.ds.x, self.ds.y, u, slice(None), self.symmetrize)
+        return _row_weights(b, c, True)
 
     def __iter__(self):
         for pair in self.block_pairs():

@@ -8,6 +8,7 @@ precondition for all cross-correlation computations downstream.
 from __future__ import annotations
 
 import json
+import warnings
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -126,14 +127,14 @@ def _read_csv(path: Path) -> RawMatrix:
             if not first.strip():
                 raise MalformedFile(f"{path}: empty file")
             has_header = _looks_like_header(first)
-            values = np.loadtxt(
-                fh if has_header else [first] + fh.readlines(),
-                delimiter=",",
-                ndmin=2,
-                dtype=np.float64,
-            )
+            with warnings.catch_warnings():  # a file with no data rows is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh if has_header else [first] + fh.readlines(),
+                                    delimiter=",", ndmin=2, dtype=np.float64)
         except ValueError as exc:  # also a UnicodeDecodeError, on a line or ahead of it
             raise MalformedFile(f"{path}: {exc}") from exc
+    if not len(values):
+        raise MalformedFile(f"{path}: no data rows")
     if has_header:
         node_ids = tuple(tok.strip() for tok in first.strip().split(","))
     else:

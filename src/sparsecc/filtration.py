@@ -46,6 +46,7 @@ from .crosscorr import (
     CrossCorrMatrix,
     SparseCrossCorr,
     _kept_pairs,
+    _row_weights,
     _screen_row,
     _signed_row,
     sparse_network,
@@ -275,16 +276,6 @@ def _screen_slack(ds) -> float:
     if not (8 * n * _U32 <= 1 and 4 * (t + nx + ny) < _MAX32):  # NaN fails too
         return math.inf
     return 2 * ((3 + 3 * n) * _U32 * t + 6 * _TINY32 * r + 10 * n * _TINY32)
-
-
-def _row_weights(b: np.ndarray, c: np.ndarray, absolute: bool) -> np.ndarray:
-    """The undirected weights of signed rows ``b`` and ``c`` (``c is b`` when
-    symmetric), absolute or raw, the larger of two directions, written over
-    ``b``: no zero weight is masked."""
-    r = np.abs(b, out=b) if absolute else b
-    if c is not b:
-        np.maximum(r, np.abs(c, out=c) if absolute else c, out=r)
-    return r
 
 
 def _streamed_steps(ds, symmetrize: bool, weight_transform: str = "absolute"):

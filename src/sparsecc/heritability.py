@@ -75,7 +75,8 @@ def hgi(
     equals the node-level index applied to the per-node twin correlations.
     ``block_size`` has no effect.
     """
-    _check_twins(mz, dz)
+    if mz.node_ids != dz.node_ids:
+        raise NodeSetMismatch("MZ and DZ datasets cover different node sets")
     cc_mz, cc_dz = (cross_correlate(ds, symmetrize=symmetrize) for ds in (mz, dz))
     rho_mz = np.diag(cc_mz.rho).copy()
     rho_dz = np.diag(cc_dz.rho).copy()
@@ -84,11 +85,6 @@ def hgi(
         node_ids=mz.node_ids, hi=hi, a_factor=a, c_factor=c, rho_mz=rho_mz, rho_dz=rho_dz,
         hgi=2.0 * (cc_mz.rho - cc_dz.rho), symmetrized=symmetrize,
     )
-
-
-def _check_twins(mz: PairedDataset, dz: PairedDataset) -> None:
-    if mz.node_ids != dz.node_ids:
-        raise NodeSetMismatch("MZ and DZ datasets cover different node sets")
 
 
 def hgi_significance(
@@ -112,15 +108,14 @@ def _streamed_hgi(mz, dz, kinds, symmetrize, threshold, hi_path, edges_path) -> 
     :func:`write_hi_csv` and :func:`write_hgi_edges` write for :func:`hgi`,
     bitwise, and :func:`hgi_significance` of every kind in ``kinds``.
 
-    The test results come from ``inference._compare_kinds``, symmetrized
-    whatever ``symmetrize`` is, so from each twin group's streamed spanning
-    forest. One pass over the nodes u in ascending order then reads row u of
-    both groups from column u on (``crosscorr._kernel_rows``: bitwise the rows
-    of :func:`~sparsecc.crosscorr.cross_correlate`, computed a few rows per
-    kernel call; a directed pass skips the reverse rows it does not use).
-    Entry u gives the node-level correlations, the rest the pairs u < j in the
-    edge file's order, written as they are computed. The node sets must match
-    (``_check_twins``).
+    The test results come first, from ``inference._compare_kinds`` (which
+    refuses node sets that differ), symmetrized whatever ``symmetrize`` is,
+    so from each twin group's streamed spanning forest. One pass over the
+    nodes u in ascending order then reads row u of both groups from column u
+    on (``crosscorr._kernel_rows``: bitwise the rows of ``cross_correlate``,
+    computed a few rows per kernel call; a directed pass skips the reverse
+    rows it does not use). Entry u gives the node-level correlations, the
+    rest the pairs u < j in the edge file's order, written as computed.
     """
     results = _compare_kinds(mz, dz, kinds, symmetrize=True)
     p = mz.n_nodes

@@ -46,14 +46,14 @@ from ._parallel import ordered_map, resolve_threads
 # saves some CPU but raises the CLI's peak RSS by 11 % (40.5 to 45.1 MiB).
 _BATCH_BYTES = 1 << 21
 
-# From this node count on, a replicate's groups each take a streamed pass: the
-# smallest p at which two streamed passes took no more CPU than one dense
-# one-replicate batch in every run. CPU ms per replicate, dense / streamed, one
-# thread, n = 20, two groups, medians of 7-11 alternating rounds per run on a
-# shared 2-core Xeon: p = 900: 35.7 / 37.1, 40.3 / 39.5, 65.6 / 80.6; 1000:
-# 43.3 / 42.5, 50.0 / 46.8, 73.6 / 92.8, 70.7 / 66.5; 1024: 66.6 / 47.3,
-# 100.4 / 94.7, 86.9 / 68.3; 1200: 72.1 / 56.9. A dense batch below it holds at
-# most 7 x 8 x 1023^2 bytes (56 MiB), one per core.
+# From this node count on, a replicate's groups each take a streamed pass. CPU ms
+# per replicate, dense batch / two float32-screened streamed passes
+# (_dense_step_weights / _step_weights), one thread, n = 20, minimum of 7
+# alternating rounds on a shared 2-core Xeon: p = 300: 5.5 / 12.6; 600: 18.2 /
+# 26.4; 800: 31.6 / 36.2; 1000: 44.0 / 46.4; 1024: 53.4 / 47.1; 1200: 65.1 / 55.5;
+# 1500: 90.8 / 72.1. The cut stays until a change to it shows a gain on a benchmark
+# workload. A dense batch below it holds at most 7 x 8 x 1023^2 bytes (56 MiB),
+# one per core.
 _STREAMED_FROM = 1024
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import threading
 import tracemalloc
@@ -188,9 +189,11 @@ def test_repeated_node_ids_refused_before_any_output(tmp_path, capsys, command):
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("case", ["empty-csv", "unreadable-sidecar", "sidecar-id-count",
-                                  "xy-node-ids", "xy-shape", "drop-leaves-one-node",
-                                  "group-node-sets", "group-constant-column"])
+@pytest.mark.filterwarnings("error")  # a warning is a second stderr line
+@pytest.mark.parametrize("case", ["empty-csv", "header-only-csv", "unreadable-sidecar",
+                                  "sidecar-id-count", "xy-node-ids", "xy-shape",
+                                  "drop-leaves-one-node", "group-node-sets", "hgi-node-sets",
+                                  "group-constant-column"])
 def test_input_refusals_name_their_files(tmp_path, capsys, case):
     # each bad input exits 1 with one error line that starts with the file or
     # files at fault, and the run writes nothing to --out
@@ -206,6 +209,10 @@ def test_input_refusals_name_their_files(tmp_path, capsys, case):
     if case == "empty-csv":
         (tmp_path / "empty.csv").write_text("")
         paths, error = [str(tmp_path / "empty.csv"), y1], f"{tmp_path / 'empty.csv'}: empty file"
+    elif case == "header-only-csv":
+        (tmp_path / "header.csv").write_text("a,b,c\n")
+        paths = [str(tmp_path / "header.csv"), y1]
+        error = f"{tmp_path / 'header.csv'}: no data rows"
     elif case in ("unreadable-sidecar", "sidecar-id-count"):
         xb = tmp_path / "x.bin"
         save_binary(rng.standard_normal((8, 5)), xb)
@@ -228,8 +235,8 @@ def test_input_refusals_name_their_files(tmp_path, capsys, case):
         paths, flags = [csv("x_flat.csv", x), y1], ["--zero-variance", "drop"]
         error = f"{paths[0]}, {y1}: fewer than 2 nodes left after dropping constant signals"
     else:
-        command = "compare"
-        if case == "group-node-sets":
+        command = "hgi" if case == "hgi-node-sets" else "compare"
+        if case != "group-constant-column":
             x2, y2 = (csv(f"{name}_ids.csv", rng.standard_normal((8, 5)), list("abcde"))
                       for name in ("x2", "y2"))
             error = f"{x1}, {y1} and {x2}, {y2}: datasets cover different node sets"
@@ -284,6 +291,31 @@ def test_payload_size_must_match_the_sidecar(tmp_path, capsys, tail, meta, size)
     assert err == (f"sparsecc filtrate: error: {xb}: sidecar declares {n}x{p} = {n * p} float64 "
                    f"values ({8 * n * p} bytes), the file has {size} bytes\n")
     assert not any(out.iterdir())
+
+
+def test_help_renders_and_option_sets_are_unchanged():
+    # every subcommand's --help renders, with these options and positionals
+    common = ["--out", "--block-size", "--format", "--symmetrize", "--no-symmetrize"]
+    expected = {
+        "build": (["x_path", "y_path"], ["--lambda", "--zero-variance"]),
+        "filtrate": (["x_path", "y_path"], ["--exact", "--bins", "--absolute", "--raw",
+                                            "--threads", "--zero-variance"]),
+        "compare": (["x1_path", "y1_path", "x2_path", "y2_path"],
+                    ["--kind", "--permutations", "--seed", "--threads"]),
+        "hgi": (["mz_x_path", "mz_y_path", "dz_x_path", "dz_y_path"],
+                ["--kind", "--edge-threshold"]),
+        "simulate": ([], ["--n-obs", "--n-nodes", "--noise-sd", "--n-dependent", "--reps",
+                          "--seed", "--threads"]),
+    }
+    ap = cli.build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(expected)
+    for name, parser in sub.choices.items():
+        assert parser.format_help().startswith(f"usage: sparsecc {name} ")
+        positionals, options = expected[name]
+        assert [a.dest for a in parser._actions if not a.option_strings] == positionals
+        assert ([o for a in parser._actions for o in a.option_strings]
+                == ["-h", "--help", *options, *common])
 
 
 @pytest.mark.parametrize("command", ["build", "filtrate", "compare", "hgi", "simulate"])
