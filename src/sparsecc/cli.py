@@ -103,7 +103,7 @@ def _load_groups(x1, y1, x2, y2, fmt):
 def _write_results(out: Path, results) -> None:
     """``result_<kind>.json`` for each two-group comparison in ``results``."""
     for kind, res in results.items():
-        (out / f"result_{kind}.json").write_text(res.to_json())
+        (out / f"result_{kind}.json").write_text(res.to_json(), encoding="utf-8")
 
 
 def _check_edges_fit(p: int, threshold: float, path: Path, header: str, option: str,

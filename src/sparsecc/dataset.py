@@ -32,6 +32,9 @@ _ZERO_VAR_RTOL = 1e-12
 # Values that ``_write_rows`` turns into Python objects at a time (a few MiB).
 _VALUES_PER_CHUNK = 1 << 17
 
+# The write buffer of each file ``_write_rows`` writes, in bytes.
+_WRITE_BUFFER = 1 << 17
+
 
 @dataclass(eq=False)
 class RawMatrix:
@@ -145,7 +148,7 @@ def _read_csv(path: Path) -> RawMatrix:
 def _read_binary(path: Path) -> RawMatrix:
     sidecar = Path(str(path) + ".json")
     try:
-        meta = json.loads(sidecar.read_text())
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise MalformedFile(f"{sidecar}: unreadable sidecar ({exc})") from exc
     if not isinstance(meta, dict):
@@ -213,11 +216,12 @@ def _write_rows(path, header: str | None, row_format: str, blocks):
     ``blocks`` holds one block per file, the files are written in one pass
     and the counts come back as a list.
 
-    A streamed block ``(u, j, w)`` holds node u's rows of an edge file
-    (``row_format`` ``"{},{},{!r}"``): u is one int, j an int array of node
-    indices and w a float64 array. :func:`_node_rows` renders it with one
-    orjson call over its ``(j, w)`` pairs, cut at the few weights that
-    ``float.__repr__`` renders alone.
+    Files are written as UTF-8 bytes whatever the locale, through a write
+    buffer of ``_WRITE_BUFFER`` bytes. A streamed block ``(u, j, w)`` holds
+    node u's rows of an edge file (``row_format`` ``"{},{},{!r}"``): u is one
+    int, j an int array of node indices and w a float64 array.
+    :func:`_node_rows` renders it to bytes, with the ``b"j,"`` tokens of one
+    :class:`_IndexTokens` table that the blocks of all files share.
 
     A whole-array block is rendered in chunks of at most ``_VALUES_PER_CHUNK``
     values (one row at least), so a chunk's Python objects and text stay near
@@ -229,58 +233,84 @@ def _write_rows(path, header: str | None, row_format: str, blocks):
     """
     many = isinstance(path, list)
     paths, line = path if many else [path], row_format + "\n"
-    counts = [0] * len(paths)
+    counts, index_tokens = [0] * len(paths), _IndexTokens()
     with ExitStack() as files:
-        fhs = [files.enter_context(open(p, "w")) for p in paths]
+        fhs = [files.enter_context(open(p, "wb", buffering=_WRITE_BUFFER)) for p in paths]
         for fh in fhs:
-            fh.write("" if header is None else header + "\n")
+            fh.write(b"" if header is None else (header + "\n").encode())
         for item in blocks:
             for f, block in enumerate(item if many else [item]):
-                counts[f] += _write_block(fhs[f], line, block)
+                counts[f] += _write_block(fhs[f], line, block, index_tokens)
     return counts if many else counts[0]
 
 
-def _write_block(fh, line: str, block) -> int:
+def _write_block(fh, line: str, block, index_tokens) -> int:
     """One block of :func:`_write_rows`; returns its number of rows."""
     if isinstance(block[0], int):  # one node's rows
-        fh.write(_node_rows(*block))
+        fh.write(_node_rows(*block, index_tokens))
         return len(block[1])
     step = max(1, _VALUES_PER_CHUNK // len(block))
     for k in range(0, len(block[0]), step):
         chunk = [np.asarray(c[k : k + step]).tolist() for c in block]
         # one flat argument list, row by row; dropped once its rows are written
         values = list(chain.from_iterable(zip(*chunk, strict=True)))
-        fh.write((line * len(chunk[0])).format(*values))
+        fh.write((line * len(chunk[0])).format(*values).encode())
     return len(block[0])
 
 
-def _node_rows(u: int, j: np.ndarray, w: np.ndarray) -> str:
-    """Node u's edge rows, ``"u,j,w"`` with ``float.__repr__`` of each weight
-    w, one line each, in order.
+class _IndexTokens:
+    """``b"k,"`` for the node indices k = 0, 1, ...: a numpy object array, so
+    that indexing it makes no object per row, extended (never rebuilt) when a
+    block holds an index past its end."""
 
-    One ``orjson.dumps`` call renders the ``(j, w)`` pairs as ``[[j,w],...]``:
-    with the outer brackets cut, each ``"],["`` between two pairs becomes the
-    row break plus ``"u,"``. orjson writes an int as ``str`` does and a float
-    in ``repr``'s shortest round-trip digits, in ``repr``'s notation only for
-    1e-4 <= |x| < 1e16 and x == 0 (it writes ``1e-5`` for ``1e-05``, ``1e16``
-    for ``1e+16`` and ``null`` for inf and NaN). So the rows whose weight is
-    outside that range are rendered alone by ``float.__repr__``, and each run
-    of rows between them by one orjson call.
+    def __init__(self):
+        self.table = np.empty(0, dtype=object)
+
+    def __call__(self, j: np.ndarray) -> list:
+        """The tokens of the indices ``j``, in order, as one list."""
+        top = int(j.max()) + 1
+        size = len(self.table)
+        if top > size:
+            grown = np.empty(max(top, 2 * size), dtype=object)
+            grown[:size] = self.table
+            grown[size:] = [b"%d," % k for k in range(size, len(grown))]
+            self.table = grown
+        return self.table[j].tolist()
+
+
+def _node_rows(u: int, j: np.ndarray, w: np.ndarray, index_tokens: _IndexTokens) -> bytes:
+    """Node u's edge rows, ``"u,j,w"`` with ``float.__repr__`` of each weight
+    w, one line each, in order, as UTF-8 bytes.
+
+    The only Python object made per row is one ``bytes`` token for its
+    weight. One ``orjson.dumps`` call renders the float64 array w itself as
+    ``[w,w,...]``, and one ``split`` of the text inside the brackets gives
+    the tokens. orjson writes a float in ``repr``'s shortest round-trip
+    digits, and in ``repr``'s notation for 1e-4 <= |x| < 1e16 and x == 0;
+    outside that range it does not (it writes ``0.00001`` for ``1e-05``,
+    ``1e16`` for ``1e+16`` and ``null`` for inf and NaN), so the token of
+    each such weight is replaced by its ``float.__repr__``. The ``b"j,"``
+    tokens come from ``index_tokens``. Two extended-slice assignments lay
+    the tokens out in one list, ``b"u,"``, j, w, ``b"\\nu,"``, j, w, ..., and
+    one join makes the block.
     """
     import orjson  # only the edge-file writer of hgi and build renders node blocks
 
+    if not len(w):
+        return b""
+    w = np.ascontiguousarray(w, dtype=np.float64)  # orjson's numpy path needs C order
+    weights = orjson.dumps(w, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
     size = np.abs(w)
-    alone = np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (w == 0))).tolist()
-    js, ws, prefix = j.tolist(), w.tolist(), f"{u},"
-    parts, a = [], 0
-    for k in alone + [len(js)]:
-        if a < k:
-            pairs = orjson.dumps(list(zip(js[a:k], ws[a:k]))).decode()
-            parts.append(prefix + pairs[2:-2].replace("],[", "\n" + prefix) + "\n")
-        if k < len(js):
-            parts.append(f"{prefix}{js[k]},{float.__repr__(ws[k])}\n")
-        a = k + 1
-    return "".join(parts)
+    if not 1e-4 <= size.min() <= size.max() < 1e16:  # false for most blocks: no token to patch
+        for k in np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (w == 0))).tolist():
+            weights[k] = float.__repr__(w[k]).encode()
+    head = b"%d," % u
+    tokens = [b"\n" + head] * (3 * len(w))
+    tokens[0] = head
+    tokens[1::3] = index_tokens(j)
+    tokens[2::3] = weights
+    tokens.append(b"\n")
+    return b"".join(tokens)
 
 
 def save_binary(values: np.ndarray, path, node_ids=None) -> None:
@@ -288,7 +318,7 @@ def save_binary(values: np.ndarray, path, node_ids=None) -> None:
     n, p = values.shape
     values.tofile(path)
     meta = {"n": n, "p": p, "node_ids": list(node_ids) if node_ids else list(default_node_ids(p))}
-    Path(str(path) + ".json").write_text(json.dumps(meta))
+    Path(str(path) + ".json").write_text(json.dumps(meta), encoding="utf-8")
 
 
 def _normalize_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -650,6 +654,40 @@ def test_hgi_outputs(tmp_path, group_csvs):
     assert edges[0] == "i,j,hgi"
     for kind in ("component_count", "largest_component_size"):
         assert (out / f"result_{kind}.json").exists()
+
+
+def test_hgi_writes_utf8_whatever_the_locale(tmp_path):
+    # inputs are read as UTF-8, so outputs are written as UTF-8: under the C
+    # locale, with neither locale coercion nor UTF-8 mode, Python's default
+    # text encoding is ASCII, which can neither decode the node id in the
+    # binary sidecars nor encode it in hi.csv
+    rng = np.random.default_rng(21)
+    ids = ["n\u00e4h", "b", "c", "d"]
+    inputs = []
+    for name in ("mz_x", "mz_y"):
+        path = tmp_path / f"{name}.csv"
+        rows = rng.standard_normal((10, 4)).tolist()
+        lines = [",".join(ids)] + [",".join(map(repr, r)) for r in rows]
+        path.write_bytes("".join(line + "\n" for line in lines).encode())
+        inputs.append(str(path))
+    for name in ("dz_x", "dz_y"):
+        path = tmp_path / f"{name}.bin"
+        rng.standard_normal((10, 4)).tofile(path)
+        meta = {"n": 10, "p": 4, "node_ids": ids}
+        Path(f"{path}.json").write_bytes(json.dumps(meta, ensure_ascii=False).encode())
+        inputs.append(str(path))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    outs = {}
+    for name, extra in (("default", {}), ("ascii", ascii_locale)):
+        outs[name] = tmp_path / name
+        run = subprocess.run([sys.executable, "-m", "sparsecc.cli", "hgi", *inputs,
+                              "--out", str(outs[name])],
+                             env={**env, **extra}, capture_output=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+    for name in ("hi.csv", "hgi_edges.csv", "result_component_count.json"):
+        assert (outs["ascii"] / name).read_bytes() == (outs["default"] / name).read_bytes()
+    assert (outs["ascii"] / "hi.csv").read_bytes().splitlines()[1].startswith("n\u00e4h,".encode())
 
 
 @pytest.mark.parametrize("symmetrize", [True, False])

@@ -272,12 +272,16 @@ _EDGE_FLOATS = (-0.0, 5e-324, 1e-05, 1e16, np.inf, -np.inf, 2.0)
 @st.composite
 def edge_blocks(draw):
     """Blocks of "i,j,w" rows over p nodes: a node's rows with its first
-    column as one int, or whole-array blocks, empty and one-row ones among them."""
+    column as one int, or whole-array blocks, empty and one-row ones among them.
+    Each block's indices are below p, or six-digit ones from 10^5 on, so that
+    blocks of small indices follow blocks of large ones."""
     p = draw(st.integers(min_value=1, max_value=40))
-    index = st.sampled_from([0, p - 1]) | st.integers(min_value=0, max_value=p - 1)
     weight = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False)
     blocks = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        low = draw(st.sampled_from([0, 10**5]))
+        index = (st.sampled_from([low, low + p - 1])
+                 | st.integers(min_value=low, max_value=low + p - 1))
         u, rows = draw(index), draw(st.lists(st.tuples(index, weight), max_size=4))
         j = np.array([r[0] for r in rows], dtype=np.int64)
         w = np.array([r[1] for r in rows], dtype=np.float64)
@@ -285,13 +289,16 @@ def edge_blocks(draw):
     return blocks
 
 
-# p = 41 nodes. A node block is cut at each weight that float.__repr__ renders
-# alone (outside 1e-4 <= |x| < 1e16, and nonzero): here at its first row, its
-# last, two adjacent ones, and every row of a block
+# p = 41 nodes, then six-digit indices from 10^5 on. A weight that
+# float.__repr__ renders alone (outside 1e-4 <= |x| < 1e16, and nonzero) sits
+# at a node block's first row, its last, two adjacent rows and every row of a
+# block. After the large indices come blocks whose indices are all smaller
 _EVERY_EDGE_CASE = [
     (7, np.array([0]), np.array([1e-05])),
     (40, np.array([], dtype=np.int64), np.array([])),
     (0, np.array([40, 0]), np.array(_EDGE_FLOATS[:2])),
+    (100_040, np.array([100_000, 123_456, 100_039]), np.array([0.5, 1e-05, -0.25])),
+    (123_456, np.array([100_000, 99_999]), np.array([0.125, 3.0])),
     (np.full(4, 40), np.array([40, 0, 1, 40]), np.array(_EDGE_FLOATS[3:])),
     (np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([])),
     (40, np.array([40, 39, 0]), np.array(_EDGE_FLOATS[:3])),
@@ -320,6 +327,27 @@ def test_write_rows_matches_per_row_format(tmp_path_factory, blocks):
     counts = dataset._write_rows(paths, "i,j,w", "{},{},{!r}", ([b, b] for b in blocks))
     assert counts == [sum(len(b[1]) for b in blocks)] * 2
     assert [f.read_text() for f in paths] == [expected] * 2
+
+
+def _per_row_bytes(blocks) -> bytes:
+    return b"i,j,w\n" + "".join(
+        "{},{},{!r}\n".format(u, i, w)
+        for b in blocks for u, i, w in zip(np.broadcast_to(b[0], len(b[1])).tolist(),
+                                           b[1].tolist(), b[2].tolist())).encode()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(edge_blocks(), min_size=1, max_size=3))
+@example([_EVERY_EDGE_CASE, _EVERY_EDGE_CASE[::-1], _EVERY_EDGE_CASE[3:5]])
+def test_write_rows_to_several_paths_shares_the_index_tokens(tmp_path_factory, files):
+    # build's route: one pass hands each file its own block, so one file's small
+    # indices follow another's large ones in the index tokens the files share
+    paths = [tmp_path_factory.mktemp("rows") / f"{f}.csv" for f in range(len(files))]
+    empty = (0, np.array([], dtype=np.int64), np.array([]))
+    items = zip(*(blocks + [empty] * (max(map(len, files)) - len(blocks)) for blocks in files))
+    counts = dataset._write_rows(paths, "i,j,w", "{},{},{!r}", items)
+    assert counts == [sum(len(b[1]) for b in blocks) for blocks in files]
+    assert [path.read_bytes() for path in paths] == [_per_row_bytes(blocks) for blocks in files]
 
 
 # each side of both ends of the range whose digits come from orjson, and the
